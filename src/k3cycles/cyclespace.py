@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 import mpmath
@@ -77,6 +78,10 @@ class ThreeSpace:
         return gram_of(self.ambient, self.basis)
 
     def hermitian_gram(self):
+        return self._hermitian_gram
+
+    @cached_property
+    def _hermitian_gram(self):
         return hermitian_gram_of(self.ambient, self.basis)
 
     def is_real(self) -> bool:

@@ -65,6 +65,12 @@ class NonPositiveKappaError(K3CyclesError):
     code = "non_positive_kappa"
 
 
+class InternalCheckError(K3CyclesError):
+    """A computed result failed its exact self-check (a library bug, not bad input)."""
+
+    code = "internal_check"
+
+
 class InputError(K3CyclesError):
     """Malformed structured input (JSON schema violations, bad flags)."""
 

@@ -8,7 +8,7 @@ comparison with 0, which both Fraction and GaussRational provide.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError
 from .gaussrat import GaussRational
@@ -191,16 +191,11 @@ def kernel_basis(m):
 
 def clear_denominators(v):
     """Scale a rational vector to a primitive integer vector (sign preserved)."""
-    fr = [Fraction(x) if isinstance(x, int) else x for x in v]
-    if any(isinstance(x, GaussRational) for x in fr):
+    if any(isinstance(x, GaussRational) for x in v):
         raise TypeError("clear_denominators expects a rational vector")
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)

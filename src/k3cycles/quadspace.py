@@ -72,6 +72,11 @@ class QuadraticSpace:
     def inertia(self):
         return signature(self.gram)
 
+    @cached_property
+    def sparse_rows(self):
+        """Per row, the (j, gram[i][j]) pairs with a nonzero entry; integral entries as int."""
+        return tuple(tuple((j, int(x) if x.denominator == 1 else x) for j, x in enumerate(row) if x) for row in self.gram)
+
 
 @dataclass(frozen=True)
 class IntegralLattice:
@@ -163,21 +168,34 @@ def _space_of(ambient) -> QuadraticSpace:
 
 
 def bilinear(ambient, x, y):
-    """C-bilinear extension <x,y> = x^T * gram * y, no conjugation."""
+    """C-bilinear extension <x,y> = x^T * gram * y, no conjugation.
+
+    Pairs through the sparse Gram rows, in ints when both vectors are int.
+    """
     space = _space_of(ambient)
     if len(x) != space.n or len(y) != space.n:
         raise DimensionMismatchError("vector length does not match space rank")
-    total = Fraction(0)
-    for i, xi in enumerate(x):
+    total = 0
+    if all(type(v) is int for v in x) and all(type(v) is int for v in y):
+        for xi, row in zip(x, space.sparse_rows):
+            if xi:
+                total += xi * sum(g * y[j] for j, g in row)
+        return Fraction(total)
+    gauss = live = False
+    for xi, row in zip(x, space.sparse_rows):
         if xi == 0:
             continue
-        row = space.gram[i]
-        acc = Fraction(0)
-        for j, yj in enumerate(y):
-            if yj != 0:
-                acc = acc + row[j] * yj
+        live = True
+        gauss = gauss or isinstance(xi, GaussRational)
+        acc = 0
+        for j, g in row:
+            if y[j] != 0:
+                acc = acc + g * y[j]
         total = total + xi * acc
-    return total
+    # Gaussian as soon as a Gaussian entry meets a nonzero x, as with dense pairing.
+    if live and (gauss or any(isinstance(yj, GaussRational) and yj != 0 for yj in y)):
+        return GaussRational.of(total)
+    return Fraction(total)
 
 
 def hermitian_pair(ambient, x, y):

@@ -10,14 +10,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     AmbientMismatchError,
     DimensionMismatchError,
     InputError,
+    InternalCheckError,
     NotPositiveDefiniteError,
     NotPositiveError,
+    NotSymmetricError,
 )
 from .gaussrat import GaussRational, as_fraction
 from .linalg import (
@@ -30,7 +31,7 @@ from .linalg import (
     mat_mul,
     transpose,
 )
-from .quadspace import IntegralLattice, hermitian_gram_of, hermitian_signature, signature
+from .quadspace import IntegralLattice, hermitian_signature, signature
 
 
 @dataclass(frozen=True)
@@ -70,27 +71,38 @@ class RootList:
         return iter(self.roots)
 
 
-def _norm_int(gram, x):
+def _pair_int(gram, x, y):
     total = 0
     for i, xi in enumerate(x):
         if xi:
             row = gram[i]
-            total += xi * sum(row[j] * xj for j, xj in enumerate(x) if xj)
+            total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
     return total
 
 
+def _check_norms(gram, vectors, norm, bound=None):
+    """Re-verify enumerated vectors exactly (norm, and box when bound is given)."""
+    for v in vectors:
+        if _pair_int(gram, v, v) != norm or (bound is not None and any(abs(c) > bound for c in v)):
+            raise InternalCheckError(f"enumerated vector {v} fails its norm {norm} or box {bound} check")
+
+
 def _constraint_rows(lattice: IntegralLattice, constraints):
-    """Primitive integer rows whose kernel is {x : <x, c> = 0 for all c}."""
+    """Primitive integer rows whose kernel is {x : <x, c> = 0 for all c}.
+
+    Each constraint is scaled to integers first; scaling by k > 0 leaves the
+    primitive row of G c unchanged.
+    """
     g = lattice.gram_int
     n = lattice.n
     rows = []
     for c in constraints:
         if len(c) != n:
             raise DimensionMismatchError("constraint length does not match lattice rank")
-        pairing = [sum(as_fraction(g[i][j]) * as_fraction(c[j]) for j in range(n)) for i in range(n)]
-        if all(x == 0 for x in pairing):
-            continue
-        rows.append(clear_denominators(pairing))
+        kc = [(j, cj) for j, cj in enumerate(clear_denominators(c)) if cj]
+        pairing = [sum(row[j] * cj for j, cj in kc) for row in g]
+        if any(pairing):
+            rows.append(clear_denominators(pairing))
     return rows
 
 
@@ -108,116 +120,104 @@ def orthogonal_complement_lattice(lattice: IntegralLattice, constraints) -> Subl
     return Sublattice(ambient=lattice, basis=basis, restricted_gram=restricted)
 
 
-def _pair_int(gram, x, y):
-    total = 0
-    for i, xi in enumerate(x):
-        if xi:
-            row = gram[i]
-            total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
-    return total
-
-
 def _ldl(gram):
-    """G = L D L^T with unit lower-triangular L and rational diagonal D."""
+    """Fraction-free G = L D L^T of a positive-definite integer gram.
+
+    Symmetric Bareiss elimination without pivoting: lead[i] is the leading
+    principal minor of size i + 1, D[i] = lead[i] / lead[i-1] and
+    L[j][i] = a / lead[i] for the integer pairs (j, a) in low[i].  Scaled by
+    the common denominator `scale`, the Fincke-Pohst step
+    D[i] (x_i + sum L[j][i] x_j)^2 is weight[i] * (lead[i] x_i + sum a x_j)^2.
+    By Sylvester's criterion the form is positive definite iff every lead[i] > 0.
+    """
     n = len(gram)
-    L = [[Fraction(0)] * n for _ in range(n)]
-    D = [Fraction(0)] * n
-    for i in range(n):
-        L[i][i] = Fraction(1)
-        s = as_fraction(gram[i][i])
-        for k in range(i):
-            s -= L[i][k] * L[i][k] * D[k]
-        D[i] = s
-        if s <= 0:
+    a = [list(row) for row in gram]
+    lead, low = [], []
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
             raise NotPositiveDefiniteError("form is not positive definite")
-        for j in range(i + 1, n):
-            t = as_fraction(gram[j][i])
-            for k in range(i):
-                t -= L[j][k] * L[i][k] * D[k]
-            L[j][i] = t / s
-    return L, D
+        low.append(tuple((r, a[r][k]) for r in range(k + 1, n) if a[r][k]))
+        for r in range(k + 1, n):
+            row, ark = a[r], a[r][k]
+            for c in range(k + 1, r + 1):
+                row[c] = (row[c] * p - ark * a[c][k]) // prev
+        lead.append(p)
+        prev = p
+    dens = [p * q for p, q in zip(lead, [1] + lead)]
+    scale = math.lcm(*dens)
+    return lead, low, [scale // d for d in dens], scale
 
 
-def _int_interval(c: Fraction, q: Fraction):
-    """All integers x with (x + c)^2 <= q, as an inclusive (lo, hi) pair."""
-    if q < 0:
+def _int_interval(s: int, lead: int, bound: int):
+    """All integers x with (lead * x + s)^2 <= bound, as an inclusive (lo, hi) pair."""
+    if bound < 0:
         return 1, 0
-    s = math.sqrt(float(q)) if q > 0 else 0.0
-    fc = float(c)
-    hi = math.floor(-fc + s)
-    lo = math.ceil(-fc - s)
-    while (hi + 1 + c) * (hi + 1 + c) <= q:
-        hi += 1
-    while hi >= lo and (hi + c) * (hi + c) > q:
-        hi -= 1
-    while (lo - 1 + c) * (lo - 1 + c) <= q:
-        lo -= 1
-    while lo <= hi and (lo + c) * (lo + c) > q:
-        lo += 1
-    return lo, hi
+    t = math.isqrt(bound)
+    return -((t + s) // lead), (t - s) // lead
 
 
-def enumerate_norm_vectors(gram, target, float_prescreen: bool = False):
-    """All integer x with x^T gram x == target, for positive-definite gram.
+def _fincke_pohst(gram, bound, exact: bool):
+    """Sorted integer x with x^T gram x == bound (exact) or <= bound, posdef gram.
 
-    Exact rational Fincke-Pohst: enumerate coordinates from the last to the
-    first inside the exact LDL^T intervals.  Output is lexicographically
-    sorted and contains x and -x explicitly.  With float_prescreen=True the
-    interval endpoints are estimated in floating point (widened by one) and
-    every leaf is re-verified exactly.
+    Coordinates run from the last to the first inside exact integer intervals;
+    the remaining norm is kept as an integer over the common denominator of
+    the fraction-free LDL^T.  Rational grams and bounds are scaled to integers.
     """
     g = mat(gram)
     n = len(g)
-    target = as_fraction(target)
-    if target <= 0:
-        raise InputError("target norm must be positive")
-    if signature(g) != (n, 0, 0):
-        raise NotPositiveDefiniteError("enumeration requires a positive-definite gram")
-    L, D = _ldl(g)
-    if float_prescreen:
-        Lf = [[float(x) for x in row] for row in L]
-        Df = [float(x) for x in D]
+    for i, row in enumerate(g):
+        if len(row) != n:
+            raise DimensionMismatchError("gram matrix must be square")
+        if any(row[j] != g[j][i] for j in range(i)):
+            raise NotSymmetricError("gram matrix is not symmetric")
+    den = math.lcm(bound.denominator, *(x.denominator for row in g for x in row))
+    lead, low, weight, scale = _ldl([[x.numerator * (den // x.denominator) for x in row] for row in g])
     x = [0] * n
     out = []
 
     def walk(i, rem):
         if i < 0:
-            if rem == 0:
+            if rem == 0 or not exact:
                 out.append(tuple(x))
             return
-        if float_prescreen:
-            cf = sum(Lf[j][i] * x[j] for j in range(i + 1, n))
-            qf = max(float(rem), 0.0) / Df[i]
-            s = math.sqrt(qf) if qf > 0 else 0.0
-            lo, hi = math.ceil(-cf - s) - 1, math.floor(-cf + s) + 1
-            c = None
-        else:
-            c = sum((L[j][i] * x[j] for j in range(i + 1, n)), start=Fraction(0))
-            lo, hi = _int_interval(c, rem / D[i])
+        s = 0
+        for j, a in low[i]:
+            s += a * x[j]
+        p, w = lead[i], weight[i]
+        lo, hi = _int_interval(s, p, rem // w)
         for v in range(lo, hi + 1):
             x[i] = v
-            if float_prescreen:
-                c = sum((L[j][i] * x[j] for j in range(i + 1, n)), start=Fraction(0))
-                step = D[i] * (v + c) * (v + c)
-                if step > rem:
-                    continue
-            else:
-                step = D[i] * (v + c) * (v + c)
-            walk(i - 1, rem - step)
+            u = p * v + s
+            walk(i - 1, rem - w * u * u)
         x[i] = 0
 
-    walk(n - 1, target)
+    walk(n - 1, bound.numerator * (den // bound.denominator) * scale)
     out.sort()
-    for v in out:
-        assert _norm_int(g, v) == target
     return tuple(out)
+
+
+def enumerate_norm_vectors(gram, target):
+    """All integer x with x^T gram x == target, for positive-definite gram.
+
+    Exact fraction-free Fincke-Pohst.  Output is lexicographically sorted and
+    contains x and -x explicitly.
+    """
+    target = as_fraction(target)
+    if target <= 0:
+        raise InputError("target norm must be positive")
+    g = mat(gram)
+    out = _fincke_pohst(g, target, exact=True)
+    _check_norms(g, out, target)
+    return out
 
 
 def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> RootList:
     """Complete list of roots of the lattice orthogonal to a positive three-space."""
     if threespace.ambient.gram != lattice.space.gram:
         raise AmbientMismatchError("three-space ambient does not match lattice")
-    if hermitian_signature(hermitian_gram_of(threespace.ambient, threespace.basis)) != (3, 0, 0):
+    if hermitian_signature(threespace.hermitian_gram()) != (3, 0, 0):
         raise NotPositiveError("three-space must be positive for complete root enumeration")
     constraints = []
     for row in threespace.basis:
@@ -228,42 +228,17 @@ def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> Root
     if sub.rank == 0:
         return RootList(roots=(), complete=True)
     neg = tuple(tuple(-x for x in row) for row in sub.restricted_gram)
-    found = enumerate_norm_vectors(neg, 2)
-    g = lattice.gram_int
-    roots = []
-    for t in found:
-        v = sub.to_ambient(t)
-        assert _norm_int(g, v) == -2
-        roots.append(v)
-    roots.sort()
+    roots = sorted(sub.to_ambient(t) for t in enumerate_norm_vectors(neg, 2))
+    _check_norms(lattice.gram_int, roots, -2)
     return RootList(roots=tuple(roots), complete=True)
 
 
 def _enumerate_up_to(gram, radius):
     """All integer x (including 0) with x^T gram x <= radius, posdef gram."""
-    g = mat(gram)
-    n = len(g)
     radius = as_fraction(radius)
     if radius < 0:
         return ()
-    L, D = _ldl(g)
-    x = [0] * n
-    out = []
-
-    def walk(i, rem):
-        if i < 0:
-            out.append(tuple(x))
-            return
-        c = sum((L[j][i] * x[j] for j in range(i + 1, n)), start=Fraction(0))
-        lo, hi = _int_interval(c, rem / D[i])
-        for v in range(lo, hi + 1):
-            x[i] = v
-            walk(i - 1, rem - D[i] * (v + c) * (v + c))
-        x[i] = 0
-
-    walk(n - 1, radius)
-    out.sort()
-    return tuple(out)
+    return _fincke_pohst(gram, radius, exact=False)
 
 
 def _components(m):
@@ -334,14 +309,9 @@ def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int)
     if sig[0] == 0 and sig[2] == 0:
         # Negative definite restriction: complete enumeration, then box filter.
         neg = tuple(tuple(-x for x in row) for row in C)
-        hits = [t for t in enumerate_norm_vectors(neg, 2)]
-        roots = []
-        for t in hits:
-            v = Sublattice(lattice, basis, C).to_ambient(t)
-            if in_box(v, coord_bound):
-                assert _norm_int(g, v) == -2
-                roots.append(v)
-        roots.sort()
+        full = Sublattice(lattice, basis, C)
+        roots = sorted(v for v in map(full.to_ambient, enumerate_norm_vectors(neg, 2)) if in_box(v, coord_bound))
+        _check_norms(g, roots, -2, coord_bound)
         return RootList(roots=tuple(roots), complete=False, bound_used=coord_bound)
 
     comps = _components(C)
@@ -443,10 +413,6 @@ def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int)
                     t_full[kk] = 0
 
     assemble(0, 0)
-    roots = []
-    for v in out:
-        assert _norm_int(g, v) == -2
-        assert in_box(v, coord_bound)
-        roots.append(v)
-    roots.sort()
-    return RootList(roots=tuple(roots), complete=False, bound_used=coord_bound)
+    out.sort()
+    _check_norms(g, out, -2, coord_bound)
+    return RootList(roots=tuple(out), complete=False, bound_used=coord_bound)

@@ -46,11 +46,27 @@ def naive_box_norm_vectors(gram, target):
     gram must be positive definite with integer entries.  The box bound per
     coordinate is x_i^2 <= target * (gram^-1)_ii.
     """
-    return list(_naive_box_cached(tuple(tuple(int(x) for x in row) for row in gram), int(target)))
+    target = int(target)
+    return [x for x, norm in _naive_box_cached(_int_gram(gram), target) if norm == target]
 
 
-@lru_cache(maxsize=32)
+def naive_box_radius_vectors(gram, radius):
+    """All integer x (zero included) with x^T gram x <= radius by box scan.
+
+    Same box as naive_box_norm_vectors: every such x has x_i^2 <= radius *
+    (gram^-1)_ii.
+    """
+    return [x for x, _ in _naive_box_cached(_int_gram(gram), int(radius))]
+
+
+def _int_gram(gram):
+    return tuple(tuple(int(x) for x in row) for row in gram)
+
+
+@lru_cache(maxsize=1024)  # large enough that the property tests do not evict the E8 scan
 def _naive_box_cached(gram, target):
+    """Sorted (x, x^T gram x) pairs for the box points with norm <= target;
+    one scan serves both the exact-norm and the radius oracle."""
     n = len(gram)
     gi = _inverse_fraction(gram)
     bounds = [_floor_sqrt(Fraction(target) * gi[i][i]) for i in range(n)]
@@ -70,8 +86,9 @@ def _naive_box_cached(gram, target):
         coords = (idx[:, None] // radix[None, :]) % np.array(dims, dtype=np.int64)[None, :]
         X = coords - offs[None, :]
         norms = np.einsum("ij,jk,ik->i", X, G, X)
-        for row in X[norms == target]:
-            out.append(tuple(int(v) for v in row))
+        keep = norms <= target
+        for row, norm in zip(X[keep], norms[keep]):
+            out.append((tuple(int(v) for v in row), int(norm)))
     out.sort()
     return tuple(out)
 
@@ -118,3 +135,21 @@ def block_sum_roots(gram, target=-2):
             out.append(tuple(amb))
     out.sort()
     return out
+
+
+def dense_bilinear(gram, x, y):
+    """x^T gram y over every Gram entry, accumulated from Fraction(0).
+
+    Entries may be int, Fraction or GaussRational; the value is Gaussian as
+    soon as a Gaussian entry takes part in a product.
+    """
+    total = Fraction(0)
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        acc = Fraction(0)
+        for j, yj in enumerate(y):
+            if yj != 0:
+                acc = acc + Fraction(gram[i][j]) * yj
+        total = total + xi * acc
+    return total

@@ -6,10 +6,10 @@ import pytest
 import k3cycles as k
 from k3cycles.errors import InputError, NotPositiveDefiniteError, NotPositiveError
 from k3cycles.linalg import hnf, int_kernel
-from k3cycles.rootenum import _pair_int
+from k3cycles.rootenum import _enumerate_up_to, _pair_int
 
 from conftest import gauss_rows, uvec, vprime_rows
-from oracles import block_sum_roots, naive_box_norm_vectors
+from oracles import block_sum_roots, naive_box_norm_vectors, naive_box_radius_vectors
 
 
 def test_enumerate_rank_one():
@@ -38,10 +38,27 @@ def test_enumerate_requires_positive_definite():
         k.enumerate_norm_vectors(((2,),), 0)
 
 
-def test_enumerate_float_prescreen_agrees(e8):
-    exact = k.enumerate_norm_vectors(e8.gram_int, 2)
-    screened = k.enumerate_norm_vectors(e8.gram_int, 2, float_prescreen=True)
-    assert exact == screened
+def test_walk_matches_box_oracles_e8_and_vprime_complement(e8, k3):
+    # Both entry points of the one Fincke-Pohst walk against the box scans.
+    # E8 gives the full 240 roots.  The rank-19 vprime complement box has
+    # about 4.7e14 points, so its principal sub-grams carrying the largest
+    # entries (1292 and 990) stand in for it.
+    got = k.enumerate_norm_vectors(e8.gram_int, 2)
+    assert len(got) == 240
+    assert list(got) == naive_box_norm_vectors(e8.gram_int, 2)
+    assert list(_enumerate_up_to(e8.gram_int, 2)) == naive_box_radius_vectors(e8.gram_int, 2)
+    sub = k.orthogonal_complement_lattice(k3, vprime_rows())
+    neg = [[-x for x in row] for row in sub.restricted_gram]
+    assert max(abs(x) for row in neg for x in row) == 1292
+    for idx, targets in ((range(12, 19), (2, 4, 6)), (range(8), (10, 20, 40))):
+        block = tuple(tuple(neg[i][j] for j in idx) for i in idx)
+        found = 0
+        for t in targets:
+            got = k.enumerate_norm_vectors(block, t)
+            assert list(got) == naive_box_norm_vectors(block, t)
+            assert list(_enumerate_up_to(block, t)) == naive_box_radius_vectors(block, t)
+            found += len(got)
+        assert found > 0
 
 
 def test_enumerate_small_grams_against_naive():
