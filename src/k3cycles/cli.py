@@ -203,7 +203,7 @@ def complement_cmd(kind, lattice_file, constraints):
 @click.option("--kind", default=None, help="Integral lattice context for the twistor predicate.")
 @click.option("--lattice-file", default=None, type=click.Path())
 @click.option("--samples", default=256, show_default=True)
-@click.option("--precision", default=None, type=int, help="Binary precision (default 128 or K3CYCLES_PRECISION).")
+@click.option("--precision", default=None, type=int, help="Binary precision, at least 53 (default 128 or K3CYCLES_PRECISION).")
 def cycle_classify(input_path, kind, lattice_file, samples, precision):
     """Smoothness, Hermitian signature, reality, positivity, twistor, domain."""
 

@@ -5,7 +5,7 @@ A three-space V (rank-3 subspace of the complexified ambient, given by a
 intersection with the quadric {<x,x> = 0} is a conic.  This module decides
 smoothness, the Hermitian signature trichotomy, reality, positivity and the
 twistor predicate exactly, and checks domain membership of the conic by
-high-precision sampling where no exact criterion exists.
+sampling where no exact criterion exists, deciding each sample exactly.
 """
 
 from __future__ import annotations
@@ -13,14 +13,16 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import isqrt
+from functools import cached_property, partial
+from math import isqrt, lcm
+from operator import mul
 
 import mpmath
+from mpmath.libmp import from_rational, mpf_shift, to_int
 
-from .errors import AmbientMismatchError, DimensionMismatchError, InputError
-from .gaussrat import GaussRational, as_fraction
-from .linalg import apply_matrix, conj_vec, det, is_zero_vec, mat, rank
+from .errors import AmbientMismatchError, DimensionMismatchError, InputError, InternalCheckError
+from .gaussrat import GaussRational, as_fraction, im_part, re_part
+from .linalg import apply_matrix, det, is_zero_vec, mat, rank, rref
 from .quadspace import (
     IntegralLattice,
     Isometry,
@@ -34,20 +36,24 @@ from .quadspace import (
 from .rootenum import roots_orthogonal_to_threespace
 
 DEFAULT_PRECISION_BITS = 128
+MIN_PRECISION_BITS = 53
 DOMAIN_TOLERANCE = 1e-9
 PRECISION_ENV_VAR = "K3CYCLES_PRECISION"
 
 
 def resolve_precision(bits=None) -> int:
-    if bits is not None:
-        return int(bits)
-    env = os.environ.get(PRECISION_ENV_VAR)
-    if env:
+    """The argument, else K3CYCLES_PRECISION, else 128; at least 53 bits."""
+    if bits is None:
+        env = os.environ.get(PRECISION_ENV_VAR)
+        if not env:
+            return DEFAULT_PRECISION_BITS
         try:
-            return int(env)
+            bits = int(env)
         except ValueError as exc:
             raise InputError(f"bad {PRECISION_ENV_VAR} value {env!r}") from exc
-    return DEFAULT_PRECISION_BITS
+    if int(bits) < MIN_PRECISION_BITS:
+        raise InputError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {bits}")
+    return int(bits)
 
 
 @dataclass(frozen=True)
@@ -63,18 +69,25 @@ class ThreeSpace:
             raise DimensionMismatchError("a three-space needs exactly 3 basis rows")
         if any(len(r) != self.ambient.n for r in rows):
             raise DimensionMismatchError("basis row length does not match ambient rank")
-        if rank(rows) != 3:
+        echelon, pivots = rref(rows)
+        if len(pivots) != 3:
             raise InputError("basis rows are linearly dependent over Q(i)")
         p, n, z = self.ambient.inertia
         if p != 3 or z != 0:
             raise InputError(f"ambient signature must be (3, n-, 0), got ({p}, {n}, {z})")
         object.__setattr__(self, "basis", rows)
+        # RREF(conj V) = conj RREF(V), so V is real iff its canonical basis is.
+        object.__setattr__(self, "_real", all(x.im == 0 for row in echelon for x in row))
 
     @property
     def n(self) -> int:
         return self.ambient.n
 
     def symmetric_gram(self):
+        return self._symmetric_gram
+
+    @cached_property
+    def _symmetric_gram(self):
         return gram_of(self.ambient, self.basis)
 
     def hermitian_gram(self):
@@ -85,22 +98,19 @@ class ThreeSpace:
         return hermitian_gram_of(self.ambient, self.basis)
 
     def is_real(self) -> bool:
-        stacked = self.basis + tuple(conj_vec(r) for r in self.basis)
-        return rank(stacked) == 3
+        return self._real
 
     def real_basis(self):
         """A rational basis of V's real points (only valid when real)."""
-        candidates = []
-        for row in self.basis:
-            candidates.append(tuple(GaussRational.of(x).re for x in row))
-            candidates.append(tuple(GaussRational.of(x).im for x in row))
+        candidates = [tuple(getattr(x, part) for x in row) for row in self.basis for part in ("re", "im")]
         picked = []
         for c in candidates:
             if is_zero_vec(c):
                 continue
             if rank(picked + [c]) > len(picked):
                 picked.append(c)
-        assert len(picked) == 3
+        if len(picked) != 3:
+            raise InternalCheckError("real_basis called on a three-space that is not real")
         return tuple(picked)
 
 
@@ -186,7 +196,8 @@ def is_twistor(lattice: IntegralLattice, threespace: ThreeSpace) -> TwistorStatu
     if not threespace.is_real():
         return TwistorStatus(status="not_applicable", reason="three-space is not real")
     orthogonal = roots_orthogonal_to_threespace(lattice, threespace)
-    assert orthogonal.complete
+    if not orthogonal.complete:
+        raise InternalCheckError("root list orthogonal to a positive three-space is incomplete")
     if not orthogonal.roots:
         return TwistorStatus(status="true")
     return TwistorStatus(status="false", certificate=orthogonal.roots[0])
@@ -206,6 +217,8 @@ def classify_cycle(
     lattice context; without one it reports not applicable.
     """
     bits = resolve_precision(precision)
+    if samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
     hsig = hermitian_signature(threespace.hermitian_gram())
     smooth = det(threespace.symmetric_gram()) != 0
     real = threespace.is_real()
@@ -314,13 +327,41 @@ def _to_mpc(x) -> mpmath.mpc:
     return mpmath.mpc(_to_mpf(g.re), _to_mpf(g.im))
 
 
-def _form3(m, w):
-    """w M w^T for a 3x3 numeric matrix and length-3 numeric vector."""
-    return sum(w[i] * sum(m[i][j] * w[j] for j in range(3)) for i in range(3))
+# ---------------------------------------------------------------------------
+# Exact conic sweep: Gaussian integers as (re, im) pairs of ints
+
+PENCIL_DEN = 119  # 17 * 7, the common denominator of the pencil parameters
 
 
-def _herm3(m, w):
-    return sum(w[i] * sum(m[i][j] * mpmath.conj(w[j]) for j in range(3)) for i in range(3))
+def _gdot(u, v):
+    """sum_i u_i v_i over Gaussian integers."""
+    return (sum(a * c - b * d for (a, b), (c, d) in zip(u, v)), sum(a * d + b * c for (a, b), (c, d) in zip(u, v)))
+
+
+def _gauss_ints(m):
+    """(rows, d): m = rows / d with Gaussian-integer rows and d > 0."""
+    parts = [[(re_part(z), im_part(z)) for z in row] for row in m]
+    d = lcm(*(x.denominator for row in parts for z in row for x in z))
+    return tuple(tuple(tuple(x.numerator * (d // x.denominator) for x in z) for z in row) for row in parts), d
+
+
+def _herm_products(w):
+    """|w_i|^2, then Re and Im of w_i conj(w_j) for (i, j) = (0, 1), (0, 2), (1, 2)."""
+    (a, b), (c, d), (e, f) = w
+    return (a * a + b * b, c * c + d * d, e * e + f * f, a * c + b * d, b * c - a * d, a * e + b * f, b * e - a * f, c * e + d * f, d * e - c * f)
+
+
+def _herm_coeffs(m):
+    """Coefficients of w M conj(w)^T against _herm_products(w), for Hermitian M."""
+    return [m[i][i][0] for i in range(3)] + [2 * s * m[i][j][t] for i, j in ((0, 1), (0, 2), (1, 2)) for t, s in ((0, 1), (1, -1))]
+
+
+def _horner(coeffs, x, y):
+    """sum_k c_k ell^k at ell = x + iy, Gaussian c_k with the constant term first."""
+    re, im = coeffs[-1]
+    for cr, ci in coeffs[-2::-1]:
+        re, im = re * x - im * y + cr, re * y + im * x + ci
+    return re, im
 
 
 def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) -> DomainStatus:
@@ -328,82 +369,73 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
 
     Real non-positive V always carries an exact isotropic witness on the
     conic (hermitian = bilinear vanishes there), so the deterministic probe
-    settles those.  Otherwise the conic is swept through a pencil of lines at
-    the working precision; a sample with normalized hermitian value <= 1e-9
-    is reported as a counterexample.
+    settles those.  Otherwise the conic is swept through a pencil of lines
+    through a base point rounded once to `bits` bits; each sample is an exact Gaussian-integer
+    point, reported as a counterexample when its normalized hermitian value is <= 1e-9.
     """
+    A = threespace.symmetric_gram()
+    found = partial(DomainStatus, kind="counterexample", samples=0, certified_exact=True, precision_bits=bits)
     with mpmath.workprec(bits):
         if real:
             point, q, pair, rows = _real_isotropic_witness(threespace)
             if point is not None:
-                assert bilinear(threespace.ambient, point, point) == 0
+                if bilinear(threespace.ambient, point, point) != 0:
+                    raise InternalCheckError("real conic witness is not isotropic")
                 exact = tuple(GaussRational.of(x) for x in point)
-                return DomainStatus(
-                    kind="counterexample",
-                    samples=0,
-                    point=tuple(_to_mpc(x) for x in exact),
-                    exact_point=exact,
-                    certified_exact=True,
-                    precision_bits=bits,
-                )
+                return found(point=tuple(_to_mpc(x) for x in exact), exact_point=exact)
             if q is not None:
                 i, j = pair
                 s = mpmath.sqrt(_to_mpf(q))
                 numeric = tuple(s * _to_mpf(rows[i][c]) + _to_mpf(rows[j][c]) for c in range(threespace.n))
                 # hermitian = bilinear on real vectors; s^2 d_i + d_j = 0 exactly.
-                return DomainStatus(
-                    kind="counterexample",
-                    samples=0,
-                    point=tuple(mpmath.mpc(x) for x in numeric),
-                    exact_point=None,
-                    certified_exact=True,
-                    precision_bits=bits,
-                )
+                return found(point=tuple(mpmath.mpc(x) for x in numeric))
             # real definite restriction: fall through to complex sampling
-        A = threespace.symmetric_gram()
-        H = threespace.hermitian_gram()
-        An = [[_to_mpc(x) for x in row] for row in A]
-        Hn = [[_to_mpc(x) for x in row] for row in H]
-        Bn = [[_to_mpc(x) for x in row] for row in threespace.basis]
-        # Euclidean 3x3 form of the ambient embedding: ||w B||^2 = w E conj(w).
-        E = [[sum(Bn[i][c] * mpmath.conj(Bn[j][c]) for c in range(threespace.n)) for j in range(3)] for i in range(3)]
+        base = _conic_base_point(A)
+    p = tuple((to_int(mpf_shift(z.real._mpf_, bits), "n"), to_int(mpf_shift(z.imag._mpf_, bits), "n")) for z in base)
+    (a_rows, a), (h_rows, h), (b_rows, b) = map(_gauss_ints, (A, threespace.hermitian_gram(), threespace.basis))
+    # Euclidean form of the embedding: ||w B||^2 = w E conj(w)^T with E = b_rows conj(b_rows)^T / e
+    e, conj_rows = b * b, [[(x, -y) for x, y in row] for row in b_rows]
+    e_coeffs = _herm_coeffs([[_gdot(row, other) for other in conj_rows] for row in b_rows])
+    h_coeffs = _herm_coeffs(h_rows)
+    # alpha = delta A delta^T and beta = 2 p A delta^T as polynomials in ell, delta_i = D^(2-i) ell^i
+    D, pa = PENCIL_DEN, [_gdot(p, row) for row in a_rows]  # p A, A symmetric
+    alpha_poly = [tuple(D ** (4 - k) * sum(a_rows[i][k - i][t] for i in range(max(0, k - 2), min(k, 2) + 1)) for t in (0, 1)) for k in range(5)]
+    beta_poly = [tuple(2 * D ** (2 - j) * x for x in pa[j]) for j in range(3)]
+    conic = (p, alpha_poly, beta_poly, (a * D**4) ** 2, (bits + 1) // 2, bits)
+    # w A w^T = alpha^2 (p A p^T) exactly, so the residual needs |p A p^T|^2 only
+    tol, pap = Fraction(DOMAIN_TOLERANCE), _gdot(pa, p)
+    res_lhs, res_rhs = (pap[0] ** 2 + pap[1] ** 2) * (e * tol.denominator) ** 2, (tol.numerator * a) ** 2
+    ok = attempt = 0
+    while ok < samples and attempt < 4 * samples + 16:
+        sample = _second_intersection(conic, _pencil_parameter(attempt))
+        attempt += 1
+        if sample is None:
+            continue
+        w, (ar, ai) = sample
+        products = _herm_products(w)
+        scale = sum(map(mul, e_coeffs, products))  # e 4^bits |alpha|^2 ||w B||^2
+        if scale <= 0:
+            continue
+        norm_alpha = ar * ar + ai * ai
+        if norm_alpha * norm_alpha * res_lhs > res_rhs * scale * scale:
+            continue  # |w A w^T| / ||w B||^2 > tolerance
+        if sum(map(mul, h_coeffs, products)) * e * tol.denominator <= tol.numerator * h * scale:
+            # the ambient point sum_i w_i B_i / (2^bits alpha), rounded once per coordinate:
+            # coordinate c is N_c conj(alpha) / (b 2^bits |alpha|^2), N_c = sum_i w_i b_rows[i][c]
+            den = (b * norm_alpha) << bits
+            numeric = (_gdot((_gdot(w, col),), ((ar, -ai),)) for col in zip(*b_rows))
+            exact = _try_exact_counterexample(threespace, w)
+            return found(
+                samples=ok,
+                point=tuple(mpmath.mp.make_mpc((from_rational(x, den, bits, "n"), from_rational(y, den, bits, "n"))) for x, y in numeric),
+                exact_point=exact,
+                certified_exact=exact is not None,
+            )
+        ok += 1
+    return DomainStatus(kind="sampled_ok", samples=ok, precision_bits=bits)
 
-        base = _conic_base_point(A, An)
-        if base is None:
-            # restricted form is identically zero on some coordinate plane:
-            # every vector of that plane is a conic point
-            base = (mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0))
-        ok = 0
-        attempt = 0
-        while ok < samples and attempt < 4 * samples + 16:
-            lam = _pencil_parameter(attempt)
-            attempt += 1
-            w = _second_intersection(An, base, lam)
-            if w is None:
-                continue
-            scale = _herm3(E, w).real
-            if scale <= 0:
-                continue
-            residual = abs(_form3(An, w)) / scale
-            if residual > DOMAIN_TOLERANCE:
-                continue
-            value = _herm3(Hn, w).real / scale
-            if value <= DOMAIN_TOLERANCE:
-                exact = _try_exact_counterexample(threespace, A, H, w)
-                numeric_pt = tuple(sum(w[i] * Bn[i][c] for i in range(3)) for c in range(threespace.n))
-                return DomainStatus(
-                    kind="counterexample",
-                    samples=ok,
-                    point=numeric_pt,
-                    exact_point=exact,
-                    certified_exact=exact is not None,
-                    precision_bits=bits,
-                )
-            ok += 1
-        return DomainStatus(kind="sampled_ok", samples=ok, precision_bits=bits)
 
-
-def _conic_base_point(A, An):
+def _conic_base_point(A):
     """One numeric point of {w : w A w^T = 0} in coefficient space."""
     for i, j in ((0, 1), (0, 2), (1, 2)):
         a, b, c = A[i][i], A[i][j], A[j][j]
@@ -412,59 +444,57 @@ def _conic_base_point(A, An):
         w = [mpmath.mpc(0)] * 3
         if a == 0:
             w[i] = mpmath.mpc(1)
-            return tuple(w)
-        disc = _to_mpc(b * b - a * c)
-        s = (-_to_mpc(b) + mpmath.sqrt(disc)) / _to_mpc(a)
-        w[i] = s
-        w[j] = mpmath.mpc(1)
+        else:
+            w[i], w[j] = (-_to_mpc(b) + mpmath.sqrt(_to_mpc(b * b - a * c))) / _to_mpc(a), mpmath.mpc(1)
         return tuple(w)
-    return None
+    # the form vanishes on every coordinate plane, so A = 0: every point is a conic point
+    return (mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0))
 
 
-def _pencil_parameter(k: int) -> mpmath.mpc:
-    """Deterministic sweep of pencil parameters covering real and imaginary mixes."""
+def _pencil_parameter(k: int):
+    """Deterministic sweep of pencil parameters ell / PENCIL_DEN covering real
+    and imaginary mixes: (2(k mod 17) - 16)/17 + (k mod 5 - 2)/7 + i(2(k div 17 mod 17) - 16)/17."""
     g = 17
-    re = Fraction(2 * (k % g) - g + 1, g)
-    im = Fraction(2 * ((k // g) % g) - g + 1, g)
-    twist = Fraction(k % 5 - 2, 7)
-    return mpmath.mpc(_to_mpf(re + twist), _to_mpf(im))
+    return (7 * (2 * (k % g) - g + 1) + g * (k % 5 - 2), 7 * (2 * ((k // g) % g) - g + 1))
 
 
-def _second_intersection(An, base, lam):
-    """Second conic point on the line through `base` with direction d(lam)."""
-    d = (mpmath.mpc(1), lam, lam * lam)  # rational normal sweep of directions
-    alpha = _form3(An, d)
-    beta = 2 * sum(base[i] * sum(An[i][j] * d[j] for j in range(3)) for i in range(3))
-    if abs(alpha) < mpmath.mpf(2) ** (-mpmath.mp.prec // 2):
+def _second_intersection(conic, ell):
+    """(W, alpha) for the second conic point on the line through p with direction delta(ell).
+
+    `conic` is (p, alpha and beta as polynomials in ell, a^2 D^8, half, bits): delta = (D^2, D ell,
+    ell^2), alpha = delta A delta^T, beta = 2 p A delta^T.  The point is base + tau d with d = delta / D^2,
+    tau = -beta D^2 / (2^bits alpha), and W = alpha p - beta delta is it times 2^bits alpha.  None
+    where |alpha| or |tau| < 2^-half for the unscaled A, half = ceil(bits / 2).
+    """
+    p, alpha_poly, beta_poly, alpha_bound, half, bits = conic
+    x, y = ell
+    ar, ai = _horner(alpha_poly, x, y)
+    norm_alpha = ar * ar + ai * ai
+    if norm_alpha << (2 * half) < alpha_bound:
         return None
-    tau = -beta / alpha
-    if abs(tau) < mpmath.mpf(2) ** (-mpmath.mp.prec // 2):
+    br, bi = _horner(beta_poly, x, y)
+    if (br * br + bi * bi) * PENCIL_DEN**4 << (2 * half) < norm_alpha << (2 * bits):
         return None  # degenerate: returns the base point itself
-    w = tuple(base[i] + tau * d[i] for i in range(3))
-    return w
+    delta = ((PENCIL_DEN * PENCIL_DEN, 0), (PENCIL_DEN * x, PENCIL_DEN * y), (x * x - y * y, 2 * x * y))
+    return tuple((ar * u - ai * v - br * c + bi * d, ar * v + ai * u - br * d - bi * c) for (u, v), (c, d) in zip(p, delta)), (ar, ai)
 
 
-def _try_exact_counterexample(threespace, A, H, w):
-    """Rational reconstruction of a numeric counterexample, exactly verified."""
-    pivot = max(range(3), key=lambda i: abs(w[i]))
-    scaled = [w[i] / w[pivot] for i in range(3)]
-    coeffs = []
-    for x in scaled:
-        fr = Fraction(float(x.real)).limit_denominator(10**6)
-        fi = Fraction(float(x.imag)).limit_denominator(10**6)
-        coeffs.append(GaussRational(fr, fi))
-    q = sum((coeffs[i] * A[i][j] * coeffs[j] for i in range(3) for j in range(3)), start=GaussRational.of(0))
-    if q != 0:
+def _try_exact_counterexample(threespace, w):
+    """Rational reconstruction of an exact sample W, exactly verified: W over its
+    largest coordinate, each rational part at denominator at most 10^6."""
+    norms = [x * x + y * y for x, y in w]
+    n = max(norms)
+    pr, pi = w[norms.index(n)]
+    coeffs = [GaussRational(*(Fraction(t, n).limit_denominator(10**6) for t in (x * pr + y * pi, y * pr - x * pi))) for x, y in w]
+    A, H, zero = threespace.symmetric_gram(), threespace.hermitian_gram(), GaussRational.of(0)
+    if sum((coeffs[i] * A[i][j] * coeffs[j] for i in range(3) for j in range(3)), start=zero) != 0:
         return None
-    h = sum((coeffs[i] * H[i][j] * coeffs[j].conjugate() for i in range(3) for j in range(3)), start=GaussRational.of(0))
-    assert h.is_real
+    h = sum((coeffs[i] * H[i][j] * coeffs[j].conjugate() for i in range(3) for j in range(3)), start=zero)
+    if not h.is_real:
+        raise InternalCheckError("Hermitian form of a conic point is not real")
     if h.re > 0:
         return None
-    point = tuple(
-        sum((coeffs[i] * threespace.basis[i][c] for i in range(3)), start=GaussRational.of(0))
-        for c in range(threespace.n)
-    )
-    return point
+    return tuple(sum((coeffs[i] * threespace.basis[i][c] for i in range(3)), start=zero) for c in range(threespace.n))
 
 
 def intersect_hyperplane(threespace: ThreeSpace, delta, precision: int | None = None) -> HyperplaneIntersection:

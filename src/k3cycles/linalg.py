@@ -49,18 +49,6 @@ def apply_matrix(m, v):
     return tuple(dot(row, v) for row in m)
 
 
-def scale_vec(c, v):
-    return tuple(c * x for x in v)
-
-
-def add_vec(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def sub_vec(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def identity_int(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -128,7 +116,7 @@ def det(m):
     return d
 
 
-def _rref(m):
+def rref(m):
     """Reduced row echelon form; returns (rows as lists, pivot columns)."""
     a = [[_field(x) for x in r] for r in m]
     nrows = len(a)
@@ -156,33 +144,16 @@ def _rref(m):
 def rank(m) -> int:
     if not m:
         return 0
-    return len(_rref(m)[1])
+    return len(rref(m)[1])
 
 
 def inverse(m):
     n = len(m)
     aug = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, r in enumerate(m)]
-    red, piv = _rref(aug)
+    red, piv = rref(aug)
     if piv[:n] != list(range(n)):
         raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in red)
-
-
-def kernel_basis(m):
-    """Rows spanning {v : m @ v = 0} over the entry field, RREF-canonical."""
-    if not m:
-        return ()
-    ncols = len(m[0])
-    red, pivots = _rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        v = [Fraction(0)] * ncols
-        v[fcol] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            v[pcol] = -red[r][fcol]
-        basis.append(tuple(v))
-    return tuple(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +211,6 @@ def hnf(rows):
             r += 1
     a = [row for row in a if not is_zero_vec(row)]
     return tuple(tuple(row) for row in a)
-
-
-def hnf_pivots(h):
-    return tuple(next(c for c, x in enumerate(row) if x != 0) for row in h)
 
 
 def int_kernel(m):

@@ -20,6 +20,7 @@ from .errors import (
     DegenerateGramError,
     DimensionMismatchError,
     InputError,
+    InternalCheckError,
     NotHermitianError,
     NotIntegralError,
     NotIsometryError,
@@ -115,7 +116,8 @@ class Isometry:
         if not is_isometry(self.space, m):
             raise NotIsometryError("matrix does not preserve the gram matrix")
         d = det(m)
-        assert abs(d) == 1, "isometry of a nondegenerate form must be unimodular"
+        if abs(d) != 1:
+            raise InternalCheckError("isometry of a nondegenerate form must be unimodular")
         object.__setattr__(self, "matrix", m)
 
     @cached_property
@@ -340,7 +342,8 @@ def lattice_invariants(lattice: IntegralLattice) -> LatticeInvariants:
     g = lattice.gram_int
     even = all(g[i][i] % 2 == 0 for i in range(len(g)))
     d = det(g)
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise InternalCheckError("determinant of an integral Gram matrix is not an integer")
     d = int(d)
     return LatticeInvariants(even=even, determinant=d, unimodular=abs(d) == 1)
 

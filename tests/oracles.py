@@ -4,13 +4,16 @@ Everything here is deliberately separate from the library: the coordinate
 bounds come from a locally computed inverse Gram, the scan is a plain product
 box evaluated with numpy, and block-diagonal forms are handled by the
 orthogonal-sum argument (a norm -2 vector of a definite direct sum has
-exactly one nonzero block component).
+exactly one nonzero block component).  The conic domain sweep has a reference
+in `reference_conic_sweep`, an `mpmath` implementation that rounds every
+sample at the working precision.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+import mpmath
 import numpy as np
 
 
@@ -153,3 +156,109 @@ def dense_bilinear(gram, x, y):
                 acc = acc + Fraction(gram[i][j]) * yj
         total = total + xi * acc
     return total
+
+
+# ---------------------------------------------------------------------------
+# Reference conic sweep: the same pencil, guards and tolerance tests as the
+# library's non-real domain branch, computed in mpmath with every sample
+# rounded at the working precision instead of decided exactly.
+
+
+def _mpf_of(x):
+    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+
+
+def _mpc_of(x):
+    re, im = (x.re, x.im) if hasattr(x, "im") else (Fraction(x), Fraction(0))
+    return mpmath.mpc(_mpf_of(re), _mpf_of(im))
+
+
+def _form3(m, w):
+    return sum(w[i] * sum(m[i][j] * w[j] for j in range(3)) for i in range(3))
+
+
+def _herm3(m, w):
+    return sum(w[i] * sum(m[i][j] * mpmath.conj(w[j]) for j in range(3)) for i in range(3))
+
+
+def _reference_base_point(A):
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        a, b, c = A[i][i], A[i][j], A[j][j]
+        if a == 0 and b == 0 and c == 0:
+            continue
+        w = [mpmath.mpc(0)] * 3
+        if a == 0:
+            w[i] = mpmath.mpc(1)
+            return tuple(w)
+        s = (-_mpc_of(b) + mpmath.sqrt(_mpc_of(b * b - a * c))) / _mpc_of(a)
+        w[i] = s
+        w[j] = mpmath.mpc(1)
+        return tuple(w)
+    return None
+
+
+def _reference_pencil_parameter(k):
+    g = 17
+    re = Fraction(2 * (k % g) - g + 1, g)
+    im = Fraction(2 * ((k // g) % g) - g + 1, g)
+    twist = Fraction(k % 5 - 2, 7)
+    return mpmath.mpc(_mpf_of(re + twist), _mpf_of(im))
+
+
+def _reference_second_intersection(An, base, lam):
+    d = (mpmath.mpc(1), lam, lam * lam)
+    alpha = _form3(An, d)
+    beta = 2 * sum(base[i] * sum(An[i][j] * d[j] for j in range(3)) for i in range(3))
+    if abs(alpha) < mpmath.mpf(2) ** (-mpmath.mp.prec // 2):
+        return None
+    tau = -beta / alpha
+    if abs(tau) < mpmath.mpf(2) ** (-mpmath.mp.prec // 2):
+        return None
+    return tuple(base[i] + tau * d[i] for i in range(3))
+
+
+def _reference_exact_point(threespace, A, H, w):
+    """Rational reconstruction from float(x) (53 bits), exactly verified."""
+    from k3cycles.gaussrat import GaussRational
+
+    pivot = max(range(3), key=lambda i: abs(w[i]))
+    coeffs = []
+    for x in (w[i] / w[pivot] for i in range(3)):
+        fr = Fraction(float(x.real)).limit_denominator(10**6)
+        fi = Fraction(float(x.imag)).limit_denominator(10**6)
+        coeffs.append(GaussRational(fr, fi))
+    zero = GaussRational.of(0)
+    if sum((coeffs[i] * A[i][j] * coeffs[j] for i in range(3) for j in range(3)), start=zero) != 0:
+        return None
+    h = sum((coeffs[i] * H[i][j] * coeffs[j].conjugate() for i in range(3) for j in range(3)), start=zero)
+    if h.re > 0:
+        return None
+    return tuple(sum((coeffs[i] * threespace.basis[i][c] for i in range(3)), start=zero) for c in range(threespace.n))
+
+
+def reference_conic_sweep(threespace, samples, bits, tolerance=1e-9):
+    """(kind, samples, point, exact_point) of the mpmath sweep at `bits` bits.
+
+    Only the Gram matrices and the basis of the three-space are read from it.
+    """
+    A, H = threespace.symmetric_gram(), threespace.hermitian_gram()
+    with mpmath.workprec(bits):
+        An = [[_mpc_of(x) for x in row] for row in A]
+        Hn = [[_mpc_of(x) for x in row] for row in H]
+        Bn = [[_mpc_of(x) for x in row] for row in threespace.basis]
+        E = [[sum(Bn[i][c] * mpmath.conj(Bn[j][c]) for c in range(threespace.n)) for j in range(3)] for i in range(3)]
+        base = _reference_base_point(A) or (mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0))
+        ok = attempt = 0
+        while ok < samples and attempt < 4 * samples + 16:
+            w = _reference_second_intersection(An, base, _reference_pencil_parameter(attempt))
+            attempt += 1
+            if w is None:
+                continue
+            scale = _herm3(E, w).real
+            if scale <= 0 or abs(_form3(An, w)) / scale > tolerance:
+                continue
+            if _herm3(Hn, w).real / scale <= tolerance:
+                point = tuple(sum(w[i] * Bn[i][c] for i in range(3)) for c in range(threespace.n))
+                return "counterexample", ok, point, _reference_exact_point(threespace, A, H, w)
+            ok += 1
+        return "sampled_ok", ok, None, None

@@ -269,3 +269,21 @@ def test_precision_env_var(monkeypatch):
         )
     )
     assert doc["precision_bits"] == 64
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--precision", "0"), ("--precision", "-5"), ("--precision", "52"), ("--samples", "0"), ("--samples", "-1")],
+)
+def test_cycle_classify_rejects_bad_sampler_settings(flags):
+    res = run("cycle-classify", "--input", os.path.join(DATA, "threespace_u3_diagonal.json"), *flags)
+    assert res.exit_code == 2
+    doc = json.loads(res.output)
+    assert set(doc) == {"code", "message"} and doc["code"] == "input"
+
+
+def test_precision_env_var_below_minimum(monkeypatch):
+    monkeypatch.setenv("K3CYCLES_PRECISION", "24")
+    res = run("cycle-intersect", "--input", os.path.join(DATA, "threespace_v0_diag4.json"), "--delta", "[1,0,0,0]")
+    assert res.exit_code == 2
+    assert json.loads(res.output)["code"] == "input"

@@ -10,6 +10,7 @@ from k3cycles.errors import AmbientMismatchError, DimensionMismatchError, InputE
 from k3cycles.linalg import rank
 
 from conftest import gauss_rows, uvec
+from oracles import reference_conic_sweep
 
 
 def diag_space(n=22):
@@ -375,6 +376,93 @@ def test_domain_counterexample_real_degenerate():
     assert not c.smooth
     assert c.domain_status.kind == "counterexample"
     assert c.domain_status.certified_exact
+
+
+@pytest.mark.parametrize("precision", [0, -5, 52])
+def test_classify_rejects_precision_below_53(precision):
+    with pytest.raises(InputError):
+        k.classify_cycle(k.example_family(2), precision=precision)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_classify_rejects_samples_below_one(samples):
+    with pytest.raises(InputError):
+        k.classify_cycle(k.example_family(2), samples=samples)
+
+
+def test_precision_env_var_below_minimum(monkeypatch):
+    monkeypatch.setenv("K3CYCLES_PRECISION", "52")
+    with pytest.raises(InputError):
+        k.classify_cycle(k.example_family(2), samples=4)
+    monkeypatch.setenv("K3CYCLES_PRECISION", "53")
+    assert k.classify_cycle(k.example_family(2), samples=4).domain_status.precision_bits == 53
+
+
+def test_domain_counterexample_nonreal_first_sample():
+    # span(e1 + 2i e4, e2, e5): Hermitian form diag(-3, 1, -1), not real
+    sp = diag_space(6)
+    rows = [[GaussRational.of(0)] * 6 for _ in range(3)]
+    rows[0][0], rows[0][3] = GaussRational.of(1), GaussRational(Q(0), Q(2))
+    rows[1][1] = GaussRational.of(1)
+    rows[2][4] = GaussRational.of(1)
+    v = k.ThreeSpace(ambient=sp, basis=tuple(map(tuple, rows)))
+    c = k.classify_cycle(v, samples=64)
+    assert not c.real and not c.positive
+    d = c.domain_status
+    assert d.kind == "counterexample" and d.samples == 0 and d.precision_bits == 128
+    signs = [1, 1, 1, -1, -1, -1]
+    with mpmath.workprec(256):
+        x = [mpmath.mpc(z) for z in d.point]
+        norm = sum(abs(z) ** 2 for z in x)
+        quadric = abs(sum(s * z * z for s, z in zip(signs, x))) / norm
+        hermitian = sum(s * abs(z) ** 2 for s, z in zip(signs, x)) / norm
+        assert norm > 0
+        assert quadric < mpmath.mpf(2) ** -100
+        assert hermitian <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "rows, done",
+    [
+        ((((-1, -1), (1, -2), (0, 2), (1, 2), (0, -1), (2, 0)), ((-1, 0), (1, 1), (1, 2), (2, -1), (1, -1), (2, 1))), 2),
+        ((((0, -2), (2, 1), (2, 0), (1, -2), (2, 0), (-2, 2)), ((-2, -1), (-2, 1), (1, 2), (-2, 0), (-1, 1), (-1, -2))), 7),
+        ((((-2, 1), (1, -2), (2, -2), (2, -1), (-1, 2), (2, -2)), ((0, 0), (2, -1), (0, 1), (2, -1), (0, -1), (2, -2))), 12),
+    ],
+)
+def test_sampled_counterexample_exact_witness(rows, done):
+    # span(e1 + e4, r2, r3): the base point e1 + e4 is exact, so samples are exact conic points
+    sp = diag_space(6)
+    first = tuple(GaussRational.of(int(c in (0, 3))) for c in range(6))
+    v = k.ThreeSpace(ambient=sp, basis=(first,) + tuple(tuple(GaussRational(Q(x), Q(y)) for x, y in r) for r in rows))
+    d = k.classify_cycle(v, samples=48).domain_status
+    assert (d.kind, d.samples, d.certified_exact) == ("counterexample", done, True)
+    pt = d.exact_point
+    assert k.bilinear(sp, pt, pt) == 0
+    h = GaussRational.of(k.hermitian_pair(sp, pt, pt))
+    assert h.im == 0 and h.re <= 0
+    assert d.exact_point == reference_conic_sweep(v, 48, 128)[3]
+    # the numeric point spans the same line as the exact one
+    with mpmath.workprec(128):
+        exact = [mpmath.mpc(mpmath.mpf(x.re.numerator) / x.re.denominator, mpmath.mpf(x.im.numerator) / x.im.denominator) for x in pt]
+        c = max(range(6), key=lambda i: abs(exact[i]))
+        ratio = d.point[c] / exact[c]
+        assert all(abs(x - ratio * y) <= abs(ratio) * mpmath.mpf(2) ** -100 for x, y in zip(d.point, exact))
+
+
+def test_tangent_pencil_line_is_skipped():
+    # span(e1 + e4, (146+112i) e1 + e2, 119 e1 + e3): the base point is e1 + e4
+    # exactly, and the first pencil line, lambda_0 = -(146+112i)/119, is tangent
+    # to the conic there (beta = 0).  It must be skipped, not taken as a sample
+    # at the base point, where the Hermitian value is 0.
+    sp = diag_space(6)
+    rows = [[GaussRational.of(0)] * 6 for _ in range(3)]
+    rows[0][0], rows[0][3] = GaussRational.of(1), GaussRational.of(1)
+    rows[1][0], rows[1][1] = GaussRational(Q(146), Q(112)), GaussRational.of(1)
+    rows[2][0], rows[2][2] = GaussRational.of(119), GaussRational.of(1)
+    v = k.ThreeSpace(ambient=sp, basis=tuple(map(tuple, rows)))
+    d = k.classify_cycle(v, samples=16).domain_status
+    kind, done, _, exact = reference_conic_sweep(v, 16, 128)
+    assert (d.kind, d.samples, d.exact_point) == (kind, done, exact) == ("sampled_ok", 16, None)
 
 
 def test_real_smooth_in_domain_is_positive():

@@ -1,17 +1,29 @@
-"""Property tests: the Fincke-Pohst walk and the sparse pairing against the
-independent oracles in oracles.py, on random inputs drawn by hypothesis."""
+"""Property tests: the Fincke-Pohst walk, the sparse pairing and the exact conic
+sweep against the independent oracles in oracles.py, on random inputs drawn by
+hypothesis."""
 
 from fractions import Fraction as Q
 
+import mpmath
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import k3cycles as k
+from k3cycles.cyclespace import _sample_domain
+from k3cycles.errors import InputError
 from k3cycles.gaussrat import GaussRational
 from k3cycles.linalg import det
 from k3cycles.rootenum import _enumerate_up_to
 
-from oracles import _floor_sqrt, _inverse_fraction, dense_bilinear, naive_box_norm_vectors, naive_box_radius_vectors
+from oracles import (
+    _floor_sqrt,
+    _inverse_fraction,
+    dense_bilinear,
+    naive_box_norm_vectors,
+    naive_box_radius_vectors,
+    reference_conic_sweep,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -98,3 +110,48 @@ def test_sparse_bilinear_matches_dense(case):
     want = dense_bilinear(gram, x, y)
     assert type(got) is type(want)
     assert got == want
+
+
+DIAG6 = k.make_standard_lattice("diag", signs=[1, 1, 1, -1, -1, -1])
+gauss_small = st.builds(GaussRational, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def nonreal_threespaces(draw):
+    """Rows with entries in [-2,2] + i[-2,2]; or the first row e1 + e4, which
+    puts an exact base point on the conic; or, for conics inside the domain, a
+    basis change of V_t = C(e1 + i t e4) + C e2 + C e3 with t in (1, 3].  Each
+    row is then divided by 1, 2 or 3."""
+    rows = [[draw(gauss_small) for _ in range(6)] for _ in range(3)]
+    shape = draw(st.sampled_from(("random", "isotropic", "family")))
+    if shape == "isotropic":
+        rows[0] = [1, 0, 0, 1, 0, 0]
+    if shape == "family":
+        t = Q(draw(st.integers(33, 96)), 32)
+        family = [[GaussRational.of(0)] * 6 for _ in range(3)]
+        family[0][0], family[0][3], family[1][1], family[2][2] = 1, GaussRational(0, t), 1, 1
+        rows = [[sum((row[j] * family[j][c] for j in range(3)), start=GaussRational.of(0)) for c in range(6)] for row in rows]
+    scales = [Q(1, draw(st.integers(1, 3))) for _ in range(3)]
+    try:
+        v = k.ThreeSpace(ambient=DIAG6, basis=tuple(tuple(x * c for x in row) for row, c in zip(rows, scales)))
+    except InputError:
+        assume(False)
+    assume(not v.is_real())
+    return v
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(nonreal_threespaces())
+def test_exact_conic_sweep_matches_mpmath_sweep(bits, v):
+    samples = 48
+    got = _sample_domain(v, False, samples, bits)
+    kind, done, point, exact = reference_conic_sweep(v, samples, bits)
+    assert (got.kind, got.samples, got.precision_bits) == (kind, done, bits)
+    assert got.exact_point == exact
+    assert got.certified_exact == (exact is not None)
+    assert (got.point is None) == (point is None)
+    if point is not None:
+        with mpmath.workprec(bits + 64):
+            err = max(abs(x - y) for x, y in zip(got.point, point))
+            assert err <= max(abs(y) for y in point) * mpmath.mpf(2) ** (8 - bits)
