@@ -28,6 +28,7 @@ from .quadspace import (
     Isometry,
     QuadraticSpace,
     bilinear,
+    congruence_diagonal,
     gram_of,
     hermitian_gram_of,
     hermitian_signature,
@@ -245,43 +246,6 @@ def classify_cycle(
 # Conic machinery
 
 
-def _diagonalize_symmetric(a):
-    """(diag, rows): rows S with S A S^T diagonal, over Q.
-
-    Zero-diagonal blocks are split by the substitution x_i +- x_j before
-    pivoting, so the routine terminates on every symmetric input.
-    """
-    n = len(a)
-    m = [[as_fraction(x) for x in row] for row in a]
-    S = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-    def addrow(dst, src, f):
-        m[dst] = [x + f * y for x, y in zip(m[dst], m[src])]
-        for k in range(n):
-            m[k][dst] = m[k][dst] + f * m[k][src]
-        S[dst] = [x + f * y for x, y in zip(S[dst], S[src])]
-
-    done = []
-    todo = list(range(n))
-    while todo:
-        piv = next((i for i in todo if m[i][i] != 0), None)
-        if piv is None:
-            pair = next(((i, j) for ii, i in enumerate(todo) for j in todo[ii + 1:] if m[i][j] != 0), None)
-            if pair is None:
-                break  # remaining block is the radical
-            i, j = pair
-            addrow(i, j, Fraction(1))  # now m[i][i] = 2b != 0
-            piv = i
-        d = m[piv][piv]
-        for r in todo:
-            if r != piv and m[r][piv] != 0:
-                addrow(r, piv, -m[r][piv] / d)
-        todo.remove(piv)
-        done.append(piv)
-    order = done + todo
-    return [m[i][i] for i in order], [tuple(S[i]) for i in order]
-
-
 def _exact_sqrt(q: Fraction):
     """Rational square root, or None."""
     if q < 0:
@@ -300,7 +264,7 @@ def _real_isotropic_witness(threespace: ThreeSpace):
     """
     rb = threespace.real_basis()
     a = gram_of(threespace.ambient, rb)
-    diag, S = _diagonalize_symmetric(a)
+    diag, S = congruence_diagonal(a)
     rows = [tuple(sum((S[i][k] * as_fraction(rb[k][c]) for k in range(3)), start=Fraction(0)) for c in range(threespace.n)) for i in range(3)]
     for i in range(3):
         if diag[i] == 0:

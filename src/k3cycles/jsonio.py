@@ -144,7 +144,8 @@ def _digits_for_bits(bits: int) -> int:
 
 def encode_numeric_complex(x, bits: int) -> dict:
     digits = _digits_for_bits(bits)
-    z = mpmath.mpc(x)
+    # An mpc prints as it is: mpc(z) would round it to the global precision.
+    z = x if isinstance(x, mpmath.mpc) else mpmath.mpc(x)
     return {
         "re": mpmath.nstr(z.real, digits),
         "im": mpmath.nstr(z.imag, digits),

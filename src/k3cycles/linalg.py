@@ -129,11 +129,14 @@ def rref(m):
             continue
         a[r], a[p] = a[p], a[r]
         piv = a[r][c]
-        a[r] = [x / piv for x in a[r]]
+        # Only nonzero entries are scaled and eliminated with; zeros stay as they are.
+        a[r] = [x / piv if x != 0 else x for x in a[r]]
+        live = [(k, y) for k, y in enumerate(a[r]) if y != 0]
         for i in range(nrows):
             if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                f, row = a[i][c], a[i]
+                for k, y in live:
+                    row[k] = row[k] - f * y
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -172,45 +175,45 @@ def clear_denominators(v):
     return tuple(ints)
 
 
+def _euclid_column(a, r, c):
+    """Euclid on column c of the integer rows a[r:], by unimodular row operations.
+
+    Afterwards a[i][c] == 0 for i > r and a[r][c] >= 0; returns whether
+    a[r][c] is a pivot (nonzero).
+    """
+    while True:
+        live = [i for i in range(r, len(a)) if a[i][c] != 0]
+        if not live:
+            return False
+        i0 = min(live, key=lambda i: abs(a[i][c]))
+        a[r], a[i0] = a[i0], a[r]
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+        done = True
+        for i in range(r + 1, len(a)):
+            if a[i][c] != 0:
+                q = a[i][c] // a[r][c]
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                done = done and a[i][c] == 0
+        if done:
+            return True
+
+
 def hnf(rows):
     """Canonical row Hermite normal form (nonzero rows only).
 
     Pivots positive, entries above a pivot reduced into [0, pivot).
     """
     a = [list(r) for r in rows if not is_zero_vec(r)]
-    if not a:
-        return ()
-    ncols = len(a[0])
     r = 0
-    for c in range(ncols):
-        if r == len(a):
-            break
-        # Euclid within column c over rows r..end.
-        while True:
-            live = [i for i in range(r, len(a)) if a[i][c] != 0]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: abs(a[i][c]))
-            a[r], a[i0] = a[i0], a[r]
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-            done = True
-            for i in range(r + 1, len(a)):
-                if a[i][c] != 0:
-                    q = a[i][c] // a[r][c]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    if a[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if any(a[i][c] != 0 for i in range(r, len(a))):
+    for c in range(len(a[0]) if a else 0):
+        if _euclid_column(a, r, c):
             for i in range(r):
                 q = a[i][c] // a[r][c]
                 if q != 0:
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
             r += 1
-    a = [row for row in a if not is_zero_vec(row)]
-    return tuple(tuple(row) for row in a)
+    return tuple(tuple(row) for row in a if not is_zero_vec(row))
 
 
 def int_kernel(m):
@@ -222,27 +225,10 @@ def int_kernel(m):
         return ()
     p = len(m)
     n = len(m[0])
-    # Rows: [column j of m | e_j]; unimodular row ops keep the bookkeeping exact.
-    work = [[m[i][j] for i in range(p)] + [1 if k == j else 0 for k in range(n)] for j in range(n)]
-    a = [list(r) for r in work]
+    # Rows: [column j of m | e_j]; unimodular row ops keep the bookkeeping exact,
+    # and the rows left below the pivots have a zero m part.
+    a = [[m[i][j] for i in range(p)] + [1 if k == j else 0 for k in range(n)] for j in range(n)]
     r = 0
     for c in range(p):
-        while True:
-            live = [i for i in range(r, len(a)) if a[i][c] != 0]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: abs(a[i][c]))
-            a[r], a[i0] = a[i0], a[r]
-            done = True
-            for i in range(r + 1, len(a)):
-                if a[i][c] != 0:
-                    q = a[i][c] // a[r][c]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    if a[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < len(a) and a[r][c] != 0:
-            r += 1
-    kernel = [tuple(row[p:]) for row in a[r:] if all(x == 0 for x in row[:p])]
-    return hnf(kernel)
+        r += _euclid_column(a, r, c)
+    return hnf([tuple(row[p:]) for row in a[r:]])

@@ -26,7 +26,7 @@ from .errors import (
     NotIsometryError,
     NotSymmetricError,
 )
-from .gaussrat import GaussRational, as_fraction
+from .gaussrat import I, GaussRational, as_fraction, re_part
 from .linalg import conj_vec, det, mat
 
 # Chain basis of E8 in the D8+glue model: rows are
@@ -214,121 +214,75 @@ def hermitian_gram_of(ambient, rows):
     return tuple(tuple(hermitian_pair(ambient, r, s) for s in rows) for r in rows)
 
 
-def signature(m):
-    """Exact Sylvester inertia (pos, neg, null) of a symmetric rational matrix.
+def congruence_diagonal(m, hermitian=False):
+    """Exact congruence diagonalisation: (d, S) with S * m * S^* = diag(d).
 
-    Congruence diagonalization: nonzero diagonal pivots first, zero-diagonal
-    off-diagonal entries handled by the 2x2 hyperbolic split contributing
-    (1,1).
+    S^* is the transpose of S, conjugated when `hermitian`; entries are
+    Fractions, or GaussRationals when `hermitian`.  Nonzero diagonal pivots
+    go first, lowest index first.  A block with zero diagonal is split at its
+    first nonzero pair (p, j) by x_p + f x_j, with f = 1 unless that leaves
+    the pivot zero, then f = i.  The zero block that remains, the radical,
+    comes last with d = 0.
     """
     n = len(m)
-    a = [[as_fraction(x) for x in row] for row in m]
+    if hermitian:
+        field, sigma = GaussRational.of, GaussRational.conjugate
+    else:
+        field, sigma = as_fraction, lambda x: x
+    a = [[field(x) for x in row] for row in m]
     if any(len(r) != n for r in a):
-        raise DimensionMismatchError("signature of non-square matrix")
+        raise DimensionMismatchError("congruence diagonalisation of a non-square matrix")
     for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise NotSymmetricError("matrix is not symmetric")
-    active = list(range(n))
-    pos = neg = 0
+        for j in range(i, n):
+            if a[i][j] != sigma(a[j][i]):
+                raise NotHermitianError("matrix is not Hermitian") if hermitian else NotSymmetricError("matrix is not symmetric")
+    zero, one = field(0), field(1)
+    S = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    active, done = list(range(n)), []
     while active:
-        piv = next((i for i in active if a[i][i] != 0), None)
-        if piv is not None:
-            d = a[piv][piv]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            active.remove(piv)
-            fs = {r: a[r][piv] / d for r in active if a[r][piv] != 0}
-            for r, f in fs.items():
-                for c in active:
-                    a[r][c] = a[r][c] - f * a[piv][c]
-            continue
-        pair = next(((i, j) for ii, i in enumerate(active) for j in active[ii + 1:] if a[i][j] != 0), None)
-        if pair is None:
-            break  # remaining block is zero: contributes to null
-        i, j = pair
-        b = a[i][j]
-        pos += 1
-        neg += 1
-        active.remove(i)
-        active.remove(j)
-        ps = {r: -a[r][j] / b for r in active}
-        qs = {r: -a[r][i] / b for r in active}
-        rows_i = {c: a[i][c] for c in active}
-        rows_j = {c: a[j][c] for c in active}
-        col_i = {r: a[r][i] for r in active}
-        col_j = {r: a[r][j] for r in active}
-        for r in active:
+        p = next((i for i in active if a[i][i] != 0), None)
+        if p is None:
+            pair = next(((i, j) for ii, i in enumerate(active) for j in active[ii + 1:] if a[i][j] != 0), None)
+            if pair is None:
+                break  # the rest is the radical
+            p, j = pair
+            f = one if a[j][p] + a[p][j] != 0 else I
             for c in active:
-                a[r][c] = (
-                    a[r][c]
-                    + ps[r] * rows_i[c]
-                    + qs[r] * rows_j[c]
-                    + ps[c] * col_i[r]
-                    + qs[c] * col_j[r]
-                    + (ps[r] * qs[c] + qs[r] * ps[c]) * b
-                )
-    null = n - pos - neg
-    return (pos, neg, null)
+                a[p][c] = a[p][c] + f * a[j][c]
+            for r in active:
+                a[r][p] = a[r][p] + sigma(f) * a[r][j]
+            S[p] = [x + f * y for x, y in zip(S[p], S[j])]
+        active.remove(p)
+        done.append(p)
+        # Only the nonzero entries of the pivot rows of a and S take part.
+        d = a[p][p]
+        piv = [(c, a[p][c]) for c in active if a[p][c] != 0]
+        s_piv = [(k, x) for k, x in enumerate(S[p]) if x]
+        for r in active:
+            if a[r][p] != 0:
+                f, row, s_row = a[r][p] / d, a[r], S[r]
+                for c, x in piv:
+                    row[c] = row[c] - f * x
+                for k, x in s_piv:
+                    s_row[k] = s_row[k] - f * x
+    order = done + active
+    return [a[i][i] for i in order], [tuple(S[i]) for i in order]
+
+
+def _inertia(d):
+    pos = sum(1 for x in d if re_part(x) > 0)
+    neg = sum(1 for x in d if re_part(x) < 0)
+    return (pos, neg, len(d) - pos - neg)
+
+
+def signature(m):
+    """Exact Sylvester inertia (pos, neg, null) of a symmetric rational matrix."""
+    return _inertia(congruence_diagonal(m)[0])
 
 
 def hermitian_signature(h):
-    """Exact inertia of a Hermitian Gauss-rational matrix via congruence."""
-    n = len(h)
-    a = [[GaussRational.of(x) for x in row] for row in h]
-    if any(len(r) != n for r in a):
-        raise DimensionMismatchError("signature of non-square matrix")
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != a[j][i].conjugate():
-                raise NotHermitianError("matrix is not Hermitian")
-    active = list(range(n))
-    pos = neg = 0
-    while active:
-        piv = next((i for i in active if a[i][i] != 0), None)
-        if piv is not None:
-            d = a[piv][piv].re  # diagonal of a Hermitian matrix is real
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            active.remove(piv)
-            fs = {r: a[r][piv] / d for r in active if a[r][piv] != 0}
-            for r, f in fs.items():
-                for c in active:
-                    a[r][c] = a[r][c] - f * a[piv][c]
-            continue
-        pair = next(((i, j) for ii, i in enumerate(active) for j in active[ii + 1:] if a[i][j] != 0), None)
-        if pair is None:
-            break
-        i, j = pair
-        b = a[i][j]
-        bc = b.conjugate()
-        pos += 1
-        neg += 1
-        active.remove(i)
-        active.remove(j)
-        ps = {r: (-a[r][j]) / b for r in active}
-        qs = {r: (-a[r][i]) / bc for r in active}
-        rows_i = {c: a[i][c] for c in active}
-        rows_j = {c: a[j][c] for c in active}
-        col_i = {r: a[r][i] for r in active}
-        col_j = {r: a[r][j] for r in active}
-        for r in active:
-            for c in active:
-                a[r][c] = (
-                    a[r][c]
-                    + ps[r] * rows_i[c]
-                    + qs[r] * rows_j[c]
-                    + ps[c].conjugate() * col_i[r]
-                    + qs[c].conjugate() * col_j[r]
-                    + ps[r] * qs[c].conjugate() * b
-                    + qs[r] * ps[c].conjugate() * bc
-                )
-    null = n - pos - neg
-    return (pos, neg, null)
+    """Exact inertia (pos, neg, null) of a Hermitian Gauss-rational matrix."""
+    return _inertia(congruence_diagonal(h, hermitian=True)[0])
 
 
 @dataclass(frozen=True)

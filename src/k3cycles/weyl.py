@@ -193,6 +193,8 @@ def check_partition_property(lattice: IntegralLattice, plus, depth: int = 4) -> 
     first violation (coefficient vector over plus, offending root) is
     reported.
     """
+    if depth < 1:
+        raise InputError(f"depth must be at least 1, got {depth}")
     plus = [tuple(r) for r in plus]
     plus_set = set(plus)
     for r in plus:

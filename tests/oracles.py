@@ -158,6 +158,40 @@ def dense_bilinear(gram, x, y):
     return total
 
 
+def exact_rank(rows):
+    """Rank over Q by plain Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        p = next((r for r in range(rank, len(a)) if a[r][c] != 0), None)
+        if p is None:
+            continue
+        a[rank], a[p] = a[p], a[rank]
+        for r in range(rank + 1, len(a)):
+            f = a[r][c] / a[rank][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+def reference_inertia(m):
+    """(pos, neg, null) of a symmetric rational or Hermitian Gauss-rational matrix.
+
+    The rank is exact: that of the real form [[A, -B], [B, A]] of m = A + iB,
+    which is twice the rank of m.  The signs are those of the `rank` numpy
+    eigenvalues of largest modulus.
+    """
+    n = len(m)
+    re = [[Fraction(getattr(x, "re", x)) for x in row] for row in m]
+    im = [[Fraction(getattr(x, "im", 0)) for x in row] for row in m]
+    real_form = [r + [-x for x in i] for r, i in zip(re, im)] + [i + r for r, i in zip(re, im)]
+    rank = exact_rank(real_form) // 2
+    values = np.linalg.eigvalsh(np.array(re, dtype=float) + 1j * np.array(im, dtype=float))
+    top = sorted(values, key=abs)[n - rank:]
+    pos = sum(1 for x in top if x > 0)
+    return (pos, rank - pos, n - rank)
+
+
 # ---------------------------------------------------------------------------
 # Reference conic sweep: the same pencil, guards and tolerance tests as the
 # library's non-real domain branch, computed in mpmath with every sample

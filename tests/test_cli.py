@@ -209,6 +209,10 @@ def test_partition_check_cli():
     assert doc2["ok"] is False
     assert doc2["violation"]["delta"] == s
     assert doc2["violation"]["coefficients"] == [1, 1]
+    for depth in ("0", "-3"):
+        res = run("partition-check", "--kind", "K3", "--plus", json.dumps([d1, d2]), "--depth", depth)
+        assert res.exit_code == 2
+        assert json.loads(res.output)["code"] == "input"
 
 
 def test_wall_error_exit_code():

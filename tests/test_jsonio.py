@@ -78,6 +78,20 @@ def test_intersection_serialization():
     assert doc["quad_coeffs"]["a"] == {"re": "1", "im": "0"}
     assert doc["discriminant"] == {"re": "-1", "im": "0"}
     assert len(doc["points"]) == 2
+    # 1/sqrt(2) to all 36 printed digits at the default 128 bits
+    assert doc["points"][0][2]["re"] == "0.707106781186547524400844362104849039"
     json.dumps(doc)
     contain = k.intersect_hyperplane(v, (Q(0), Q(0), Q(0), Q(1)))
     assert jsonio.intersection_to_json(contain) == {"kind": "containment"}
+
+
+def test_counterexample_point_keeps_its_precision():
+    # span(e1 + 2i e4, e2, e5): the first sample is a counterexample; its
+    # 128-bit point must print 36 correct digits, not a 53-bit rounding.
+    sp = k.make_standard_lattice("diag", signs=[1, 1, 1, -1, -1, -1])
+    rows = [[GaussRational.of(0)] * 6 for _ in range(3)]
+    rows[0][0], rows[0][3], rows[1][1], rows[2][4] = 1, GaussRational(Q(0), Q(2)), 1, 1
+    v = k.ThreeSpace(ambient=sp, basis=tuple(map(tuple, rows)))
+    doc = jsonio.classification_to_json(k.classify_cycle(v, samples=64, precision=128))
+    assert doc["domain"]["status"] == "counterexample"
+    assert doc["domain"]["point"][0]["re"] == "0.244287195392330744946359003630283675"

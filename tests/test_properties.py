@@ -1,6 +1,6 @@
-"""Property tests: the Fincke-Pohst walk, the sparse pairing and the exact conic
-sweep against the independent oracles in oracles.py, on random inputs drawn by
-hypothesis."""
+"""Property tests: the Fincke-Pohst walk, the sparse pairing, the congruence
+diagonalisation, the integer HNF and kernel, and the exact conic sweep against
+the independent oracles in oracles.py, on random inputs drawn by hypothesis."""
 
 from fractions import Fraction as Q
 
@@ -13,16 +13,19 @@ import k3cycles as k
 from k3cycles.cyclespace import _sample_domain
 from k3cycles.errors import InputError
 from k3cycles.gaussrat import GaussRational
-from k3cycles.linalg import det
+from k3cycles.linalg import det, hnf, int_kernel, rref
+from k3cycles.quadspace import congruence_diagonal
 from k3cycles.rootenum import _enumerate_up_to
 
 from oracles import (
     _floor_sqrt,
     _inverse_fraction,
     dense_bilinear,
+    exact_rank,
     naive_box_norm_vectors,
     naive_box_radius_vectors,
     reference_conic_sweep,
+    reference_inertia,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -155,3 +158,109 @@ def test_exact_conic_sweep_matches_mpmath_sweep(bits, v):
         with mpmath.workprec(bits + 64):
             err = max(abs(x - y) for x, y in zip(got.point, point))
             assert err <= max(abs(y) for y in point) * mpmath.mpf(2) ** (8 - bits)
+
+
+@st.composite
+def symmetric_or_hermitian(draw):
+    """(hermitian, m): a symmetric Fraction or Hermitian GaussRational matrix,
+    half of them with an all-zero diagonal, which forces the pair split."""
+    hermitian = draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    zero_diagonal = draw(st.booleans())
+    entry = st.one_of(st.just(Q(0)), rationals)
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = Q(0) if zero_diagonal else draw(entry)
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(entry)
+            if hermitian:
+                m[i][j] = GaussRational(m[i][j], draw(entry))
+                m[j][i] = m[i][j].conjugate()
+    if hermitian:
+        m = [[GaussRational.of(x) for x in row] for row in m]
+    return hermitian, tuple(map(tuple, m))
+
+
+@SETTINGS
+@given(symmetric_or_hermitian())
+def test_congruence_diagonal_is_exact_and_invertible(case):
+    hermitian, m = case
+    d, S = congruence_diagonal(m, hermitian=hermitian)
+    n = len(m)
+    star = [[x.conjugate() if hermitian else x for x in row] for row in S]
+    for i in range(n):
+        for j in range(n):
+            value = sum((S[i][p] * m[p][q] * star[j][q] for p in range(n) for q in range(n)), start=Q(0))
+            assert value == (d[i] if i == j else 0)
+    assert det(S) != 0
+    signature = k.hermitian_signature(m) if hermitian else k.signature(m)
+    assert signature == reference_inertia(m)
+
+
+int_matrices = st.integers(1, 5).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), min_size=1, max_size=5)
+)
+
+
+@SETTINGS
+@given(int_matrices)
+def test_int_kernel_is_a_full_kernel(m):
+    kernel = int_kernel(m)
+    n = len(m[0])
+    assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in m for vec in kernel)
+    assert len(kernel) == exact_rank(kernel) == n - exact_rank(m)
+
+
+@SETTINGS
+@given(int_matrices, st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-3, 3)), max_size=8))
+def test_hnf_is_idempotent_and_canonical(m, moves):
+    h = hnf(m)
+    assert hnf(h) == h
+    # unimodular row moves (row i += q row j) span the same lattice, so the same HNF
+    rows = [list(r) for r in m]
+    for i, j, q in moves:
+        i, j = i % len(rows), j % len(rows)
+        if i != j:
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    assert hnf(rows) == h
+
+
+rational_matrices = st.integers(1, 7).flatmap(
+    lambda cols: st.lists(st.lists(st.one_of(st.just(Q(0)), rationals), min_size=cols, max_size=cols), min_size=1, max_size=4)
+)
+
+
+@SETTINGS
+@given(st.booleans(), rational_matrices)
+def test_rref_is_reduced_and_spans_the_rows(gaussian, rows):
+    if gaussian:
+        rows = [[GaussRational(x, y) for x, y in zip(row, reversed(row))] for row in rows]
+    red, pivots = rref(rows)
+    assert all(type(x) is (GaussRational if gaussian else Q) for row in red for x in row)
+    for r, row in enumerate(red):
+        lead = next((c for c, x in enumerate(row) if x != 0), None)
+        assert lead == (pivots[r] if r < len(pivots) else None)
+    for r, c in enumerate(pivots):
+        assert [row[c] for row in red] == [int(i == r) for i in range(len(red))]
+    if not gaussian:
+        assert exact_rank(rows) == len(pivots) == exact_rank(rows + red)
+
+
+def _real_space(rows):
+    return k.ThreeSpace(ambient=DIAG6, basis=tuple(tuple(GaussRational.of(x) for x in row) for row in rows))
+
+
+@pytest.mark.parametrize(
+    "rows, witness",
+    [
+        # real Gram [[0,2,0],[2,0,0],[0,0,1]]: the zero-diagonal block takes the pair split
+        (((1, 0, 0, 1, 0, 0), (1, 0, 0, -1, 0, 0), (0, 1, 0, 0, 0, 0)), (0, 1, 0, -1, 0, 0)),
+        # real Gram [[0,0,1],[0,0,1],[1,1,3]] has a radical vector
+        (((1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (1, 1, 1, 0, 0, 0)), (-1, 1, 0, -1, 1, 0)),
+        (((0, 0, 1, 1, -1, -2), (1, 2, -1, 1, 0, -1), (-2, 1, 0, 2, 2, 2)), (Q(5, 6), Q(5, 3), Q(-1, 2), Q(7, 6), Q(-1, 3), Q(-3, 2))),
+    ],
+)
+def test_real_witness_points_are_pinned(rows, witness):
+    d = k.classify_cycle(_real_space(rows), samples=8).domain_status
+    assert (d.kind, d.samples, d.certified_exact) == ("counterexample", 0, True)
+    assert d.exact_point == tuple(GaussRational.of(x) for x in witness)

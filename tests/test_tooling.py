@@ -1,6 +1,7 @@
 """Repository-level checks on the library source."""
 
 import ast
+import importlib
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "k3cycles"
@@ -15,3 +16,22 @@ def test_no_assert_statements_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/k3cycles: {found}"
+
+
+def _tracing_table(name):
+    """A module-level literal of perfbench/tracing.py, read without importing it."""
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} not found in {path}")
+
+
+def test_traced_functions_resolve():
+    # The tracer only lists a vanished function under `missing`; a refactor
+    # must not drop a traced layer silently.
+    named = [(mod, fn) for mod, fns in _tracing_table("SPANNED").items() for fn in fns]
+    named += list(_tracing_table("COUNTED").values())
+    assert len(named) >= 30
+    gone = [f"{mod}.{fn}" for mod, fn in named if not callable(getattr(importlib.import_module(f"k3cycles.{mod}"), fn, None))]
+    assert not gone, f"traced functions missing from k3cycles: {gone}"

@@ -231,6 +231,15 @@ def test_partition_property_rejects_sign_pair(k3):
         k.check_partition_property(k3, [d, tuple(-x for x in d)])
 
 
+@pytest.mark.parametrize("depth", [0, -3])
+def test_partition_property_rejects_depth_below_one(e8_neg, depth):
+    d1, d2, _ = _a2_triple(e8_neg)
+    with pytest.raises(InputError):
+        k.check_partition_property(e8_neg, [d1, d2], depth=depth)
+    # depth 1 scans no sum of two or more roots, so it finds nothing
+    assert k.check_partition_property(e8_neg, [d1, d2], depth=1).ok
+
+
 def test_chamber_transport_a2(k3):
     # Reflecting kappa in a simple plus-root flips exactly that root's sign
     # when the root set is closed under the reflection (finite analog of the
