@@ -21,7 +21,6 @@ from .linalg import det
 from .quadspace import (
     IntegralLattice,
     Isometry,
-    hermitian_signature,
     is_isometry,
     lattice_invariants,
     make_standard_lattice,
@@ -245,7 +244,7 @@ def cycle_sweep_example(t_values, rank):
         records = []
         for t in ts:
             v = example_family(t, n=rank)
-            hsig = hermitian_signature(v.hermitian_gram())
+            hsig = v.hermitian_inertia
             records.append(
                 {
                     "t": jsonio.encode_rational(Fraction(t)),

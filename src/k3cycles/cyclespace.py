@@ -98,6 +98,11 @@ class ThreeSpace:
     def _hermitian_gram(self):
         return hermitian_gram_of(self.ambient, self.basis)
 
+    @cached_property
+    def hermitian_inertia(self):
+        """Inertia (pos, neg, null) of the Hermitian Gram, computed once."""
+        return hermitian_signature(self._hermitian_gram)
+
     def is_real(self) -> bool:
         return self._real
 
@@ -192,7 +197,7 @@ def is_twistor(lattice: IntegralLattice, threespace: ThreeSpace) -> TwistorStatu
     """Twistor predicate: real, positive and orthogonal to no root of the lattice."""
     if lattice.space.gram != threespace.ambient.gram:
         raise AmbientMismatchError("three-space ambient does not match lattice")
-    if hermitian_signature(threespace.hermitian_gram()) != (3, 0, 0):
+    if threespace.hermitian_inertia != (3, 0, 0):
         return TwistorStatus(status="not_applicable", reason="three-space is not positive")
     if not threespace.is_real():
         return TwistorStatus(status="not_applicable", reason="three-space is not real")
@@ -220,7 +225,7 @@ def classify_cycle(
     bits = resolve_precision(precision)
     if samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
-    hsig = hermitian_signature(threespace.hermitian_gram())
+    hsig = threespace.hermitian_inertia
     smooth = det(threespace.symmetric_gram()) != 0
     real = threespace.is_real()
     positive = hsig == (3, 0, 0)

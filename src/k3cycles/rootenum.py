@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, itemgetter, le, mul
 
 from .errors import (
     AmbientMismatchError,
@@ -21,17 +22,8 @@ from .errors import (
     NotSymmetricError,
 )
 from .gaussrat import GaussRational, as_fraction
-from .linalg import (
-    clear_denominators,
-    hnf,
-    int_kernel,
-    inverse,
-    is_zero_vec,
-    mat,
-    mat_mul,
-    transpose,
-)
-from .quadspace import IntegralLattice, hermitian_signature, signature
+from .linalg import clear_denominators, hnf, int_kernel, is_zero_vec, mat
+from .quadspace import IntegralLattice, signature
 
 
 @dataclass(frozen=True)
@@ -71,20 +63,42 @@ class RootList:
         return iter(self.roots)
 
 
-def _pair_int(gram, x, y):
+def _sparse_rows(gram):
+    """Per row, the (j, gram[i][j]) pairs with a nonzero entry."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in gram)
+
+
+def _pair_int(rows, x, y):
+    """x^T G y over the sparse rows of G, visiting the nonzero x_i only."""
     total = 0
-    for i, xi in enumerate(x):
+    for xi, row in zip(x, rows):
         if xi:
-            row = gram[i]
-            total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
+            total += xi * sum(g * y[j] for j, g in row)
     return total
 
 
 def _check_norms(gram, vectors, norm, bound=None):
-    """Re-verify enumerated vectors exactly (norm, and box when bound is given)."""
-    for v in vectors:
-        if _pair_int(gram, v, v) != norm or (bound is not None and any(abs(c) > bound for c in v)):
-            raise InternalCheckError(f"enumerated vector {v} fails its norm {norm} or box {bound} check")
+    """Re-verify enumerated vectors exactly: every norm, and the box when bound is given.
+
+    A vector's norm is the sum of the norms of its parts on the connected
+    blocks of the Gram, and it lies in the box iff every part does.  Both are
+    decided once per distinct part, over the block's sparse rows.
+    """
+    totals = [0] * len(vectors)
+    boxed = True
+    for comp in _components(gram):
+        rows = _sparse_rows([[gram[i][j] for j in comp] for i in comp])
+
+        def parts():
+            return zip(*(map(itemgetter(i), vectors) for i in comp))
+
+        seen = {x: _pair_int(rows, x, x) for x in set(parts())}
+        if bound is not None:
+            boxed = boxed and all(max(x) <= bound and min(x) >= -bound for x in seen)
+        totals = list(map(add, totals, map(seen.__getitem__, parts())))
+    if not boxed or totals.count(norm) != len(totals):
+        bad = next(v for v, t in zip(vectors, totals) if t != norm or bound is not None and (max(v) > bound or min(v) < -bound))
+        raise InternalCheckError(f"enumerated vector {bad} fails its norm {norm} or box {bound} check")
 
 
 def _constraint_rows(lattice: IntegralLattice, constraints):
@@ -113,10 +127,8 @@ def orthogonal_complement_lattice(lattice: IntegralLattice, constraints) -> Subl
         basis = tuple(tuple(1 if i == j else 0 for j in range(lattice.n)) for i in range(lattice.n))
     else:
         basis = int_kernel(rows)
-    g = lattice.gram_int
-    restricted = tuple(
-        tuple(_pair_int(g, bi, bj) for bj in basis) for bi in basis
-    )
+    g = lattice.space.sparse_rows
+    restricted = tuple(tuple(_pair_int(g, bi, bj) for bj in basis) for bi in basis)
     return Sublattice(ambient=lattice, basis=basis, restricted_gram=restricted)
 
 
@@ -217,7 +229,7 @@ def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> Root
     """Complete list of roots of the lattice orthogonal to a positive three-space."""
     if threespace.ambient.gram != lattice.space.gram:
         raise AmbientMismatchError("three-space ambient does not match lattice")
-    if hermitian_signature(threespace.hermitian_gram()) != (3, 0, 0):
+    if threespace.hermitian_inertia != (3, 0, 0):
         raise NotPositiveError("three-space must be positive for complete root enumeration")
     constraints = []
     for row in threespace.basis:
@@ -273,17 +285,86 @@ def _box_slack(basis, W, rows_excluded, n):
     return slack
 
 
+def _coefficient_bounds(basis, bound):
+    """W_j = floor(bound * sum_i |(M^-1 B)_{j,i}|) for B = basis, M = B B^T.
+
+    A kernel vector x = t B has t = x B^T M^-1, so |t_j| <= W_j over the box.
+    Fraction-free Gauss-Jordan (Bareiss) on [M | B] ends at [d I | d M^-1 B]
+    with d = det M > 0; M is positive definite, so no pivot is zero and every
+    division is exact.
+    """
+    r = len(basis)
+    a = [[sum(map(mul, bi, bj)) for bj in basis] + list(bi) for bi in basis]
+    prev = 1
+    for k in range(r):
+        pivot_row, p = a[k], a[k][k]
+        for i in range(r):
+            f = a[i][k]
+            if i != k:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return [bound * sum(map(abs, row[r:])) // prev for row in a]
+
+
+def _block_table(gram_rows, basis, comp, coeffs, limit):
+    """Ambient partials sum_k t_k basis[k] over the block's rows, for the
+    coefficient vectors t, inside the per-coordinate limit, grouped by norm."""
+    live = [[(c, b) for c, b in enumerate(basis[k]) if b] for k in comp]
+    table = {}
+    for t in coeffs:
+        x = [0] * len(limit)
+        for tv, row in zip(t, live):
+            if tv:
+                for c, b in row:
+                    x[c] += tv * b
+        if all(map(le, map(abs, x), limit)):
+            x = tuple(x)
+            table.setdefault(_pair_int(gram_rows, x, x), []).append(x)
+    return table
+
+
+def _join(tables, target, bound, n):
+    """Every sum of one length-n partial per table whose norms add up to
+    target and whose coordinates lie in [-bound, bound].
+
+    Depth-first over the tables in order; a norm group is entered only if the
+    tables after it can still make up the rest, and the last table is looked
+    up by the exact rest.
+    """
+    # lo[i], hi[i]: the least and greatest norm sums of the tables after i
+    lo = list(itertools.accumulate(map(min, reversed(tables[1:])), initial=0))[::-1]
+    hi = list(itertools.accumulate(map(max, reversed(tables[1:])), initial=0))[::-1]
+    out = []
+    last = len(tables) - 1
+
+    def walk(i, acc, norm):
+        if i == last:
+            leaves = [tuple(map(add, acc, p)) for p in tables[i].get(target - norm, ())]
+            if leaves and (max(map(max, leaves)) > bound or min(map(min, leaves)) < -bound):
+                leaves = [v for v in leaves if max(v) <= bound and min(v) >= -bound]
+            out.extend(leaves)
+            return
+        for a, partials in tables[i].items():
+            if lo[i] <= target - norm - a <= hi[i]:
+                for p in partials:
+                    walk(i + 1, tuple(map(add, acc, p)), norm + a)
+
+    walk(0, (0,) * n, 0)
+    return out
+
+
 def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int) -> RootList:
     """All roots satisfying the constraints with every ambient coordinate in
     [-coord_bound, coord_bound]; complete=False records the box semantics.
 
-    The constraint kernel carries the restricted form.  When that form is
-    negative definite the search is a complete Fincke-Pohst enumeration
-    filtered by the box.  Otherwise the form splits into orthogonal blocks
-    whose norms add: each block contributes a finite candidate set (short
-    vectors for definite blocks, box scans for small indefinite ones) and an
-    assembly walk matches block norms to the target.  Neither stage discards
-    a vector of the box, so the output equals the exhaustive filtered scan.
+    The constraint kernel carries the restricted form, which splits into
+    orthogonal blocks whose norms add.  Each block's coefficients are bounded
+    over the box; a block contributes its ambient partial vectors, grouped by
+    block norm: short vectors for negative definite blocks (down to the
+    lowest norm the other blocks can make up), a box scan otherwise.  The
+    partials are joined by norm and the box decides at the leaf.  Neither
+    stage discards a vector of the box, so the output equals the exhaustive
+    filtered scan.
     """
     if coord_bound < 0:
         raise InputError("coordinate bound must be >= 0")
@@ -293,126 +374,31 @@ def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int)
     if r == 0 or coord_bound == 0:
         return RootList(roots=(), complete=False, bound_used=coord_bound)
     n = lattice.n
-    g = lattice.gram_int
+    g = lattice.space.sparse_rows
     C = tuple(tuple(_pair_int(g, bi, bj) for bj in basis) for bi in basis)
+    W = _coefficient_bounds(basis, coord_bound)
 
-    # Exact per-coefficient bounds over the box: t = x B^T (B B^T)^{-1} is
-    # linear in the boxed ambient coordinates, so |t_j| <= bound * L1(col j).
-    bt = transpose(basis)
-    extraction = mat_mul(bt, inverse(mat_mul(basis, bt)))  # n x r, exact
-    W = [int(coord_bound * sum(abs(extraction[i][j]) for i in range(n))) for j in range(r)]
-
-    def in_box(vector, limit):
-        return all(abs(c) <= limit for c in vector)
-
-    sig = signature(C)
-    if sig[0] == 0 and sig[2] == 0:
-        # Negative definite restriction: complete enumeration, then box filter.
-        neg = tuple(tuple(-x for x in row) for row in C)
-        full = Sublattice(lattice, basis, C)
-        roots = sorted(v for v in map(full.to_ambient, enumerate_norm_vectors(neg, 2)) if in_box(v, coord_bound))
-        _check_norms(g, roots, -2, coord_bound)
-        return RootList(roots=tuple(roots), complete=False, bound_used=coord_bound)
-
-    comps = _components(C)
-    block_data = []
-    for comp in comps:
+    tables, negdef = {}, []
+    for comp in _components(C):
         sub = tuple(tuple(C[i][j] for j in comp) for i in comp)
-        Wb = [W[i] for i in comp]
-        ssig = signature(sub)
-        slack = _box_slack(basis, W, [k for k in range(r) if k not in comp], n)
-        # Candidate block coefficient vectors with their block norms.
-        cands = {}
-
-        def keep(tb):
-            xb = [0] * n
-            for tv, k in zip(tb, comp):
-                if tv:
-                    for c in range(n):
-                        xb[c] += tv * basis[k][c]
-            if any(abs(xb[c]) > coord_bound + slack[c] for c in range(n)):
-                return
-            norm = sum(tb[a] * sub[a][b] * tb[b] for a in range(len(comp)) for b in range(len(comp)))
-            cands.setdefault(norm, []).append(tuple(tb))
-
-        if ssig[0] == 0 and ssig[2] == 0:
-            # negative definite block: short vectors only (norm >= -gap is
-            # settled later; enumerate down to the worst possible need)
-            block_data.append((comp, sub, Wb, ssig, cands, slack, "negdef"))
-        else:
-            boxsize = 1
-            for wv in Wb:
-                boxsize *= 2 * wv + 1
-            if boxsize > 2_000_000:
-                raise InputError("bounded search box is too large for the indefinite block structure")
-            for tb in itertools.product(*[range(-wv, wv + 1) for wv in Wb]):
-                keep(tb)
-            block_data.append((comp, sub, Wb, ssig, cands, slack, "scan"))
-
-    # Max norm gain each block can contribute (exact for scanned blocks).
-    gains = []
-    for comp, sub, Wb, ssig, cands, slack, kind in block_data:
-        if kind == "negdef":
-            gains.append(0)
-        else:
-            gains.append(max(cands.keys(), default=0))
-    total_gain = sum(gains)
-
-    # Fill candidate sets of negative definite blocks down to the reachable floor.
-    for idx, (comp, sub, Wb, ssig, cands, slack, kind) in enumerate(block_data):
-        if kind != "negdef":
+        limit = [coord_bound + s for s in _box_slack(basis, W, [k for k in range(r) if k not in comp], n)]
+        pos, _, null = signature(sub)
+        if pos == 0 and null == 0:
+            negdef.append((comp, sub, limit))
             continue
-        floor = -2 - (total_gain - gains[idx])
-        radius = -floor  # enumerate block vectors with -norm <= radius
+        boxsize = math.prod(2 * W[k] + 1 for k in comp)
+        if boxsize > 2_000_000:
+            raise InputError("bounded search box is too large for the indefinite block structure")
+        box = itertools.product(*[range(-W[k], W[k] + 1) for k in comp])
+        tables[comp[0]] = _block_table(g, basis, comp, box, limit)
+    # A negative definite block needs norms down to -2 minus what the scanned
+    # blocks can add at most.
+    radius = 2 + sum(max(table) for table in tables.values())
+    for comp, sub, limit in negdef:
         neg = tuple(tuple(-x for x in row) for row in sub)
-        for tb in _enumerate_up_to(neg, radius):
-            xb = [0] * n
-            for tv, k in zip(tb, comp):
-                if tv:
-                    for c in range(n):
-                        xb[c] += tv * basis[k][c]
-            if any(abs(xb[c]) > coord_bound + slack[c] for c in range(n)):
-                continue
-            norm = sum(tb[a] * sub[a][b] * tb[b] for a in range(len(comp)) for b in range(len(comp)))
-            cands.setdefault(norm, []).append(tuple(tb))
+        tables[comp[0]] = _block_table(g, basis, comp, _enumerate_up_to(neg, radius), limit)
 
-    # Assemble block choices whose norms sum to -2.
-    mins = [min(bd[4].keys(), default=0) for bd in block_data]
-    maxs = [max(bd[4].keys(), default=0) for bd in block_data]
-    suffix_min = [0] * (len(block_data) + 1)
-    suffix_max = [0] * (len(block_data) + 1)
-    for i in range(len(block_data) - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + mins[i]
-        suffix_max[i] = suffix_max[i + 1] + maxs[i]
-
-    out = []
-    t_full = [0] * r
-
-    def assemble(i, acc):
-        if i == len(block_data):
-            if acc == -2:
-                v = [0] * n
-                for k in range(r):
-                    if t_full[k]:
-                        for c in range(n):
-                            v[c] += t_full[k] * basis[k][c]
-                v = tuple(v)
-                if in_box(v, coord_bound):
-                    out.append(v)
-            return
-        comp, sub, Wb, ssig, cands, slack, kind = block_data[i]
-        for norm, tlist in cands.items():
-            rest = -2 - acc - norm
-            if rest < suffix_min[i + 1] or rest > suffix_max[i + 1]:
-                continue
-            for tb in tlist:
-                for tv, kk in zip(tb, comp):
-                    t_full[kk] = tv
-                assemble(i + 1, acc + norm)
-                for kk in comp:
-                    t_full[kk] = 0
-
-    assemble(0, 0)
-    out.sort()
-    _check_norms(g, out, -2, coord_bound)
-    return RootList(roots=tuple(out), complete=False, bound_used=coord_bound)
+    roots = _join([tables[c] for c in sorted(tables)], -2, coord_bound, n)
+    roots.sort()
+    _check_norms(lattice.gram_int, roots, -2, coord_bound)
+    return RootList(roots=tuple(roots), complete=False, bound_used=coord_bound)

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import mul
 
 from .errors import (
     AmbientMismatchError,
@@ -201,15 +202,21 @@ def check_partition_property(lattice: IntegralLattice, plus, depth: int = 4) -> 
         _require_root(lattice, r)
         if tuple(-x for x in r) in plus_set:
             raise InputError("plus must contain at most one of each +-pair")
-    n = lattice.n
+    # With P the integer Gram of plus (diagonal -2), the sum over a combination
+    # a_1 <= ... <= a_t has norm -2t + 2 sum_{i<j} P[a_i][a_j]: a root iff that
+    # sum is t - 1.  Row a of P is computed when a first needs it.
+    sparse = lattice.space.sparse_rows
+    gram_plus = [None] * len(plus)
     for total in range(2, depth + 1):
         for combo in combinations_with_replacement(range(len(plus)), total):
-            vec = [0] * n
-            for idx in combo:
-                for j in range(n):
-                    vec[j] += plus[idx][j]
-            vec = tuple(vec)
-            if bilinear(lattice, vec, vec) == -2 and vec not in plus_set:
+            for a in combo[:-1]:
+                if gram_plus[a] is None:
+                    image = [sum(g * plus[a][j] for j, g in row) for row in sparse]
+                    gram_plus[a] = [sum(map(mul, image, s)) for s in plus]
+            if sum(gram_plus[a][b] for i, a in enumerate(combo) for b in combo[i + 1:]) != total - 1:
+                continue
+            vec = tuple(map(sum, zip(*(plus[idx] for idx in combo))))
+            if vec not in plus_set:
                 coeffs = [0] * len(plus)
                 for idx in combo:
                     coeffs[idx] += 1

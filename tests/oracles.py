@@ -4,14 +4,17 @@ Everything here is deliberately separate from the library: the coordinate
 bounds come from a locally computed inverse Gram, the scan is a plain product
 box evaluated with numpy, and block-diagonal forms are handled by the
 orthogonal-sum argument (a norm -2 vector of a definite direct sum has
-exactly one nonzero block component).  The conic domain sweep has a reference
-in `reference_conic_sweep`, an `mpmath` implementation that rounds every
-sample at the working precision.
+exactly one nonzero block component).  Bounded root searches in indefinite
+lattices have a literal box scan (`box_scan_roots`) and, for period points of
+K3 supported on U^3, a closed form (`k3_u3_box_roots`).  The conic domain sweep
+has a reference in `reference_conic_sweep`, an `mpmath` implementation that
+rounds every sample at the working precision.
 """
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 import mpmath
 import numpy as np
@@ -136,6 +139,57 @@ def block_sum_roots(gram, target=-2):
             for val, pos in zip(v, comp):
                 amb[pos] = val
             out.append(tuple(amb))
+    out.sort()
+    return out
+
+
+def box_scan_roots(gram, constraints, bound):
+    """Sorted integer x in [-bound, bound]^n with x^T gram x == -2 and
+    x^T gram c == 0 for every (rational) constraint c, by a literal scan of
+    the whole box."""
+    n = len(gram)
+    G = np.array([[int(x) for x in row] for row in gram], dtype=np.int64)
+    X = np.indices((2 * bound + 1,) * n, dtype=np.int64).reshape(n, -1).T - bound
+    GX = X @ G
+    keep = np.einsum("ij,ij->i", GX, X) == -2
+    for c in constraints:
+        den = lcm(*(Fraction(x).denominator for x in c))
+        ints = np.array([int(Fraction(x) * den) for x in c], dtype=np.int64)
+        keep &= GX @ ints == 0
+    return sorted(tuple(int(v) for v in row) for row in X[keep])
+
+
+def k3_u3_box_roots(gram, re, im):
+    """Roots r of the K3 Gram with every coordinate in [-1, 1] and
+    <r, re> = <r, im> = 0, for integer re, im supported on the U^3 coordinates
+    0..5, in closed form.
+
+    The two E8(-1) blocks (coordinates 6..13 and 14..21) are orthogonal to
+    U^3 and to re and im, so r = u + x + y with u in {-1,0,1}^6 orthogonal to
+    re and im, and norm(x) + norm(y) = -2 - norm(u).  x and y come from the
+    table of {-1,0,1}^8 split by norm, one table per block.
+    """
+    if any(re[6:]) or any(im[6:]):
+        raise ValueError("the closed form needs re and im supported on U^3")
+
+    def pair(x, y, lo, hi):
+        return sum(x[i - lo] * gram[i][j] * y[j - lo] for i in range(lo, hi) for j in range(lo, hi))
+
+    tables = []
+    for lo in (6, 14):
+        table = {}
+        for x in itertools.product((-1, 0, 1), repeat=8):
+            table.setdefault(pair(x, x, lo, lo + 8), []).append(x)
+        tables.append(table)
+    out = []
+    for u in itertools.product((-1, 0, 1), repeat=6):
+        if pair(u, re, 0, 6) or pair(u, im, 0, 6):
+            continue
+        need = -2 - pair(u, u, 0, 6)
+        for a, xs in tables[0].items():
+            for x in xs:
+                for y in tables[1].get(need - a, ()):
+                    out.append(u + x + y)
     out.sort()
     return out
 

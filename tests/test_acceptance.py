@@ -14,10 +14,9 @@ import mpmath
 import k3cycles as k
 from k3cycles import GaussRational
 from k3cycles.linalg import identity_int, mat_mul, rank
-from k3cycles.rootenum import _pair_int
 
 from conftest import gauss_rows, uvec, vprime_rows
-from oracles import block_sum_roots, naive_box_norm_vectors
+from oracles import block_sum_roots, dense_bilinear, naive_box_norm_vectors
 
 
 @contextmanager
@@ -190,7 +189,7 @@ def test_criterion_08_twistor_predicate(k3, u3_diagonal, vprime):
         res = k.is_twistor(k3, u3_diagonal)
         assert res.status == "false"
         cert = res.certificate
-        assert _pair_int(k3.gram_int, cert, cert) == -2
+        assert dense_bilinear(k3.gram_int, cert, cert) == -2
         assert all(k.bilinear(k3, cert, row) == 0 for row in u3_diagonal.basis)
         all_orth = k.roots_orthogonal_to_threespace(k3, u3_diagonal)
         assert cert == all_orth.roots[0]  # lexicographically smallest

@@ -1,12 +1,13 @@
-"""Property tests: the Fincke-Pohst walk, the sparse pairing, the congruence
-diagonalisation, the integer HNF and kernel, and the exact conic sweep against
-the independent oracles in oracles.py, on random inputs drawn by hypothesis."""
+"""Property tests: the Fincke-Pohst walk, the bounded root search, the sparse
+pairing, the congruence diagonalisation, the integer HNF and kernel, and the
+exact conic sweep against the independent oracles in oracles.py, on random
+inputs drawn by hypothesis."""
 
 from fractions import Fraction as Q
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import k3cycles as k
@@ -15,11 +16,12 @@ from k3cycles.errors import InputError
 from k3cycles.gaussrat import GaussRational
 from k3cycles.linalg import det, hnf, int_kernel, rref
 from k3cycles.quadspace import congruence_diagonal
-from k3cycles.rootenum import _enumerate_up_to
+from k3cycles.rootenum import _coefficient_bounds, _enumerate_up_to
 
 from oracles import (
     _floor_sqrt,
     _inverse_fraction,
+    box_scan_roots,
     dense_bilinear,
     exact_rank,
     naive_box_norm_vectors,
@@ -81,6 +83,70 @@ def test_rational_gram_and_target_scale_out(case, m):
     gram, target = case
     scaled = tuple(tuple(Q(x, m) for x in row) for row in gram)
     assert k.enumerate_norm_vectors(scaled, Q(target, m)) == k.enumerate_norm_vectors(gram, target)
+
+
+U_GRAM = ((0, 1), (1, 0))
+SMALL_BLOCKS = (U_GRAM, ((-2,),), ((-2, 1), (1, -2)))  # U, A1(-1), A2(-1)
+indefinite_2x2 = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)).filter(
+    lambda abc: abc[0] * abc[2] - abc[1] ** 2 < 0
+).map(lambda abc: ((abc[0], abc[1]), (abc[1], abc[2])))
+
+
+def _block_sum(blocks):
+    n = sum(len(b) for b in blocks)
+    gram = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            gram[at + i][at:at + len(b)] = row
+        at += len(b)
+    return tuple(map(tuple, gram))
+
+
+@st.composite
+def bounded_search_cases(draw):
+    """An orthogonal sum of 2-4 blocks (U, A1(-1), A2(-1) or a random
+    nondegenerate indefinite 2x2), 0-2 integer constraints and a bound of 1 or 2.
+
+    Without constraints the negative definite summands are enumerated and the
+    others scanned; constraints mix the summands, so the kernel rows of one
+    block reach the coordinates of another and the box slack is nonzero."""
+    gram = _block_sum(draw(st.lists(st.one_of(st.sampled_from(SMALL_BLOCKS), indefinite_2x2), min_size=2, max_size=4)))
+    constraints = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(gram)), max_size=2))
+    return gram, constraints, draw(st.integers(1, 2))
+
+
+@SETTINGS
+@given(bounded_search_cases())
+# U + U + A1(-1): 8 of the 12 roots need the slack, a block partial outside
+# the box that the other block brings back into it.
+@example((_block_sum((U_GRAM, U_GRAM, ((-2,),))), [(-1, -1, 1, 2, 1)], 1))
+def test_bounded_search_matches_box_scan(case):
+    gram, constraints, bound = case
+    lattice = k.IntegralLattice(k.QuadraticSpace(gram))
+    got = k.bounded_root_search(lattice, [tuple(Q(x) for x in c) for c in constraints], bound)
+    assert (got.complete, got.bound_used) == (False, bound)
+    assert list(got.roots) == box_scan_roots(gram, constraints, bound)
+
+
+@st.composite
+def full_rank_rows(draw):
+    """An r x w integer matrix of rank r, 1 <= r <= w <= 7."""
+    r = draw(st.integers(1, 5))
+    w = draw(st.integers(r, 7))
+    rows = [[draw(st.integers(-9, 9)) for _ in range(w)] for _ in range(r)]
+    assume(exact_rank(rows) == r)
+    return rows
+
+
+@SETTINGS
+@given(full_rank_rows(), st.integers(1, 3))
+def test_coefficient_bounds_match_fraction_solve(basis, bound):
+    # W_j = floor(bound * sum_i |(M^-1 B)_{j,i}|) with M = B B^T, by a Fraction inverse
+    r, w = len(basis), len(basis[0])
+    mi = _inverse_fraction([[sum(a * b for a, b in zip(bi, bj)) for bj in basis] for bi in basis])
+    want = [int(bound * sum(abs(sum(mi[j][k] * basis[k][i] for k in range(r))) for i in range(w))) for j in range(r)]
+    assert _coefficient_bounds(basis, bound) == want
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)

@@ -6,10 +6,10 @@ import pytest
 import k3cycles as k
 from k3cycles.errors import InputError, NotPositiveDefiniteError, NotPositiveError
 from k3cycles.linalg import hnf, int_kernel
-from k3cycles.rootenum import _enumerate_up_to, _pair_int
+from k3cycles.rootenum import _enumerate_up_to
 
 from conftest import gauss_rows, uvec, vprime_rows
-from oracles import block_sum_roots, naive_box_norm_vectors, naive_box_radius_vectors
+from oracles import block_sum_roots, dense_bilinear, naive_box_norm_vectors, naive_box_radius_vectors
 
 
 def test_enumerate_rank_one():
@@ -121,7 +121,7 @@ def test_roots_orthogonal_counts(k3, u3_diagonal):
     got = set(rl.roots)
     for v in rl.roots:
         assert tuple(-x for x in v) in got
-        assert _pair_int(k3.gram_int, v, v) == -2
+        assert dense_bilinear(k3.gram_int, v, v) == -2
 
 
 def block_sum_roots_in_ambient(k3, threespace):
@@ -158,7 +158,7 @@ def test_bounded_search_contains_known_root(k3):
     assert tuple(-x for x in e3f3) in rl.roots
     for v in rl.roots:
         assert all(abs(c) <= 1 for c in v)
-        assert _pair_int(k3.gram_int, v, v) == -2
+        assert dense_bilinear(k3.gram_int, v, v) == -2
 
 
 def test_bounded_search_matches_exhaustive_scan(hyperbolic):
@@ -169,7 +169,7 @@ def test_bounded_search_matches_exhaustive_scan(hyperbolic):
     expect = sorted(
         v
         for v in itertools.product(range(-2, 3), repeat=2)
-        if _pair_int(hyperbolic.gram_int, v, v) == -2
+        if dense_bilinear(hyperbolic.gram_int, v, v) == -2
     )
     assert list(got.roots) == expect
 
@@ -189,7 +189,7 @@ def test_bounded_search_matches_scan_in_u3():
     expect = sorted(
         v
         for v in itertools.product(range(-1, 2), repeat=6)
-        if _pair_int(u3.gram_int, v, v) == -2
+        if dense_bilinear(u3.gram_int, v, v) == -2
     )
     assert list(got.roots) == expect
 
@@ -212,7 +212,7 @@ def test_negative_definite_box_matches_naive(e8_neg):
     expect = sorted(
         v
         for v in itertools.product(range(-1, 2), repeat=8)
-        if _pair_int(e8_neg.gram_int, v, v) == -2
+        if dense_bilinear(e8_neg.gram_int, v, v) == -2
     )
     assert list(got.roots) == expect
 
@@ -256,7 +256,7 @@ def test_bounded_search_random_small_lattices():
         expect = sorted(
             v
             for v in itertools.product(range(-bound, bound + 1), repeat=n)
-            if _pair_int(gi, v, v) == -2 and satisfied(v)
+            if dense_bilinear(gi, v, v) == -2 and satisfied(v)
         )
         assert list(got.roots) == expect, (m, constraints, bound)
         done += 1

@@ -35,3 +35,27 @@ def test_traced_functions_resolve():
     assert len(named) >= 30
     gone = [f"{mod}.{fn}" for mod, fn in named if not callable(getattr(importlib.import_module(f"k3cycles.{mod}"), fn, None))]
     assert not gone, f"traced functions missing from k3cycles: {gone}"
+
+
+def _unused_imports(tree):
+    """Names bound by module-level imports that the module never reads."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_no_unused_module_imports():
+    # __init__.py re-exports its imports, so it is left out.
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"unused module-level imports in src/k3cycles: {found}"

@@ -15,6 +15,7 @@ from k3cycles.errors import (
 from k3cycles.linalg import identity_int, mat_mul
 
 from conftest import uvec
+from oracles import k3_u3_box_roots
 
 
 def unit(i, n=22):
@@ -148,6 +149,19 @@ def test_delta_p_bounded_contains_root(k3):
     e3f3 = tuple(1 if i == 4 else (-1 if i == 5 else 0) for i in range(22))
     assert e3f3 in rl.roots
     assert len(k.delta_p_bounded(k3, p, 0)) == 0
+
+
+@pytest.mark.parametrize("i, j, s, t", [(0, 1, 1, 1), (2, 0, -1, 1), (1, 2, 1, -1)])
+def test_delta_p_bounded_matches_closed_form(k3, i, j, s, t):
+    # p = s(e_i + f_i) + i t(e_j + f_j), the chamber benchmark's period points
+    re, im = [0] * 22, [0] * 22
+    re[2 * i] = re[2 * i + 1] = s
+    im[2 * j] = im[2 * j + 1] = t
+    p = k.PeriodPoint(space=k3.space, x=tuple(GaussRational(a, b) for a, b in zip(re, im)))
+    rl = k.delta_p_bounded(k3, p, 1)
+    expect = k3_u3_box_roots(k3.gram_int, re, im)
+    assert len(expect) == 19_694
+    assert list(rl.roots) == expect
 
 
 def test_delta_p_bounded_kernel_rank_drop(k3):
