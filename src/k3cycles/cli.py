@@ -14,7 +14,7 @@ from fractions import Fraction
 import click
 
 from . import jsonio
-from .cyclespace import classify_cycle, example_family, intersect_hyperplane
+from .cyclespace import classify_cycle, example_family, exact_classification, intersect_hyperplane
 from .errors import InputError, K3CyclesError
 from .gaussrat import parse_rational
 from .linalg import det
@@ -243,17 +243,7 @@ def cycle_sweep_example(t_values, rank):
         ts = [parse_rational(s) for s in t_values.split(",")]
         records = []
         for t in ts:
-            v = example_family(t, n=rank)
-            hsig = v.hermitian_inertia
-            records.append(
-                {
-                    "t": jsonio.encode_rational(Fraction(t)),
-                    "smooth": det(v.symmetric_gram()) != 0,
-                    "hermitian_signature": list(hsig),
-                    "real": v.is_real(),
-                    "positive": hsig == (3, 0, 0),
-                }
-            )
+            records.append({"t": jsonio.encode_rational(Fraction(t)), **exact_classification(example_family(t, n=rank))})
         _emit({"rank": rank, "family": records})
 
     _run(go)

@@ -225,26 +225,28 @@ def classify_cycle(
     bits = resolve_precision(precision)
     if samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
-    hsig = threespace.hermitian_inertia
-    smooth = det(threespace.symmetric_gram()) != 0
-    real = threespace.is_real()
-    positive = hsig == (3, 0, 0)
+    exact = exact_classification(threespace)
     if lattice is None:
         twistor = TwistorStatus(status="not_applicable", reason="no integral lattice context")
     else:
         twistor = is_twistor(lattice, threespace)
-    if positive:
+    if exact["positive"]:
         domain = DomainStatus(kind="verified_positive")
     else:
-        domain = _sample_domain(threespace, real, samples, bits)
-    return CycleClassification(
-        smooth=smooth,
-        hermitian_signature=hsig,
-        real=real,
-        positive=positive,
-        twistor=twistor,
-        domain_status=domain,
-    )
+        domain = _sample_domain(threespace, exact["real"], samples, bits)
+    return CycleClassification(**exact, twistor=twistor, domain_status=domain)
+
+
+def exact_classification(threespace: ThreeSpace) -> dict:
+    """The exact fields of a CycleClassification, in field order: smooth,
+    hermitian_signature, real and positive."""
+    hsig = threespace.hermitian_inertia
+    return {
+        "smooth": det(threespace.symmetric_gram()) != 0,
+        "hermitian_signature": hsig,
+        "real": threespace.is_real(),
+        "positive": hsig == (3, 0, 0),
+    }
 
 
 # ---------------------------------------------------------------------------

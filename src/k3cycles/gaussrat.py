@@ -122,8 +122,6 @@ class GaussRational:
         return f"({format_rational(self.re)}{'+' if self.im >= 0 else '-'}{format_rational(abs(self.im))}i)"
 
 
-ZERO = GaussRational(Fraction(0), Fraction(0))
-ONE = GaussRational(Fraction(1), Fraction(0))
 I = GaussRational(Fraction(0), Fraction(1))
 
 

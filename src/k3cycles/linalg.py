@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatchError
 from .gaussrat import GaussRational
@@ -34,7 +35,7 @@ def transpose(m):
 def dot(u, v):
     if len(u) != len(v):
         raise DimensionMismatchError(f"vector lengths {len(u)} and {len(v)} differ")
-    return sum((a * b for a, b in zip(u, v)), start=Fraction(0))
+    return sum(map(mul, u, v))
 
 
 def mat_mul(a, b):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import (
     DegenerateGramError,
@@ -46,37 +47,51 @@ E8_GRAM = (
 U_GRAM = ((0, 1), (1, 0))
 
 
+def sparse_rows(gram):
+    """Per row, the (j, gram[i][j]) pairs with a nonzero entry; integral entries as int."""
+    return tuple(tuple((j, int(x) if x.denominator == 1 else x) for j, x in enumerate(row) if x) for row in gram)
+
+
+def gram_apply(rows, x):
+    """G x over the sparse rows of G."""
+    return [sum(g * x[j] for j, g in row) for row in rows]
+
+
+def pair_rows(rows, x, y):
+    """x^T G y over the sparse rows of G, visiting the nonzero x_i only."""
+    total = 0
+    for xi, row in zip(x, rows):
+        if xi:
+            total += xi * sum(g * y[j] for j, g in row)
+    return total
+
+
 @dataclass(frozen=True)
 class QuadraticSpace:
-    """Nondegenerate symmetric bilinear form over Q, given by its Gram matrix."""
+    """Nondegenerate symmetric bilinear form over Q, given by its Gram matrix.
+
+    `inertia` is its Sylvester inertia (pos, neg, 0), computed once here.
+    """
 
     gram: tuple
 
     def __post_init__(self):
         g = mat(tuple(tuple(as_fraction(x) for x in row) for row in self.gram))
-        n = len(g)
-        if n == 0 or any(len(r) != n for r in g):
+        if not g:
             raise DimensionMismatchError("gram matrix must be square and nonempty")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if g[i][j] != g[j][i]:
-                    raise NotSymmetricError(f"gram[{i}][{j}] != gram[{j}][{i}]")
-        if det(g) == 0:
+        inertia = signature(g)
+        if inertia[2]:
             raise DegenerateGramError("gram matrix is degenerate")
         object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "inertia", inertia)
 
     @property
     def n(self) -> int:
         return len(self.gram)
 
     @cached_property
-    def inertia(self):
-        return signature(self.gram)
-
-    @cached_property
     def sparse_rows(self):
-        """Per row, the (j, gram[i][j]) pairs with a nonzero entry; integral entries as int."""
-        return tuple(tuple((j, int(x) if x.denominator == 1 else x) for j, x in enumerate(row) if x) for row in self.gram)
+        return sparse_rows(self.gram)
 
 
 @dataclass(frozen=True)
@@ -141,6 +156,9 @@ def _negate(g):
     return tuple(tuple(-x for x in row) for row in g)
 
 
+K3_GRAM = _block_diag(U_GRAM, U_GRAM, U_GRAM, _negate(E8_GRAM), _negate(E8_GRAM))
+
+
 def make_standard_lattice(kind: str, signs=None):
     """Build one of the documented standard forms.
 
@@ -154,8 +172,7 @@ def make_standard_lattice(kind: str, signs=None):
     if kind == "E8_neg":
         return IntegralLattice(QuadraticSpace(_negate(E8_GRAM)))
     if kind == "K3":
-        e8n = _negate(E8_GRAM)
-        return IntegralLattice(QuadraticSpace(_block_diag(U_GRAM, U_GRAM, U_GRAM, e8n, e8n)))
+        return IntegralLattice(QuadraticSpace(K3_GRAM))
     if kind == "diag":
         if not signs:
             raise InputError("diag lattice requires a nonempty list of signs")
@@ -177,12 +194,9 @@ def bilinear(ambient, x, y):
     space = _space_of(ambient)
     if len(x) != space.n or len(y) != space.n:
         raise DimensionMismatchError("vector length does not match space rank")
-    total = 0
     if all(type(v) is int for v in x) and all(type(v) is int for v in y):
-        for xi, row in zip(x, space.sparse_rows):
-            if xi:
-                total += xi * sum(g * y[j] for j, g in row)
-        return Fraction(total)
+        return Fraction(pair_rows(space.sparse_rows, x, y))
+    total = 0
     gauss = live = False
     for xi, row in zip(x, space.sparse_rows):
         if xi == 0:
@@ -303,27 +317,16 @@ def lattice_invariants(lattice: IntegralLattice) -> LatticeInvariants:
 
 
 def is_isometry(ambient, g) -> bool:
-    """True iff g^T * gram * g == gram."""
+    """True iff g^T * gram * g == gram, for int or Fraction g over any rational gram.
+
+    Entry (i, j) is column i of g paired with gram times column j, in ints
+    where both are integral.
+    """
     space = _space_of(ambient)
     m = mat(g)
     n = space.n
     if len(m) != n or any(len(r) != n for r in m):
         raise DimensionMismatchError("matrix size does not match space rank")
-    integral = all(x.denominator == 1 for row in space.gram for x in row) and all(
-        isinstance(x, int) for row in m for x in row
-    )
-    if integral:
-        gram = [[int(x) for x in row] for row in space.gram]
-        gm = [[sum(gram[k][l] * m[l][j] for l in range(n)) for j in range(n)] for k in range(n)]
-        for i in range(n):
-            col_i = [m[k][i] for k in range(n)]
-            for j in range(n):
-                if sum(col_i[k] * gm[k][j] for k in range(n)) != gram[i][j]:
-                    return False
-        return True
-    gt = tuple(zip(*m))
-    lhs = tuple(
-        tuple(sum(gt[i][k] * sum(space.gram[k][l] * m[l][j] for l in range(n)) for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    return lhs == space.gram
+    cols = tuple(zip(*m))
+    images = [gram_apply(space.sparse_rows, c) for c in cols]
+    return all(sum(map(mul, ci, image)) == gij for ci, row in zip(cols, space.gram) for image, gij in zip(images, row))

@@ -22,8 +22,8 @@ from .errors import (
     NotSymmetricError,
 )
 from .gaussrat import GaussRational, as_fraction
-from .linalg import clear_denominators, hnf, int_kernel, is_zero_vec, mat
-from .quadspace import IntegralLattice, signature
+from .linalg import clear_denominators, identity_int, int_kernel, is_zero_vec, mat
+from .quadspace import IntegralLattice, gram_apply, pair_rows, signature, sparse_rows
 
 
 @dataclass(frozen=True)
@@ -63,20 +63,6 @@ class RootList:
         return iter(self.roots)
 
 
-def _sparse_rows(gram):
-    """Per row, the (j, gram[i][j]) pairs with a nonzero entry."""
-    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in gram)
-
-
-def _pair_int(rows, x, y):
-    """x^T G y over the sparse rows of G, visiting the nonzero x_i only."""
-    total = 0
-    for xi, row in zip(x, rows):
-        if xi:
-            total += xi * sum(g * y[j] for j, g in row)
-    return total
-
-
 def _check_norms(gram, vectors, norm, bound=None):
     """Re-verify enumerated vectors exactly: every norm, and the box when bound is given.
 
@@ -87,12 +73,12 @@ def _check_norms(gram, vectors, norm, bound=None):
     totals = [0] * len(vectors)
     boxed = True
     for comp in _components(gram):
-        rows = _sparse_rows([[gram[i][j] for j in comp] for i in comp])
+        rows = sparse_rows([[gram[i][j] for j in comp] for i in comp])
 
         def parts():
             return zip(*(map(itemgetter(i), vectors) for i in comp))
 
-        seen = {x: _pair_int(rows, x, x) for x in set(parts())}
+        seen = {x: pair_rows(rows, x, x) for x in set(parts())}
         if bound is not None:
             boxed = boxed and all(max(x) <= bound and min(x) >= -bound for x in seen)
         totals = list(map(add, totals, map(seen.__getitem__, parts())))
@@ -107,14 +93,11 @@ def _constraint_rows(lattice: IntegralLattice, constraints):
     Each constraint is scaled to integers first; scaling by k > 0 leaves the
     primitive row of G c unchanged.
     """
-    g = lattice.gram_int
-    n = lattice.n
     rows = []
     for c in constraints:
-        if len(c) != n:
+        if len(c) != lattice.n:
             raise DimensionMismatchError("constraint length does not match lattice rank")
-        kc = [(j, cj) for j, cj in enumerate(clear_denominators(c)) if cj]
-        pairing = [sum(row[j] * cj for j, cj in kc) for row in g]
+        pairing = gram_apply(lattice.space.sparse_rows, clear_denominators(c))
         if any(pairing):
             rows.append(clear_denominators(pairing))
     return rows
@@ -123,12 +106,9 @@ def _constraint_rows(lattice: IntegralLattice, constraints):
 def orthogonal_complement_lattice(lattice: IntegralLattice, constraints) -> Sublattice:
     """Saturated kernel {x in Z^n : <x, c> = 0 for all constraints c}."""
     rows = _constraint_rows(lattice, constraints)
-    if not rows:
-        basis = tuple(tuple(1 if i == j else 0 for j in range(lattice.n)) for i in range(lattice.n))
-    else:
-        basis = int_kernel(rows)
+    basis = int_kernel(rows) if rows else identity_int(lattice.n)
     g = lattice.space.sparse_rows
-    restricted = tuple(tuple(_pair_int(g, bi, bj) for bj in basis) for bi in basis)
+    restricted = tuple(tuple(pair_rows(g, bi, bj) for bj in basis) for bi in basis)
     return Sublattice(ambient=lattice, basis=basis, restricted_gram=restricted)
 
 
@@ -319,7 +299,7 @@ def _block_table(gram_rows, basis, comp, coeffs, limit):
                     x[c] += tv * b
         if all(map(le, map(abs, x), limit)):
             x = tuple(x)
-            table.setdefault(_pair_int(gram_rows, x, x), []).append(x)
+            table.setdefault(pair_rows(gram_rows, x, x), []).append(x)
     return table
 
 
@@ -368,14 +348,12 @@ def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int)
     """
     if coord_bound < 0:
         raise InputError("coordinate bound must be >= 0")
-    rows = _constraint_rows(lattice, constraints)
-    basis = int_kernel(rows) if rows else hnf(tuple(tuple(1 if i == j else 0 for j in range(lattice.n)) for i in range(lattice.n)))
-    r = len(basis)
+    sub = orthogonal_complement_lattice(lattice, constraints)
+    basis, C, r = sub.basis, sub.restricted_gram, sub.rank
     if r == 0 or coord_bound == 0:
         return RootList(roots=(), complete=False, bound_used=coord_bound)
     n = lattice.n
     g = lattice.space.sparse_rows
-    C = tuple(tuple(_pair_int(g, bi, bj) for bj in basis) for bi in basis)
     W = _coefficient_bounds(basis, coord_bound)
 
     tables, negdef = {}, []

@@ -18,14 +18,17 @@ from .errors import (
     WallError,
 )
 from .gaussrat import GaussRational, as_fraction
-from .linalg import det, inverse, is_zero_vec
+from .linalg import clear_denominators, det, inverse, is_zero_vec
 from .quadspace import (
+    K3_GRAM,
     IntegralLattice,
     Isometry,
     QuadraticSpace,
+    _space_of,
     bilinear,
+    gram_apply,
     hermitian_pair,
-    make_standard_lattice,
+    pair_rows,
 )
 from .rootenum import RootList, bounded_root_search
 
@@ -78,7 +81,10 @@ def _require_root(ambient, delta):
     delta = tuple(delta)
     if any(not isinstance(x, int) for x in delta):
         raise NotARootError("roots must be integer vectors")
-    if bilinear(ambient, delta, delta) != -2:
+    space = _space_of(ambient)
+    if len(delta) != space.n:
+        raise DimensionMismatchError("vector length does not match space rank")
+    if pair_rows(space.sparse_rows, delta, delta) != -2:
         raise NotARootError("vector has norm != -2")
     return delta
 
@@ -94,9 +100,9 @@ def reflect(ambient, delta, x):
 def reflection_matrix(ambient, delta) -> Isometry:
     """Matrix of the reflection in delta, as a validated lattice isometry."""
     delta = _require_root(ambient, delta)
-    space = ambient.space if isinstance(ambient, IntegralLattice) else ambient
+    space = _space_of(ambient)
     n = space.n
-    gd = [sum(space.gram[i][j] * delta[j] for j in range(n)) for i in range(n)]
+    gd = gram_apply(space.sparse_rows, delta)
     if any(x.denominator != 1 for x in gd):
         raise NotARootError("reflection is not integral over this ambient form")
     gd = [int(x) for x in gd]
@@ -105,8 +111,7 @@ def reflection_matrix(ambient, delta) -> Isometry:
 
 
 def _k3_frame(space: QuadraticSpace):
-    k3 = make_standard_lattice("K3").space
-    if space.gram == k3.gram:
+    if space.gram == K3_GRAM:
         n = space.n
         frame = []
         for b in range(3):
@@ -141,7 +146,7 @@ def is_in_O_plus(ambient, g) -> bool:
     invertible since the complement of a positive three-space is negative
     definite) and the sign of the 3x3 determinant decides membership.
     """
-    space = ambient.space if isinstance(ambient, IntegralLattice) else ambient
+    space = _space_of(ambient)
     iso = g if isinstance(g, Isometry) else Isometry(space=space, matrix=tuple(tuple(row) for row in g))
     frame = _k3_frame(space)
     if frame is None:
@@ -169,17 +174,24 @@ def partition_by_chamber(lattice: IntegralLattice, roots, kappa) -> ChamberParti
     """Split a root list by the sign of the pairing with kappa.
 
     kappa must be a positive-norm vector off every wall: a zero pairing is a
-    WallError, never a tie-break.
+    WallError, never a tie-break.  The pairings are taken in ints with kappa
+    scaled to a primitive integer vector, a positive multiple, which keeps
+    every sign.
     """
     kappa = tuple(as_fraction(x) for x in kappa)
-    if bilinear(lattice, kappa, kappa) <= 0:
+    rows = _space_of(lattice).sparse_rows
+    if len(kappa) != len(rows):
+        raise DimensionMismatchError("vector length does not match space rank")
+    scaled = clear_denominators(kappa)
+    if pair_rows(rows, scaled, scaled) <= 0:
         raise NonPositiveKappaError("chamber representative must have positive norm")
+    image = gram_apply(rows, scaled)
     rootlist = roots if isinstance(roots, RootList) else RootList(roots=tuple(sorted(tuple(r) for r in roots)), complete=False)
     plus = []
     minus = []
     for delta in rootlist.roots:
         _require_root(lattice, delta)
-        s = bilinear(lattice, kappa, delta)
+        s = sum(map(mul, image, delta))
         if s == 0:
             raise WallError(f"kappa lies on the wall of root {list(delta)}")
         (plus if s > 0 else minus).append(tuple(delta))
@@ -211,7 +223,7 @@ def check_partition_property(lattice: IntegralLattice, plus, depth: int = 4) -> 
         for combo in combinations_with_replacement(range(len(plus)), total):
             for a in combo[:-1]:
                 if gram_plus[a] is None:
-                    image = [sum(g * plus[a][j] for j, g in row) for row in sparse]
+                    image = gram_apply(sparse, plus[a])
                     gram_plus[a] = [sum(map(mul, image, s)) for s in plus]
             if sum(gram_plus[a][b] for i, a in enumerate(combo) for b in combo[i + 1:]) != total - 1:
                 continue

@@ -212,6 +212,15 @@ def dense_bilinear(gram, x, y):
     return total
 
 
+def dense_congruence(gram, g):
+    """g^T gram g over every entry, in Fractions."""
+    n = len(gram)
+    return tuple(
+        tuple(sum((Fraction(g[k][i]) * Fraction(gram[k][l]) * g[l][j] for k in range(n) for l in range(n)), start=Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
 def exact_rank(rows):
     """Rank over Q by plain Fraction elimination."""
     a = [[Fraction(x) for x in row] for row in rows]

@@ -1,7 +1,7 @@
 """Property tests: the Fincke-Pohst walk, the bounded root search, the sparse
-pairing, the congruence diagonalisation, the integer HNF and kernel, and the
-exact conic sweep against the independent oracles in oracles.py, on random
-inputs drawn by hypothesis."""
+pairing and isometry check, the chamber partition, the congruence
+diagonalisation, the integer HNF and kernel, and the exact conic sweep against
+the independent oracles in oracles.py, on random inputs drawn by hypothesis."""
 
 from fractions import Fraction as Q
 
@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 import k3cycles as k
 from k3cycles.cyclespace import _sample_domain
-from k3cycles.errors import InputError
+from k3cycles.errors import DimensionMismatchError, InputError, NonPositiveKappaError, WallError
 from k3cycles.gaussrat import GaussRational
 from k3cycles.linalg import det, hnf, int_kernel, rref
-from k3cycles.quadspace import congruence_diagonal
+from k3cycles.quadspace import congruence_diagonal, gram_apply, pair_rows, sparse_rows
 from k3cycles.rootenum import _coefficient_bounds, _enumerate_up_to
 
 from oracles import (
@@ -23,6 +23,7 @@ from oracles import (
     _inverse_fraction,
     box_scan_roots,
     dense_bilinear,
+    dense_congruence,
     exact_rank,
     naive_box_norm_vectors,
     naive_box_radius_vectors,
@@ -179,6 +180,124 @@ def test_sparse_bilinear_matches_dense(case):
     want = dense_bilinear(gram, x, y)
     assert type(got) is type(want)
     assert got == want
+
+
+def _units(n):
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+@st.composite
+def sparse_pairing_cases(draw):
+    """A principal sub-block of a symmetric Gram, integral or with
+    non-integral Fraction entries, and two int or Fraction vectors for it."""
+    n = draw(st.integers(1, 6))
+    small = st.one_of(st.just(0), st.integers(-3, 3))
+    entry = draw(st.sampled_from((small, st.one_of(small, rationals))))
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    block = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    sub = tuple(tuple(upper[min(i, j), max(i, j)] for j in block) for i in block)
+    vec = draw(st.sampled_from((st.integers(-4, 4), rationals)))
+    return sub, tuple(draw(vec) for _ in block), tuple(draw(vec) for _ in block)
+
+
+@SETTINGS
+@given(sparse_pairing_cases())
+def test_pair_rows_and_gram_apply_match_dense(case):
+    sub, x, y = case
+    rows = sparse_rows(tuple(tuple(Q(g) for g in row) for row in sub))
+    assert rows == sparse_rows(sub)
+    assert all(type(g) is int for row in rows for _, g in row if g.denominator == 1)
+    got, image = pair_rows(rows, x, y), gram_apply(rows, x)
+    assert got == dense_bilinear(sub, x, y)
+    assert image == [dense_bilinear(sub, e, x) for e in _units(len(sub))]
+    if all(type(v) is int for v in x + y + sum(sub, ())):
+        assert type(got) is int and all(type(v) is int for v in image)
+
+
+ISOMETRY_BLOCKS = (U_GRAM, ((-2,),), ((-2, 1), (1, -2)), ((1,),), ((-1,),), ((2, 1), (1, -2)))
+
+
+def _reflection(gram, v):
+    """I - (2 / <v,v>) v (G v)^T, the reflection in v, in Fractions."""
+    q = dense_bilinear(gram, v, v)
+    gv = [dense_bilinear(gram, e, v) for e in _units(len(gram))]
+    return [[Q(int(i == j)) - 2 * v[i] * gv[j] / q for j in range(len(gram))] for i in range(len(gram))]
+
+
+@st.composite
+def isometry_cases(draw):
+    """(gram, m, perturbed): an orthogonal sum of small integral forms, times
+    1, 3, 1/2 or 2/3, and a product of 1-3 reflections of it as an int or a
+    Fraction matrix, with one entry shifted when `perturbed`.  A reflection is
+    in e_i or e_i +- e_j of norm +-1 or +-2 (an integer matrix), or in a
+    random vector of nonzero norm (a rational one)."""
+    base = _block_sum(draw(st.lists(st.sampled_from(ISOMETRY_BLOCKS), min_size=1, max_size=3)))
+    n = len(base)
+    vectors = [tuple(a + s * b for a, b in zip(e, f)) for e in _units(n) for f in _units(n) for s in (0, 1, -1) if e < f or s == 0]
+    integral = [v for v in vectors if dense_bilinear(base, v, v) in (1, -1, 2, -2)]
+    m = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            v = draw(st.sampled_from(integral))
+        else:
+            v = tuple(draw(st.integers(-2, 2)) for _ in range(n))
+            assume(dense_bilinear(base, v, v) != 0)
+        r = _reflection(base, v)
+        m = [[sum((m[i][l] * r[l][j] for l in range(n)), start=Q(0)) for j in range(n)] for i in range(n)]
+    if all(x.denominator == 1 for row in m for x in row) and draw(st.booleans()):
+        m = [[int(x) for x in row] for row in m]
+    perturbed = draw(st.booleans())
+    if perturbed:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        shift = draw(st.integers(-2, 2) if type(m[0][0]) is int else rationals)
+        assume(shift != 0)
+        m[i][j] += shift
+    scale = draw(st.sampled_from((1, 3, Q(1, 2), Q(2, 3))))
+    return tuple(tuple(scale * g for g in row) for row in base), tuple(map(tuple, m)), perturbed
+
+
+@SETTINGS
+@given(isometry_cases())
+def test_is_isometry_matches_dense_congruence(case):
+    gram, m, perturbed = case
+    want = dense_congruence(gram, m) == tuple(tuple(Q(g) for g in row) for row in gram)
+    assert perturbed or want
+    assert k.is_isometry(k.QuadraticSpace(gram), m) is want
+
+
+PARTITION_LATTICE = k.IntegralLattice(k.QuadraticSpace(_block_sum((U_GRAM, U_GRAM, ((-2, 1), (1, -2))))))
+PARTITION_ROOTS = k.bounded_root_search(PARTITION_LATTICE, [], 1)
+
+
+@SETTINGS
+@given(st.tuples(*[rationals] * 6), st.integers(1, 12))
+@example((Q(1), Q(1), Q(0), Q(0), Q(0), Q(0)), 3)  # e1 + f1 lies on the wall of e2 - f2
+@example((Q(0),) * 6, 2)
+@example((Q(3), Q(5), Q(1, 3), Q(7, 2), Q(1, 5), Q(1, 7)), 5)  # off every wall
+def test_partition_by_chamber_is_scale_invariant(kappa, scale):
+    gram = PARTITION_LATTICE.space.gram
+    scaled = tuple(x / scale for x in kappa)
+    padded_root = PARTITION_ROOTS.roots[0] + (0,)
+    for bad_length in (kappa[:-1], kappa + (Q(1),)):
+        with pytest.raises(DimensionMismatchError):
+            k.partition_by_chamber(PARTITION_LATTICE, PARTITION_ROOTS, bad_length)
+    pairings = [dense_bilinear(gram, kappa, r) for r in PARTITION_ROOTS.roots]
+    if dense_bilinear(gram, kappa, kappa) <= 0:
+        for kap in (kappa, scaled):
+            with pytest.raises(NonPositiveKappaError):
+                k.partition_by_chamber(PARTITION_LATTICE, PARTITION_ROOTS, kap)
+        return
+    with pytest.raises(DimensionMismatchError):
+        k.partition_by_chamber(PARTITION_LATTICE, [padded_root], kappa)
+    if 0 in pairings:
+        for kap in (kappa, scaled):
+            with pytest.raises(WallError):
+                k.partition_by_chamber(PARTITION_LATTICE, PARTITION_ROOTS, kap)
+        return
+    part, part_scaled = (k.partition_by_chamber(PARTITION_LATTICE, PARTITION_ROOTS, kap) for kap in (kappa, scaled))
+    assert part.plus == part_scaled.plus == tuple(r for r, s in zip(PARTITION_ROOTS.roots, pairings) if s > 0)
+    assert part.minus == part_scaled.minus == tuple(r for r, s in zip(PARTITION_ROOTS.roots, pairings) if s < 0)
+    assert (part.kappa, part_scaled.kappa) == (kappa, scaled)
 
 
 DIAG6 = k.make_standard_lattice("diag", signs=[1, 1, 1, -1, -1, -1])

@@ -59,3 +59,45 @@ def test_no_unused_module_imports():
         for line, name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not found, f"unused module-level imports in src/k3cycles: {found}"
+
+
+def _defined_names(tree):
+    """Module-level functions, classes and assigned names, without the click commands."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            commands = [d for d in node.decorator_list if isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "command"]
+            if not commands:
+                out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return out
+
+
+def _referenced_names(tree):
+    """Names read, attributes, imported names and string constants (getattr tables)."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def test_every_module_level_name_is_referenced():
+    root = SRC.parent.parent
+    files = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    refs = set().union(*(_referenced_names(ast.parse(p.read_text(), filename=str(p))) for p in files))
+    dead = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _defined_names(ast.parse(path.read_text(), filename=str(path)))
+        if name not in refs and name != "__version__"
+    ]
+    assert not dead, f"module-level names in src/k3cycles that nothing references: {dead}"
