@@ -21,16 +21,16 @@ import mpmath
 from mpmath.libmp import from_rational, mpf_shift, to_int
 
 from .errors import AmbientMismatchError, DimensionMismatchError, InputError, InternalCheckError
-from .gaussrat import GaussRational, as_fraction, im_part, re_part
-from .linalg import apply_matrix, det, is_zero_vec, mat, rank, rref
+from .gaussrat import GaussRational, as_fraction
+from .linalg import apply_matrix, det, hnf, is_zero_vec, mat, rank
 from .quadspace import (
     IntegralLattice,
     Isometry,
     QuadraticSpace,
     bilinear,
     congruence_diagonal,
+    gram_apply,
     gram_of,
-    hermitian_gram_of,
     hermitian_signature,
     make_standard_lattice,
 )
@@ -59,7 +59,12 @@ def resolve_precision(bits=None) -> int:
 
 @dataclass(frozen=True)
 class ThreeSpace:
-    """Rank-3 subspace of the complexified ambient space."""
+    """Rank-3 subspace of the complexified ambient space.
+
+    `ints` is the basis cleared once to Gaussian-integer rows: (re, im, d)
+    with basis = (re + i im) / d, integer rows and d > 0.  Independence,
+    reality and both Grams are decided from it in integers.
+    """
 
     ambient: QuadraticSpace
     basis: tuple  # 3 x n GaussRational rows
@@ -70,38 +75,50 @@ class ThreeSpace:
             raise DimensionMismatchError("a three-space needs exactly 3 basis rows")
         if any(len(r) != self.ambient.n for r in rows):
             raise DimensionMismatchError("basis row length does not match ambient rank")
-        echelon, pivots = rref(rows)
-        if len(pivots) != 3:
+        re, im, d = _gauss_ints(rows)
+        # Rank over Q(i) is half the rank of the realification, rows (re | im) and (-im | re) of v and iv.
+        if len(hnf([r + i for r, i in zip(re, im)] + [tuple(-x for x in i) + r for r, i in zip(re, im)])) != 6:
             raise InputError("basis rows are linearly dependent over Q(i)")
         p, n, z = self.ambient.inertia
         if p != 3 or z != 0:
             raise InputError(f"ambient signature must be (3, n-, 0), got ({p}, {n}, {z})")
         object.__setattr__(self, "basis", rows)
-        # RREF(conj V) = conj RREF(V), so V is real iff its canonical basis is.
-        object.__setattr__(self, "_real", all(x.im == 0 for row in echelon for x in row))
+        object.__setattr__(self, "ints", (re, im, d))
+        # V + conj V is spanned by the re and im rows, so V is real iff they span only 3 dimensions.
+        object.__setattr__(self, "_real", len(hnf(re + im)) == 3)
 
     @property
     def n(self) -> int:
         return self.ambient.n
 
-    def symmetric_gram(self):
-        return self._symmetric_gram
-
     @cached_property
-    def _symmetric_gram(self):
-        return gram_of(self.ambient, self.basis)
+    def gram_ints(self):
+        """(A, H, den): the symmetric and Hermitian Grams as 3x3 tables of
+        Gaussian-integer (re, im) pairs over one positive denominator.
+
+        With qG the ambient Gram cleared to integers, rr, jj and rj pair
+        re with re, im with im and re with im under qG, after one sparse
+        G-apply per row; im_i qG re_j is rj[j][i], as G is symmetric.
+        """
+        re, im, d = self.ints
+        q = lcm(*(g.denominator for row in self.ambient.sparse_rows for _, g in row))
+        rows = [[(j, int(q * g)) for j, g in row] for row in self.ambient.sparse_rows]
+        g_re, g_im = ([gram_apply(rows, x) for x in part] for part in (re, im))
+        rr, jj, rj = ([[sum(map(mul, x, y)) for y in gy] for x in xs] for xs, gy in ((re, g_re), (im, g_im), (re, g_im)))
+        A = tuple(tuple((rr[i][j] - jj[i][j], rj[i][j] + rj[j][i]) for j in range(3)) for i in range(3))
+        H = tuple(tuple((rr[i][j] + jj[i][j], rj[j][i] - rj[i][j]) for j in range(3)) for i in range(3))
+        return A, H, q * d * d
+
+    def symmetric_gram(self):
+        return _gauss_matrix(self.gram_ints[0], self.gram_ints[2])
 
     def hermitian_gram(self):
-        return self._hermitian_gram
-
-    @cached_property
-    def _hermitian_gram(self):
-        return hermitian_gram_of(self.ambient, self.basis)
+        return _gauss_matrix(self.gram_ints[1], self.gram_ints[2])
 
     @cached_property
     def hermitian_inertia(self):
         """Inertia (pos, neg, null) of the Hermitian Gram, computed once."""
-        return hermitian_signature(self._hermitian_gram)
+        return hermitian_signature(self.hermitian_gram())
 
     def is_real(self) -> bool:
         return self._real
@@ -309,11 +326,16 @@ def _gdot(u, v):
     return (sum(a * c - b * d for (a, b), (c, d) in zip(u, v)), sum(a * d + b * c for (a, b), (c, d) in zip(u, v)))
 
 
-def _gauss_ints(m):
-    """(rows, d): m = rows / d with Gaussian-integer rows and d > 0."""
-    parts = [[(re_part(z), im_part(z)) for z in row] for row in m]
+def _gauss_ints(rows):
+    """(re, im, d): GaussRational rows = (re + i im) / d with integer re and im rows and d > 0."""
+    parts = [[(z.re, z.im) for z in row] for row in rows]
     d = lcm(*(x.denominator for row in parts for z in row for x in z))
-    return tuple(tuple(tuple(x.numerator * (d // x.denominator) for x in z) for z in row) for row in parts), d
+    return tuple(tuple(tuple(z[t].numerator * (d // z[t].denominator) for z in row) for row in parts) for t in (0, 1)) + (d,)
+
+
+def _gauss_matrix(pairs, den):
+    """The GaussRational matrix of Gaussian-integer (re, im) pairs over den."""
+    return tuple(tuple(GaussRational(Fraction(x, den), Fraction(y, den)) for x, y in row) for row in pairs)
 
 
 def _herm_products(w):
@@ -363,7 +385,9 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
             # real definite restriction: fall through to complex sampling
         base = _conic_base_point(A)
     p = tuple((to_int(mpf_shift(z.real._mpf_, bits), "n"), to_int(mpf_shift(z.imag._mpf_, bits), "n")) for z in base)
-    (a_rows, a), (h_rows, h), (b_rows, b) = map(_gauss_ints, (A, threespace.hermitian_gram(), threespace.basis))
+    a_rows, h_rows, a = threespace.gram_ints  # both Grams over the denominator a
+    re, im, b = threespace.ints
+    b_rows = [tuple(zip(r, i)) for r, i in zip(re, im)]
     # Euclidean form of the embedding: ||w B||^2 = w E conj(w)^T with E = b_rows conj(b_rows)^T / e
     e, conj_rows = b * b, [[(x, -y) for x, y in row] for row in b_rows]
     e_coeffs = _herm_coeffs([[_gdot(row, other) for other in conj_rows] for row in b_rows])
@@ -390,7 +414,7 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
         norm_alpha = ar * ar + ai * ai
         if norm_alpha * norm_alpha * res_lhs > res_rhs * scale * scale:
             continue  # |w A w^T| / ||w B||^2 > tolerance
-        if sum(map(mul, h_coeffs, products)) * e * tol.denominator <= tol.numerator * h * scale:
+        if sum(map(mul, h_coeffs, products)) * e * tol.denominator <= tol.numerator * a * scale:
             # the ambient point sum_i w_i B_i / (2^bits alpha), rounded once per coordinate:
             # coordinate c is N_c conj(alpha) / (b 2^bits |alpha|^2), N_c = sum_i w_i b_rows[i][c]
             den = (b * norm_alpha) << bits
@@ -457,14 +481,17 @@ def _try_exact_counterexample(threespace, w):
     n = max(norms)
     pr, pi = w[norms.index(n)]
     coeffs = [GaussRational(*(Fraction(t, n).limit_denominator(10**6) for t in (x * pr + y * pi, y * pr - x * pi))) for x, y in w]
-    A, H, zero = threespace.symmetric_gram(), threespace.hermitian_gram(), GaussRational.of(0)
-    if sum((coeffs[i] * A[i][j] * coeffs[j] for i in range(3) for j in range(3)), start=zero) != 0:
+    (re,), (im,), _ = _gauss_ints([coeffs])
+    u, u_bar = tuple(zip(re, im)), tuple(zip(re, (-y for y in im)))
+    A, H, _ = threespace.gram_ints
+    if _gdot(u, [_gdot(row, u) for row in A]) != (0, 0):
         return None
-    h = sum((coeffs[i] * H[i][j] * coeffs[j].conjugate() for i in range(3) for j in range(3)), start=zero)
-    if not h.is_real:
+    h_re, h_im = _gdot(u, [_gdot(row, u_bar) for row in H])
+    if h_im:
         raise InternalCheckError("Hermitian form of a conic point is not real")
-    if h.re > 0:
+    if h_re > 0:
         return None
+    zero = GaussRational.of(0)
     return tuple(sum((coeffs[i] * threespace.basis[i][c] for i in range(3)), start=zero) for c in range(threespace.n))
 
 

@@ -26,8 +26,11 @@ def parse_rational(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
+        t = s.strip()
         try:
-            return Fraction(s.strip())
+            if t.isascii() and t[t[:1] == "-":].isdigit():
+                return Fraction(int(t))  # an ASCII integer skips the Fraction string parser
+            return Fraction(t)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {s!r}") from exc
     raise InputError(f"bad rational value {s!r}")
@@ -134,7 +137,3 @@ def conj(x):
 
 def re_part(x) -> Fraction:
     return x.re if isinstance(x, GaussRational) else as_fraction(x)
-
-
-def im_part(x) -> Fraction:
-    return x.im if isinstance(x, GaussRational) else Fraction(0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .errors import (
@@ -70,7 +70,9 @@ def pair_rows(rows, x, y):
 class QuadraticSpace:
     """Nondegenerate symmetric bilinear form over Q, given by its Gram matrix.
 
-    `inertia` is its Sylvester inertia (pos, neg, 0), computed once here.
+    `inertia` is its Sylvester inertia (pos, neg, 0), computed once per
+    distinct Gram (`_gram_inertia`); spaces with equal Grams share one Gram
+    tuple, so comparing their Grams is cheap.
     """
 
     gram: tuple
@@ -79,7 +81,7 @@ class QuadraticSpace:
         g = mat(tuple(tuple(as_fraction(x) for x in row) for row in self.gram))
         if not g:
             raise DimensionMismatchError("gram matrix must be square and nonempty")
-        inertia = signature(g)
+        g, inertia = _gram_inertia(g)
         if inertia[2]:
             raise DegenerateGramError("gram matrix is degenerate")
         object.__setattr__(self, "gram", g)
@@ -292,6 +294,13 @@ def _inertia(d):
 def signature(m):
     """Exact Sylvester inertia (pos, neg, null) of a symmetric rational matrix."""
     return _inertia(congruence_diagonal(m)[0])
+
+
+@lru_cache(maxsize=8)
+def _gram_inertia(gram):
+    """(gram, signature(gram)) for an immutable Fraction Gram, once per
+    distinct Gram; equal Grams get back the first such tuple."""
+    return gram, signature(gram)
 
 
 def hermitian_signature(h):

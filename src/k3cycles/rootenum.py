@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, itemgetter, le, mul
 
 from .errors import (
@@ -21,8 +22,8 @@ from .errors import (
     NotPositiveError,
     NotSymmetricError,
 )
-from .gaussrat import GaussRational, as_fraction
-from .linalg import clear_denominators, identity_int, int_kernel, is_zero_vec, mat
+from .gaussrat import as_fraction
+from .linalg import clear_denominators, identity_int, int_kernel, mat
 from .quadspace import IntegralLattice, gram_apply, pair_rows, signature, sparse_rows
 
 
@@ -38,13 +39,17 @@ class Sublattice:
     def rank(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def sparse_basis(self):
+        """Per basis row, its nonzero (j, b) entries."""
+        return tuple(tuple((j, b) for j, b in enumerate(row) if b) for row in self.basis)
+
     def to_ambient(self, coeffs):
-        n = self.ambient.n
-        out = [0] * n
-        for t, row in zip(coeffs, self.basis):
+        out = [0] * self.ambient.n
+        for t, row in zip(coeffs, self.sparse_basis):
             if t:
-                for j in range(n):
-                    out[j] += t * row[j]
+                for j, b in row:
+                    out[j] += t * b
         return tuple(out)
 
 
@@ -211,12 +216,8 @@ def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> Root
         raise AmbientMismatchError("three-space ambient does not match lattice")
     if threespace.hermitian_inertia != (3, 0, 0):
         raise NotPositiveError("three-space must be positive for complete root enumeration")
-    constraints = []
-    for row in threespace.basis:
-        constraints.append(tuple(GaussRational.of(x).re for x in row))
-        constraints.append(tuple(GaussRational.of(x).im for x in row))
-    constraints = [c for c in constraints if not is_zero_vec(c)]
-    sub = orthogonal_complement_lattice(lattice, constraints)
+    re, im, _ = threespace.ints  # the re and im rows, scaled to integers by the same d > 0
+    sub = orthogonal_complement_lattice(lattice, [c for c in re + im if any(c)])
     if sub.rank == 0:
         return RootList(roots=(), complete=True)
     neg = tuple(tuple(-x for x in row) for row in sub.restricted_gram)
@@ -255,13 +256,12 @@ def _components(m):
     return comps
 
 
-def _box_slack(basis, W, rows_excluded, n):
+def _box_slack(sparse_basis, W, rows_excluded, n):
     """Per ambient coordinate: max |contribution| of the excluded rows."""
     slack = [0] * n
     for k in rows_excluded:
-        for c in range(n):
-            if basis[k][c]:
-                slack[c] += abs(basis[k][c]) * W[k]
+        for c, b in sparse_basis[k]:
+            slack[c] += abs(b) * W[k]
     return slack
 
 
@@ -286,10 +286,10 @@ def _coefficient_bounds(basis, bound):
     return [bound * sum(map(abs, row[r:])) // prev for row in a]
 
 
-def _block_table(gram_rows, basis, comp, coeffs, limit):
+def _block_table(gram_rows, sparse_basis, comp, coeffs, limit):
     """Ambient partials sum_k t_k basis[k] over the block's rows, for the
     coefficient vectors t, inside the per-coordinate limit, grouped by norm."""
-    live = [[(c, b) for c, b in enumerate(basis[k]) if b] for k in comp]
+    live = [sparse_basis[k] for k in comp]
     table = {}
     for t in coeffs:
         x = [0] * len(limit)
@@ -303,13 +303,15 @@ def _block_table(gram_rows, basis, comp, coeffs, limit):
     return table
 
 
-def _join(tables, target, bound, n):
+def _join(tables, target, bound, n, shared):
     """Every sum of one length-n partial per table whose norms add up to
     target and whose coordinates lie in [-bound, bound].
 
     Depth-first over the tables in order; a norm group is entered only if the
     tables after it can still make up the rest, and the last table is looked
-    up by the exact rest.
+    up by the exact rest.  Each table's partials are already in the box on the
+    coordinates no other table touches, so the leaves are tested on the
+    `shared` coordinates only.
     """
     # lo[i], hi[i]: the least and greatest norm sums of the tables after i
     lo = list(itertools.accumulate(map(min, reversed(tables[1:])), initial=0))[::-1]
@@ -320,8 +322,8 @@ def _join(tables, target, bound, n):
     def walk(i, acc, norm):
         if i == last:
             leaves = [tuple(map(add, acc, p)) for p in tables[i].get(target - norm, ())]
-            if leaves and (max(map(max, leaves)) > bound or min(map(min, leaves)) < -bound):
-                leaves = [v for v in leaves if max(v) <= bound and min(v) >= -bound]
+            if shared:
+                leaves = [v for v in leaves if all(-bound <= v[c] <= bound for c in shared)]
             out.extend(leaves)
             return
         for a, partials in tables[i].items():
@@ -342,22 +344,26 @@ def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int)
     over the box; a block contributes its ambient partial vectors, grouped by
     block norm: short vectors for negative definite blocks (down to the
     lowest norm the other blocks can make up), a box scan otherwise.  The
-    partials are joined by norm and the box decides at the leaf.  Neither
-    stage discards a vector of the box, so the output equals the exhaustive
-    filtered scan.
+    partials are joined by norm and the box decides at the leaf, on the
+    coordinates that two blocks share.  Neither stage discards a vector of
+    the box, so the output equals the exhaustive filtered scan.
     """
     if coord_bound < 0:
         raise InputError("coordinate bound must be >= 0")
     sub = orthogonal_complement_lattice(lattice, constraints)
-    basis, C, r = sub.basis, sub.restricted_gram, sub.rank
+    basis, C, r = sub.sparse_basis, sub.restricted_gram, sub.rank
     if r == 0 or coord_bound == 0:
         return RootList(roots=(), complete=False, bound_used=coord_bound)
     n = lattice.n
     g = lattice.space.sparse_rows
-    W = _coefficient_bounds(basis, coord_bound)
+    W = _coefficient_bounds(sub.basis, coord_bound)
+    comps = _components(C)
+    # A coordinate touched by the rows of one block only gets no slack, so its block's filter settles it.
+    touched = [{c for k in comp for c, _ in basis[k]} for comp in comps]
+    shared = [c for c in range(n) if sum(c in t for t in touched) > 1]
 
     tables, negdef = {}, []
-    for comp in _components(C):
+    for comp in comps:
         sub = tuple(tuple(C[i][j] for j in comp) for i in comp)
         limit = [coord_bound + s for s in _box_slack(basis, W, [k for k in range(r) if k not in comp], n)]
         pos, _, null = signature(sub)
@@ -376,7 +382,7 @@ def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int)
         neg = tuple(tuple(-x for x in row) for row in sub)
         tables[comp[0]] = _block_table(g, basis, comp, _enumerate_up_to(neg, radius), limit)
 
-    roots = _join([tables[c] for c in sorted(tables)], -2, coord_bound, n)
+    roots = _join([tables[c] for c in sorted(tables)], -2, coord_bound, n, shared)
     roots.sort()
     _check_norms(lattice.gram_int, roots, -2, coord_bound)
     return RootList(roots=tuple(roots), complete=False, bound_used=coord_bound)

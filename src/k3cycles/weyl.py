@@ -4,7 +4,6 @@ point, and chamber partitions with the positivity property check."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import mul
 
@@ -18,7 +17,7 @@ from .errors import (
     WallError,
 )
 from .gaussrat import GaussRational, as_fraction
-from .linalg import clear_denominators, det, inverse, is_zero_vec
+from .linalg import clear_denominators, det, is_zero_vec
 from .quadspace import (
     K3_GRAM,
     IntegralLattice,
@@ -111,15 +110,10 @@ def reflection_matrix(ambient, delta) -> Isometry:
 
 
 def _k3_frame(space: QuadraticSpace):
+    """Supports of the positive reference frame: (e_b, f_b) for the K3 Gram,
+    the first three basis vectors for a diagonal one; None otherwise."""
     if space.gram == K3_GRAM:
-        n = space.n
-        frame = []
-        for b in range(3):
-            v = [Fraction(0)] * n
-            v[2 * b] = Fraction(1)
-            v[2 * b + 1] = Fraction(1)
-            frame.append(tuple(v))
-        return tuple(frame)
+        return ((0, 1), (2, 3), (4, 5))
     diag = all(space.gram[i][j] == 0 for i in range(space.n) for j in range(space.n) if i != j)
     if (
         diag
@@ -127,13 +121,7 @@ def _k3_frame(space: QuadraticSpace):
         and all(space.gram[i][i] > 0 for i in range(3))
         and space.inertia == (3, space.n - 3, 0)
     ):
-        n = space.n
-        frame = []
-        for b in range(3):
-            v = [Fraction(0)] * n
-            v[b] = Fraction(1)
-            frame.append(tuple(v))
-        return tuple(frame)
+        return ((0,), (1,), (2,))
     return None
 
 
@@ -141,25 +129,21 @@ def is_in_O_plus(ambient, g) -> bool:
     """Orientation test on the three positive directions.
 
     The reference frame is (e1+f1, e2+f2, e3+f3) for the K3 Gram and the
-    first three basis vectors for diagonal ambients.  The image frame is
-    projected back onto the reference span with respect to the form (always
-    invertible since the complement of a positive three-space is negative
-    definite) and the sign of the 3x3 determinant decides membership.
+    first three basis vectors for diagonal ambients.  Projected back onto the
+    reference span with respect to the form, the image frame has coordinates
+    F^-1 R, with R the pairings of image and reference frame vectors and F
+    the frame's Gram, which is positive definite.  So the sign of det R
+    decides membership; R is taken in ints where the Gram is integral.
     """
     space = _space_of(ambient)
     iso = g if isinstance(g, Isometry) else Isometry(space=space, matrix=tuple(tuple(row) for row in g))
-    frame = _k3_frame(space)
-    if frame is None:
+    supports = _k3_frame(space)
+    if supports is None:
         raise FrameError("ambient space has no designated positive frame")
-    fgram = tuple(tuple(bilinear(space, a, b) for b in frame) for a in frame)
-    finv = inverse(fgram)
-    cols = []
-    for p in frame:
-        q = tuple(sum(iso.matrix[i][j] * p[j] for j in range(space.n)) for i in range(space.n))
-        r = tuple(bilinear(space, q, f) for f in frame)
-        cols.append(tuple(sum(finv[i][k] * r[k] for k in range(3)) for i in range(3)))
-    d = det(tuple(zip(*cols)))
-    return d > 0
+    frame = [tuple(int(c in s) for c in range(space.n)) for s in supports]
+    # g p is the sum of the columns of g over the support of p.
+    images = [[sum(row[j] for j in s) for row in iso.matrix] for s in supports]
+    return det([[pair_rows(space.sparse_rows, f, q) for q in images] for f in frame]) > 0
 
 
 def delta_p_bounded(lattice: IntegralLattice, p: PeriodPoint, coord_bound: int) -> RootList:

@@ -221,6 +221,22 @@ def dense_congruence(gram, g):
     )
 
 
+def reference_in_O_plus(gram, frame, m):
+    """Orientation test in dense Fractions: each frame vector p goes to m p,
+    is projected onto the frame span with respect to the form (coordinates
+    F^-1 (<m p, f>)_f, F the frame Gram), and the sign of the 3x3
+    determinant of the projections decides."""
+    n = len(gram)
+    finv = _inverse_fraction([[dense_bilinear(gram, a, b) for b in frame] for a in frame])
+    cols = []
+    for p in frame:
+        q = [sum((Fraction(m[i][j]) * p[j] for j in range(n)), start=Fraction(0)) for i in range(n)]
+        r = [dense_bilinear(gram, q, f) for f in frame]
+        cols.append([sum((finv[i][k] * r[k] for k in range(3)), start=Fraction(0)) for i in range(3)])
+    (a, b, c), (d, e, f), (g, h, i) = cols
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) > 0
+
+
 def exact_rank(rows):
     """Rank over Q by plain Fraction elimination."""
     a = [[Fraction(x) for x in row] for row in rows]

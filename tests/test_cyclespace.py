@@ -1,11 +1,14 @@
+import json
+import pathlib
 import random
+import sys
 from fractions import Fraction as Q
 
 import mpmath
 import pytest
 
 import k3cycles as k
-from k3cycles import GaussRational
+from k3cycles import GaussRational, jsonio, quadspace
 from k3cycles.errors import AmbientMismatchError, DimensionMismatchError, InputError
 from k3cycles.linalg import rank
 
@@ -102,6 +105,28 @@ def test_threespace_validation():
             ambient=k.make_standard_lattice("diag", signs=[1, 1, -1, -1]),
             basis=gauss_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
         )
+
+
+def test_k3_decode_and_classify_pair_in_ints_and_reuse_the_inertia(monkeypatch, k3):
+    # The integer three-space takes no Gauss-rational bilinear pairing, and
+    # the K3 Gram is diagonalised at most once (if the inertia cache lost it).
+    calls = {"bilinear": 0, "signature": 0}
+    for name in calls:
+        original = getattr(quadspace, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for mod in [m for key, m in sys.modules.items() if key.startswith("k3cycles")]:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    doc = json.loads((pathlib.Path(__file__).parent / "data" / "threespace_vprime.json").read_text())
+    for _ in range(2):
+        c = k.classify_cycle(jsonio.threespace_from_json(doc), lattice=k3)
+        assert (c.positive, c.twistor.status) == (True, "true")
+    assert calls["bilinear"] == 0
+    assert calls["signature"] <= 1
 
 
 def test_moduli_dimension_values():

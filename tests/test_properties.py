@@ -1,7 +1,8 @@
 """Property tests: the Fincke-Pohst walk, the bounded root search, the sparse
 pairing and isometry check, the chamber partition, the congruence
-diagonalisation, the integer HNF and kernel, and the exact conic sweep against
-the independent oracles in oracles.py, on random inputs drawn by hypothesis."""
+diagonalisation, the integer HNF and kernel, the exact conic sweep, the
+integer three-space, the orientation test and rational parsing against the
+independent oracles in oracles.py, on random inputs drawn by hypothesis."""
 
 from fractions import Fraction as Q
 
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 import k3cycles as k
 from k3cycles.cyclespace import _sample_domain
 from k3cycles.errors import DimensionMismatchError, InputError, NonPositiveKappaError, WallError
-from k3cycles.gaussrat import GaussRational
-from k3cycles.linalg import det, hnf, int_kernel, rref
+from k3cycles.gaussrat import GaussRational, parse_rational
+from k3cycles.linalg import conj_vec, det, hnf, int_kernel, mat_mul, rref
 from k3cycles.quadspace import congruence_diagonal, gram_apply, pair_rows, sparse_rows
 from k3cycles.rootenum import _coefficient_bounds, _enumerate_up_to
 
@@ -28,6 +29,7 @@ from oracles import (
     naive_box_norm_vectors,
     naive_box_radius_vectors,
     reference_conic_sweep,
+    reference_in_O_plus,
     reference_inertia,
 )
 
@@ -449,3 +451,131 @@ def test_real_witness_points_are_pinned(rows, witness):
     d = k.classify_cycle(_real_space(rows), samples=8).domain_status
     assert (d.kind, d.samples, d.certified_exact) == ("counterexample", 0, True)
     assert d.exact_point == tuple(GaussRational.of(x) for x in witness)
+
+
+# ---------------------------------------------------------------------------
+# Integer three-spaces, the orientation test and rational parsing
+
+K3_SPACE = k.make_standard_lattice("K3").space
+DIAG22 = k.make_standard_lattice("diag", signs=[1, 1, 1] + [-1] * 19)
+RATIONAL_DIAG6 = k.QuadraticSpace(
+    tuple(tuple(g if i == j else 0 for j in range(6)) for i, g in enumerate((Q(1, 2), Q(3), Q(2, 3), Q(-1, 5), Q(-7, 2), Q(-4))))
+)
+gauss_rationals = st.builds(GaussRational, rationals, rationals)
+
+
+@st.composite
+def gauss_bases(draw):
+    """(ambient, rows): three rows with 1-4 nonzero Gauss-rational or real
+    entries over K3, diag(1,1,1,-1^19) or a non-integral rational diagonal
+    form, mixed by a random Gauss-rational 3x3 matrix.  Real rows stay a
+    real V under an invertible mix, with a non-real basis; a singular mix
+    or dependent rows give a dependent basis."""
+    ambient = draw(st.sampled_from((K3_SPACE, DIAG22, RATIONAL_DIAG6)))
+    n = ambient.n
+    entries = draw(st.sampled_from((rationals, gauss_rationals)))
+    rows = []
+    for _ in range(3):
+        support = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4))
+        rows.append([GaussRational.of(draw(entries)) if c in support else GaussRational.of(0) for c in range(n)])
+    mix = [[draw(st.sampled_from((0, 1, -1, GaussRational(0, 1)))) if draw(st.booleans()) else draw(gauss_rationals) for _ in range(3)] for _ in range(3)]
+    mixed = [tuple(sum((m * row[c] for m, row in zip(coeffs, rows)), start=GaussRational.of(0)) for c in range(n)) for coeffs in mix]
+    return ambient, tuple(mixed)
+
+
+def _rref_rank_and_reality(rows):
+    """Rank over Q(i), and whether the reduced basis is real: RREF(conj V) = conj RREF(V)."""
+    red, pivots = rref(rows)
+    return len(pivots), all(x.im == 0 for row in red for x in row)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(gauss_bases(), gauss_rationals.filter(bool), st.integers(0, 2))
+def test_integer_threespace_matches_dense_oracle(case, scale, which):
+    ambient, rows = case
+    rank, real = _rref_rank_and_reality(rows)
+    if rank < 3:
+        with pytest.raises(InputError, match="linearly dependent"):
+            k.ThreeSpace(ambient=ambient, basis=rows)
+        return
+    v = k.ThreeSpace(ambient=ambient, basis=rows)
+    assert v.basis == rows
+    assert v.is_real() is real
+    assert v.symmetric_gram() == tuple(tuple(dense_bilinear(ambient.gram, x, y) for y in rows) for x in rows)
+    hermitian = tuple(tuple(dense_bilinear(ambient.gram, x, conj_vec(y)) for y in rows) for x in rows)
+    assert v.hermitian_gram() == hermitian
+    assert v.hermitian_inertia == reference_inertia(hermitian)
+    re, im, d = v.ints
+    assert d > 0 and all(type(x) is int for row in re + im for x in row)
+    assert all(GaussRational(Q(x, d), Q(y, d)) == z for r, i, row in zip(re, im, rows) for x, y, z in zip(r, i, row))
+    # a nonzero Gauss-rational multiple of one row spans the same V
+    scaled = tuple(tuple(x * scale for x in row) if j == which else row for j, row in enumerate(rows))
+    w = k.ThreeSpace(ambient=ambient, basis=scaled)
+    assert (w.is_real(), w.hermitian_inertia) == (v.is_real(), v.hermitian_inertia)
+
+
+def _integral_reflections(gram):
+    """(matrix, norm) of the reflections in e_i and e_i +- e_(i+1) that are
+    integer matrices: x - (2 <x,v> / <v,v>) v."""
+    n = len(gram)
+    units = _units(n)
+    candidates = units + [tuple(a + s * b for a, b in zip(units[i], units[i + 1])) for i in range(n - 1) for s in (1, -1)]
+    out = []
+    for v in candidates:
+        gv = [dense_bilinear(gram, e, v) for e in units]
+        q = sum(x * y for x, y in zip(v, gv))
+        if q != 0 and all((2 * x / q).denominator == 1 for x in gv):
+            out.append((tuple(tuple(int(i == j) - int(2 * v[i] * gv[j] / q) for j in range(n)) for i in range(n)), q))
+    return out
+
+
+O_PLUS_CASES = (
+    (K3_SPACE, [tuple(int(c in (2 * b, 2 * b + 1)) for c in range(22)) for b in range(3)]),
+    (DIAG6, _units(6)[:3]),
+    (RATIONAL_DIAG6, _units(6)[:3]),
+)
+O_PLUS_REFLECTIONS = [_integral_reflections(space.gram) for space, _ in O_PLUS_CASES]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, len(O_PLUS_CASES) - 1), st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+def test_is_in_O_plus_matches_dense_projection(case, picks):
+    # A reflection in a vector of positive norm reverses the orientation of
+    # the positive directions; one in a vector of negative norm keeps it.
+    space, frame = O_PLUS_CASES[case]
+    pool = O_PLUS_REFLECTIONS[case]
+    word, flips = _units(space.n), 0
+    for p in picks:
+        r, q = pool[p % len(pool)]
+        word = tuple(tuple(int(x) for x in row) for row in mat_mul(r, word))
+        flips += q > 0
+    want = reference_in_O_plus(space.gram, frame, word)
+    assert want is (flips % 2 == 0)
+    assert k.is_in_O_plus(space, word) is want
+    assert k.is_in_O_plus(space, k.Isometry(space=space, matrix=word)) is want
+
+
+integer_texts = st.from_regex(r"\s*[-+]?[0-9]{1,30}\s*", fullmatch=True)
+
+
+@SETTINGS
+@given(st.one_of(st.text(), integer_texts, st.text(alphabet="0123456789-+/_. e\u00b2\u0663")))
+@example("+5")
+@example(" -0 ")
+@example("1_0")
+@example("")
+@example("-")
+@example("--5")
+@example("\u00b2")  # a digit to str.isdigit, not to int()
+@example("\u0663")  # an Arabic-Indic 3: int() and Fraction() take it
+@example("3/4")
+@example(" 12 ")
+def test_parse_rational_matches_fraction(text):
+    try:
+        want = Q(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError):
+            parse_rational(text)
+        return
+    got = parse_rational(text)
+    assert type(got) is Q and got == want
