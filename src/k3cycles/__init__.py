@@ -30,7 +30,6 @@ from .quadspace import (
     QuadraticSpace,
     bilinear,
     gram_of,
-    hermitian_gram_of,
     hermitian_pair,
     hermitian_signature,
     is_isometry,

@@ -149,7 +149,7 @@ class TwistorStatus:
 
 @dataclass(frozen=True)
 class DomainStatus:
-    kind: str  # "verified_positive" | "sampled_ok" | "counterexample"
+    kind: str  # "verified_positive" | "sampled_ok" | "sampled_short" (attempt cap hit first) | "counterexample"
     samples: int | None = None
     point: tuple | None = None  # numeric conic point (tuple of mpc), ambient coords
     exact_point: tuple | None = None  # rational witness when one exists
@@ -365,6 +365,7 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
     settles those.  Otherwise the conic is swept through a pencil of lines
     through a base point rounded once to `bits` bits; each sample is an exact Gaussian-integer
     point, reported as a counterexample when its normalized hermitian value is <= 1e-9.
+    A sweep cut short by the cap of 4 * samples + 16 attempts reports "sampled_short".
     """
     A = threespace.symmetric_gram()
     found = partial(DomainStatus, kind="counterexample", samples=0, certified_exact=True, precision_bits=bits)
@@ -427,7 +428,7 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
                 certified_exact=exact is not None,
             )
         ok += 1
-    return DomainStatus(kind="sampled_ok", samples=ok, precision_bits=bits)
+    return DomainStatus(kind="sampled_ok" if ok == samples else "sampled_short", samples=ok, precision_bits=bits)
 
 
 def _conic_base_point(A):

@@ -124,16 +124,3 @@ class GaussRational:
             return format_rational(self.re)
         return f"({format_rational(self.re)}{'+' if self.im >= 0 else '-'}{format_rational(abs(self.im))}i)"
 
-
-I = GaussRational(Fraction(0), Fraction(1))
-
-
-def conj(x):
-    """Conjugate that also accepts plain rationals."""
-    if isinstance(x, GaussRational):
-        return x.conjugate()
-    return as_fraction(x)
-
-
-def re_part(x) -> Fraction:
-    return x.re if isinstance(x, GaussRational) else as_fraction(x)

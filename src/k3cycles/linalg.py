@@ -9,14 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import floordiv, mul, truediv
 
 from .errors import DimensionMismatchError
 from .gaussrat import GaussRational
-
-
-def vec(xs) -> tuple:
-    return tuple(xs)
 
 
 def mat(rows) -> tuple:
@@ -63,15 +59,15 @@ def is_zero_vec(v) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Field elimination (Fraction or GaussRational entries)
+# Elimination (int, Fraction or GaussRational entries)
 
 
 def _field(x):
     return Fraction(x) if isinstance(x, int) else x
 
 
-def _det_bareiss(m):
-    """Fraction-free determinant for integer matrices."""
+def _det_bareiss(m, div):
+    """Fraction-free (Bareiss) determinant; every div(x, prev) is an exact division."""
     n = len(m)
     a = [list(r) for r in m]
     sign = 1
@@ -85,36 +81,27 @@ def _det_bareiss(m):
             sign = -sign
         for r in range(c + 1, n):
             for k in range(c + 1, n):
-                a[r][k] = (a[r][k] * a[c][c] - a[r][c] * a[c][k]) // prev
+                a[r][k] = div(a[r][k] * a[c][c] - a[r][c] * a[c][k], prev)
             a[r][c] = 0
         prev = a[c][c]
     return sign * a[n - 1][n - 1]
 
 
 def det(m):
+    """Determinant: a Fraction, a GaussRational when an entry is one, Fraction(0) when singular.
+
+    One Bareiss loop for every entry type: ints divide with floordiv, field
+    entries with truediv.  Every entry takes part in a product, so one
+    Gaussian entry makes the result Gaussian.
+    """
     n = len(m)
     if n == 0:
         return Fraction(1)
     if any(len(r) != n for r in m):
         raise DimensionMismatchError("determinant of non-square matrix")
     if all(isinstance(x, int) for r in m for x in r):
-        return Fraction(_det_bareiss(m))
-    a = [[_field(x) for x in r] for r in m]
-    d = Fraction(1)
-    for c in range(n):
-        p = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            d = -d
-        d = d * a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c] != 0:
-                f = a[r][c] / a[c][c]
-                for k in range(c, n):
-                    a[r][k] = a[r][k] - f * a[c][k]
-    return d
+        return Fraction(_det_bareiss(m, floordiv))
+    return _det_bareiss([[_field(x) for x in r] for r in m], truediv) or Fraction(0)
 
 
 def rref(m):

@@ -27,7 +27,7 @@ from .errors import (
     NotIsometryError,
     NotSymmetricError,
 )
-from .gaussrat import I, GaussRational, as_fraction, re_part
+from .gaussrat import GaussRational, as_fraction
 from .linalg import conj_vec, det, mat
 
 # Chain basis of E8 in the D8+glue model: rows are
@@ -136,10 +136,7 @@ class Isometry:
         if abs(d) != 1:
             raise InternalCheckError("isometry of a nondegenerate form must be unimodular")
         object.__setattr__(self, "matrix", m)
-
-    @cached_property
-    def determinant(self) -> int:
-        return int(det(self.matrix))
+        object.__setattr__(self, "determinant", int(d))  # det g, kept from the unimodularity check
 
 
 def _block_diag(*blocks):
@@ -226,33 +223,24 @@ def gram_of(ambient, rows):
     return tuple(tuple(bilinear(ambient, r, s) for s in rows) for r in rows)
 
 
-def hermitian_gram_of(ambient, rows):
-    return tuple(tuple(hermitian_pair(ambient, r, s) for s in rows) for r in rows)
+def congruence_diagonal(m):
+    """Exact congruence diagonalisation: (d, S) with S * m * S^T = diag(d).
 
-
-def congruence_diagonal(m, hermitian=False):
-    """Exact congruence diagonalisation: (d, S) with S * m * S^* = diag(d).
-
-    S^* is the transpose of S, conjugated when `hermitian`; entries are
-    Fractions, or GaussRationals when `hermitian`.  Nonzero diagonal pivots
-    go first, lowest index first.  A block with zero diagonal is split at its
-    first nonzero pair (p, j) by x_p + f x_j, with f = 1 unless that leaves
-    the pivot zero, then f = i.  The zero block that remains, the radical,
+    m is a symmetric rational matrix; d and S have Fraction entries.
+    Nonzero diagonal pivots go first, lowest index first.  A block with zero
+    diagonal is split at its first nonzero pair (p, j) by x_p + x_j, whose
+    norm 2 m[p][j] is nonzero.  The zero block that remains, the radical,
     comes last with d = 0.
     """
     n = len(m)
-    if hermitian:
-        field, sigma = GaussRational.of, GaussRational.conjugate
-    else:
-        field, sigma = as_fraction, lambda x: x
-    a = [[field(x) for x in row] for row in m]
+    a = [[as_fraction(x) for x in row] for row in m]
     if any(len(r) != n for r in a):
         raise DimensionMismatchError("congruence diagonalisation of a non-square matrix")
     for i in range(n):
         for j in range(i, n):
-            if a[i][j] != sigma(a[j][i]):
-                raise NotHermitianError("matrix is not Hermitian") if hermitian else NotSymmetricError("matrix is not symmetric")
-    zero, one = field(0), field(1)
+            if a[i][j] != a[j][i]:
+                raise NotSymmetricError("matrix is not symmetric")
+    zero, one = Fraction(0), Fraction(1)
     S = [[one if i == j else zero for j in range(n)] for i in range(n)]
     active, done = list(range(n)), []
     while active:
@@ -262,12 +250,11 @@ def congruence_diagonal(m, hermitian=False):
             if pair is None:
                 break  # the rest is the radical
             p, j = pair
-            f = one if a[j][p] + a[p][j] != 0 else I
             for c in active:
-                a[p][c] = a[p][c] + f * a[j][c]
+                a[p][c] = a[p][c] + a[j][c]
             for r in active:
-                a[r][p] = a[r][p] + sigma(f) * a[r][j]
-            S[p] = [x + f * y for x, y in zip(S[p], S[j])]
+                a[r][p] = a[r][p] + a[r][j]
+            S[p] = [x + y for x, y in zip(S[p], S[j])]
         active.remove(p)
         done.append(p)
         # Only the nonzero entries of the pivot rows of a and S take part.
@@ -286,8 +273,8 @@ def congruence_diagonal(m, hermitian=False):
 
 
 def _inertia(d):
-    pos = sum(1 for x in d if re_part(x) > 0)
-    neg = sum(1 for x in d if re_part(x) < 0)
+    pos = sum(1 for x in d if x > 0)
+    neg = sum(1 for x in d if x < 0)
     return (pos, neg, len(d) - pos - neg)
 
 
@@ -304,8 +291,20 @@ def _gram_inertia(gram):
 
 
 def hermitian_signature(h):
-    """Exact inertia (pos, neg, null) of a Hermitian Gauss-rational matrix."""
-    return _inertia(congruence_diagonal(h, hermitian=True)[0])
+    """Exact inertia (pos, neg, null) of a Hermitian Gauss-rational matrix.
+
+    For h = A + iB the real form [[A, -B], [B, A]] is symmetric exactly when
+    h is Hermitian and carries every eigenvalue of h twice, so its inertia is
+    twice that of h.
+    """
+    n = len(h)
+    z = [[GaussRational.of(x) for x in row] for row in h]
+    if any(len(r) != n for r in z):
+        raise DimensionMismatchError("congruence diagonalisation of a non-square matrix")
+    if any(z[i][j] != z[j][i].conjugate() for i in range(n) for j in range(i, n)):
+        raise NotHermitianError("matrix is not Hermitian")
+    real = [[x.re for x in r] + [-x.im for x in r] for r in z] + [[x.im for x in r] + [x.re for x in r] for r in z]
+    return tuple(x // 2 for x in _inertia(congruence_diagonal(real)[0]))
 
 
 @dataclass(frozen=True)

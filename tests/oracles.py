@@ -253,6 +253,14 @@ def exact_rank(rows):
     return rank
 
 
+def cofactor_det(m):
+    """Determinant by cofactor expansion along the first row, no elimination."""
+    if not m:
+        return Fraction(1)
+    minors = ([row[:j] + row[j + 1:] for row in m[1:]] for j in range(len(m)))
+    return sum(((-1) ** j * m[0][j] * cofactor_det(minor) for j, minor in enumerate(minors)), start=Fraction(0))
+
+
 def reference_inertia(m):
     """(pos, neg, null) of a symmetric rational or Hermitian Gauss-rational matrix.
 
@@ -374,4 +382,4 @@ def reference_conic_sweep(threespace, samples, bits, tolerance=1e-9):
                 point = tuple(sum(w[i] * Bn[i][c] for i in range(3)) for c in range(threespace.n))
                 return "counterexample", ok, point, _reference_exact_point(threespace, A, H, w)
             ok += 1
-        return "sampled_ok", ok, None, None
+        return ("sampled_ok" if ok == samples else "sampled_short"), ok, None, None

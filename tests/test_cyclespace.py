@@ -370,6 +370,22 @@ def test_domain_sampling_family_inside(k3):
         assert c.domain_status.samples == 200
 
 
+def test_domain_sampling_shortfall_is_reported():
+    # V = span(e1 + e4, e2 + e5, e3 + e7 + e8 + i e9): the symmetric Gram is 0, so
+    # every pencil line is degenerate and the sweep ends at its attempt cap with
+    # no sample, although e1 + e4 is a conic point with <x, conj x> = 0.
+    sp = diag_space(22)
+    rows = [[GaussRational.of(0)] * 22 for _ in range(3)]
+    rows[0][0] = rows[0][3] = rows[1][1] = rows[1][4] = rows[2][2] = rows[2][6] = rows[2][7] = GaussRational.of(1)
+    rows[2][8] = GaussRational(Q(0), Q(1))
+    v = k.ThreeSpace(ambient=sp, basis=tuple(map(tuple, rows)))
+    assert all(x == 0 for row in v.symmetric_gram() for x in row)
+    c = k.classify_cycle(v, samples=50)
+    assert c.hermitian_signature == (0, 1, 2)
+    assert (c.domain_status.kind, c.domain_status.samples) == ("sampled_short", 0)
+    assert reference_conic_sweep(v, 50, 128)[:2] == ("sampled_short", 0)
+
+
 def test_domain_counterexample_real_indefinite():
     v = unit_rows(diag_space(22), [0, 1, 3])  # span(e1, e2, e4): signature (2,1,0)
     c = k.classify_cycle(v, samples=50)

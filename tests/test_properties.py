@@ -23,6 +23,7 @@ from oracles import (
     _floor_sqrt,
     _inverse_fraction,
     box_scan_roots,
+    cofactor_det,
     dense_bilinear,
     dense_congruence,
     exact_rank,
@@ -153,10 +154,11 @@ def test_coefficient_bounds_match_fraction_solve(basis, bound):
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+gauss_rationals = st.builds(GaussRational, rationals, rationals)
 scalars = st.one_of(
     st.integers(-4, 4),
     rationals,
-    st.builds(GaussRational, rationals, rationals),
+    gauss_rationals,
     st.just(0),
     st.just(Q(0)),
 )
@@ -372,16 +374,42 @@ def symmetric_or_hermitian(draw):
 @given(symmetric_or_hermitian())
 def test_congruence_diagonal_is_exact_and_invertible(case):
     hermitian, m = case
-    d, S = congruence_diagonal(m, hermitian=hermitian)
+    if hermitian:
+        assert k.hermitian_signature(m) == reference_inertia(m)
+        return
+    d, S = congruence_diagonal(m)
     n = len(m)
-    star = [[x.conjugate() if hermitian else x for x in row] for row in S]
     for i in range(n):
         for j in range(n):
-            value = sum((S[i][p] * m[p][q] * star[j][q] for p in range(n) for q in range(n)), start=Q(0))
+            value = sum((S[i][p] * m[p][q] * S[j][q] for p in range(n) for q in range(n)), start=Q(0))
             assert value == (d[i] if i == j else 0)
     assert det(S) != 0
-    signature = k.hermitian_signature(m) if hermitian else k.signature(m)
-    assert signature == reference_inertia(m)
+    assert k.signature(m) == reference_inertia(m)
+
+
+@st.composite
+def det_matrices(draw):
+    """Square matrices up to 5x5 of ints, of ints and Fractions, or with
+    GaussRationals among them; about half have one row replaced by a
+    multiple of the row before it (zero when n == 1), so they are singular."""
+    n = draw(st.integers(1, 5))
+    small = st.integers(-4, 4)
+    entry = draw(st.sampled_from([small, st.one_of(small, rationals), st.one_of(small, rationals, gauss_rationals)]))
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        c = draw(st.integers(-3, 3)) if n > 1 else 0
+        m[i] = [c * x for x in m[i - 1]]
+    return tuple(map(tuple, m))
+
+
+@SETTINGS
+@given(det_matrices())
+def test_det_matches_cofactor_expansion(m):
+    value, expected = det(m), cofactor_det(m)
+    assert value == expected
+    gauss = any(isinstance(x, GaussRational) for row in m for x in row)
+    assert type(value) is (GaussRational if gauss and expected != 0 else Q)
 
 
 int_matrices = st.integers(1, 5).flatmap(
@@ -461,7 +489,6 @@ DIAG22 = k.make_standard_lattice("diag", signs=[1, 1, 1] + [-1] * 19)
 RATIONAL_DIAG6 = k.QuadraticSpace(
     tuple(tuple(g if i == j else 0 for j in range(6)) for i, g in enumerate((Q(1, 2), Q(3), Q(2, 3), Q(-1, 5), Q(-7, 2), Q(-4))))
 )
-gauss_rationals = st.builds(GaussRational, rationals, rationals)
 
 
 @st.composite

@@ -75,29 +75,54 @@ def _defined_names(tree):
     return out
 
 
-def _referenced_names(tree):
-    """Names read, attributes, imported names and string constants (getattr tables)."""
-    refs = set()
+PACKAGE = ("k", "k3cycles")  # the spellings of the package in the test and bench files
+
+
+def _uses(path, tree, modules):
+    """What one file uses of the library's module-level names: a set of
+    (module, name) pairs, module None where any module counts, and a set of
+    string constants (getattr tables).
+
+    A name is used when the file imports it from its module (or from the
+    package, outside __init__.py, whose imports are re-exports), reads it as
+    <module>.name, k.name or k.<module>.name, or, in the module that defines
+    it, loads it.
+    """
+    own = path.stem if path.parent == SRC else None
+    pairs, strings = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            refs.add(node.id)
+        if isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            mod = (node.module or "").rpartition(".")[2]
+            if mod in modules or mod in ("", "k3cycles"):
+                pairs |= {(mod if mod in modules else None, alias.name) for alias in node.names}
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-        elif isinstance(node, ast.alias):
-            refs.add(node.name)
+            base = node.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                pairs.add((base.id, node.attr))
+            elif isinstance(base, ast.Name) and base.id in PACKAGE:
+                pairs.add((None, node.attr))
+            elif isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name) and base.value.id in PACKAGE and base.attr in modules:
+                pairs.add((base.attr, node.attr))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and own is not None:
+            pairs.add((own, node.id))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            refs.add(node.value)
-    return refs
+            strings.add(node.value)
+    return pairs, strings
 
 
 def test_every_module_level_name_is_referenced():
     root = SRC.parent.parent
+    modules = {p.stem for p in SRC.glob("*.py")}
     files = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]
-    refs = set().union(*(_referenced_names(ast.parse(p.read_text(), filename=str(p))) for p in files))
+    pairs, strings = set(), set()
+    for p in files:
+        file_pairs, file_strings = _uses(p, ast.parse(p.read_text(), filename=str(p)), modules)
+        pairs |= file_pairs
+        strings |= file_strings
     dead = [
         f"{path.name}:{line} {name}"
         for path in sorted(SRC.glob("*.py"))
         for line, name in _defined_names(ast.parse(path.read_text(), filename=str(path)))
-        if name not in refs and name != "__version__"
+        if not ({(path.stem, name), (None, name)} & pairs or name in strings or name == "__version__")
     ]
     assert not dead, f"module-level names in src/k3cycles that nothing references: {dead}"
