@@ -190,15 +190,10 @@ def example_family(t, n: int = 22) -> ThreeSpace:
         raise InputError("the deformation family needs ambient rank > 3")
     t = as_fraction(t)
     space = make_standard_lattice("diag", signs=[1, 1, 1] + [-1] * (n - 3))
-    zero = GaussRational(Fraction(0), Fraction(0))
-    row1 = [zero] * n
-    row1[0] = GaussRational(Fraction(1), Fraction(0))
-    row1[3] = GaussRational(Fraction(0), t)
-    row2 = [zero] * n
-    row2[1] = GaussRational(Fraction(1), Fraction(0))
-    row3 = [zero] * n
-    row3[2] = GaussRational(Fraction(1), Fraction(0))
-    return ThreeSpace(ambient=space, basis=(tuple(row1), tuple(row2), tuple(row3)))
+    # ThreeSpace lifts the int entries to Gauss rationals.
+    rows = [[int(i == j) for j in range(n)] for i in range(3)]
+    rows[0][3] = GaussRational(0, t)
+    return ThreeSpace(ambient=space, basis=tuple(map(tuple, rows)))
 
 
 def apply_isometry(g: Isometry, threespace: ThreeSpace) -> ThreeSpace:

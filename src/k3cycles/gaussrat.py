@@ -22,8 +22,8 @@ def as_fraction(x) -> Fraction:
 
 
 def parse_rational(s) -> Fraction:
-    """Parse "p/q" or "p" (also accepts plain ints)."""
-    if isinstance(s, int):
+    """Parse "p/q" or "p" (also accepts plain ints, but not bools: JSON true is no number)."""
+    if type(s) is int:
         return Fraction(s)
     if isinstance(s, str):
         t = s.strip()

@@ -59,10 +59,15 @@ def encode_rational_matrix(m) -> list:
     return [encode_rational_vector(row) for row in m]
 
 
-def decode_rational_matrix(obj) -> tuple:
+def _rows(obj) -> list:
+    """The one array check of every JSON row list."""
     if not isinstance(obj, list):
         raise InputError("expected a JSON array of rows")
-    return tuple(decode_rational_vector(row) for row in obj)
+    return obj
+
+
+def decode_rational_matrix(obj) -> tuple:
+    return tuple(decode_rational_vector(row) for row in _rows(obj))
 
 
 def decode_int_vector(obj) -> tuple:
@@ -73,7 +78,7 @@ def decode_int_vector(obj) -> tuple:
 
 
 def decode_int_matrix(obj) -> tuple:
-    return tuple(decode_int_vector(row) for row in obj)
+    return tuple(decode_int_vector(row) for row in _rows(obj))
 
 
 def encode_gauss_vector(v) -> list:
@@ -111,7 +116,7 @@ def threespace_from_json(obj) -> ThreeSpace:
     if not isinstance(obj, dict) or "ambient" not in obj or "basis" not in obj:
         raise InputError("three-space JSON needs 'ambient' and 'basis'")
     ambient = space_from_json(obj["ambient"])
-    basis = tuple(decode_gauss_vector(row) for row in obj["basis"])
+    basis = tuple(decode_gauss_vector(row) for row in _rows(obj["basis"]))
     return ThreeSpace(ambient=ambient, basis=basis)
 
 
@@ -124,10 +129,17 @@ def rootlist_to_json(r: RootList) -> dict:
 
 
 def rootlist_from_json(obj) -> RootList:
-    if not isinstance(obj, dict) or "roots" not in obj:
+    """A root list document, or a bare array of roots (not complete, no bound)."""
+    if not isinstance(obj, dict):
+        obj = {"roots": obj}
+    if "roots" not in obj:
         raise InputError("root list JSON needs a 'roots' key")
-    roots = tuple(tuple(int(x) for x in row) for row in obj["roots"])
-    return RootList(roots=roots, complete=bool(obj.get("complete", False)), bound_used=obj.get("bound"))
+    complete, bound = obj.get("complete", False), obj.get("bound")
+    if not isinstance(complete, bool):
+        raise InputError("root list 'complete' must be true or false")
+    if bound is not None and type(bound) is not int:
+        raise InputError("root list 'bound' must be an integer or null")
+    return RootList(roots=decode_int_matrix(obj["roots"]), complete=complete, bound_used=bound)
 
 
 def sublattice_to_json(s: Sublattice) -> dict:

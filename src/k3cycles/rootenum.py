@@ -42,7 +42,7 @@ class Sublattice:
     @cached_property
     def sparse_basis(self):
         """Per basis row, its nonzero (j, b) entries."""
-        return tuple(tuple((j, b) for j, b in enumerate(row) if b) for row in self.basis)
+        return sparse_rows(self.basis)
 
     def to_ambient(self, coeffs):
         out = [0] * self.ambient.n

@@ -21,6 +21,14 @@ def run_ok(*args):
     return res.output
 
 
+BASIS5 = {"ambient": {"gram": [[1, 0], [0, 1]]}, "basis": 5}  # a three-space whose basis is no array
+
+
+def assert_input_error(res, args):
+    assert res.exit_code == 2, (args, res.output)
+    assert json.loads(res.output)["code"] == "input", args
+
+
 GOLDEN_CASES = [
     ("lattice_info_k3.json", ("lattice-info", "--kind", "K3")),
     ("lattice_info_u.json", ("lattice-info", "--kind", "U")),
@@ -234,6 +242,13 @@ def test_missing_file_is_io_error():
     assert res.exit_code == 1
 
 
+def test_undecodable_file_is_input_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff[1]")
+    for args in (("complement", "--kind", "U", "--constraints", f"@{path}"), ("cycle-classify", "--input", str(path))):
+        assert_input_error(run(*args), args)
+
+
 def test_custom_lattice_file(tmp_path):
     path = tmp_path / "a2neg.json"
     path.write_text(json.dumps({"gram": [[-2, 1], [1, -2]]}))
@@ -291,3 +306,57 @@ def test_precision_env_var_below_minimum(monkeypatch):
     res = run("cycle-intersect", "--input", os.path.join(DATA, "threespace_v0_diag4.json"), "--delta", "[1,0,0,0]")
     assert res.exit_code == 2
     assert json.loads(res.output)["code"] == "input"
+
+
+def test_roots_must_be_integers():
+    kappa = ("--kind", "U", "--kappa", "[1,2]")
+    assert json.loads(run_ok("chamber-partition", *kappa, "--roots", '[["1",-1]]'))["plus"] == [[1, -1]]
+    for roots in ('[[1.9,-1]]', '[[true,-1]]', '[["1/2",-1]]', '{"roots": [[1,-1]], "complete": 1}', '{"roots": [[1,-1]], "bound": true}'):
+        args = ("chamber-partition", *kappa, "--roots", roots)
+        assert_input_error(run(*args), args)
+
+
+def test_row_lists_must_be_arrays(tmp_path):
+    path = tmp_path / "basis5.json"
+    path.write_text(json.dumps(BASIS5))
+    for args in (
+        ("isometry-check", "--kind", "U", "--matrix", "5"),
+        ("partition-check", "--kind", "U", "--plus", "5"),
+        ("cycle-classify", "--input", str(path)),
+    ):
+        assert_input_error(run(*args), args)
+
+
+def test_constraints_must_be_an_array():
+    assert json.loads(run_ok("complement", "--kind", "U", "--constraints", "[]"))["rank"] == 2
+    for command in (("complement",), ("roots", "--norm", "-2", "--bound", "1")):
+        for constraints in ("0", "null", "{}", "[[true,false]]"):
+            args = (*command, "--kind", "U", "--constraints", constraints)
+            assert_input_error(run(*args), args)
+
+
+def _domain_error_args(tmp):
+    """Per command, arguments that end in a domain error."""
+    basis5 = tmp / "basis5.json"
+    basis5.write_text(json.dumps(BASIS5))
+    gram = tmp / "gram.json"
+    gram.write_text(json.dumps({"gram": [[True, 0], [0, 1]]}))
+    return {
+        "chamber-partition": ("--kind", "U", "--roots", "[[1.9,-1]]", "--kappa", "[1,2]"),
+        "complement": ("--kind", "U", "--constraints", "0"),
+        "cycle-classify": ("--input", str(basis5)),
+        "cycle-intersect": ("--input", os.path.join(DATA, "threespace_v0_diag4.json"), "--delta", "[true,0,0,0]"),
+        "cycle-sweep-example": ("--t", "0", "--rank", "3"),
+        "isometry-check": ("--kind", "U", "--matrix", "5"),
+        "lattice-info": ("--lattice-file", str(gram)),
+        "partition-check": ("--kind", "U", "--plus", "5"),
+        "reflect": ("--kind", "K3", "--delta", json.dumps([True, -1] + [0] * 20)),
+        "roots": ("--kind", "U", "--norm", "-2", "--bound", "1", "--constraints", "null"),
+    }
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_reports_domain_errors_as_json(command, tmp_path):
+    res = run(command, *_domain_error_args(tmp_path)[command])
+    assert res.exit_code == 2, res.output
+    assert set(json.loads(res.output)) == {"code", "message"}

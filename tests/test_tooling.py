@@ -126,3 +126,17 @@ def test_every_module_level_name_is_referenced():
         if not ({(path.stem, name), (None, name)} & pairs or name in strings or name == "__version__")
     ]
     assert not dead, f"module-level names in src/k3cycles that nothing references: {dead}"
+
+
+def test_every_cli_command_is_guarded():
+    # `_guarded` turns a domain error into exit 2 and a {code, message} document;
+    # innermost, it sees every error the command body raises.
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+
+    def registers(d):
+        return isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "command" and getattr(d.func.value, "id", None) == "main"
+
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef) and any(map(registers, node.decorator_list))]
+    assert len(commands) >= 10
+    bare = [f.name for f in commands if getattr(f.decorator_list[-1], "id", None) != "_guarded"]
+    assert not bare, f"cli commands without @_guarded as innermost decorator: {bare}"
