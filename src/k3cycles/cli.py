@@ -16,12 +16,11 @@ import click
 
 from . import jsonio
 from .cyclespace import classify_cycle, example_family, exact_classification, intersect_hyperplane
-from .errors import InputError, K3CyclesError
+from .errors import FrameError, InputError, K3CyclesError, NotIsometryError
 from .gaussrat import parse_rational
 from .linalg import det
 from .quadspace import (
     IntegralLattice,
-    Isometry,
     is_isometry,
     lattice_invariants,
     make_standard_lattice,
@@ -58,6 +57,14 @@ def _load_json_file(path: str):
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InputError(f"{path}: {exc}") from exc
+
+
+def _in_o_plus(lattice, g):
+    """O+ membership of g, or None when g is no isometry or the ambient has no positive frame."""
+    try:
+        return is_in_O_plus(lattice, g)
+    except (FrameError, NotIsometryError):
+        return None
 
 
 def _lattice_option(kind, lattice_file):
@@ -105,24 +112,23 @@ def main():
 @_guarded
 def lattice_info(kind, signs, lattice_file):
     """Rank, signature, parity, determinant and unimodularity."""
-    if kind == "diag":
+    if signs is not None and kind != "diag":
+        raise InputError("--signs requires --kind diag")
+    if kind != "diag" or lattice_file is not None:
+        lattice = _lattice_option(kind, lattice_file)  # also rejects --kind diag with --lattice-file
+    else:
         if not signs:
             raise InputError("--kind diag requires --signs")
         try:
             sign_list = [int(s) for s in signs.split(",")]
         except ValueError as exc:
             raise InputError("--signs must be a comma-separated list of 1/-1") from exc
-        space = make_standard_lattice("diag", signs=sign_list)
-        lattice = IntegralLattice(space=space)
-        shown = "diag"
-    else:
-        lattice = _lattice_option(kind, lattice_file)
-        shown = kind or "custom"
+        lattice = IntegralLattice(make_standard_lattice("diag", signs=sign_list))
     inv = lattice_invariants(lattice)
     p, n, z = lattice.space.inertia
     _emit(
         {
-            "kind": shown,
+            "kind": kind or "custom",
             "rank": lattice.n,
             "signature": [p, n, z],
             "even": inv.even,
@@ -153,13 +159,10 @@ def roots_cmd(kind, lattice_file, norm, bound, constraints):
             raise InputError("--constraints requires --bound")
         target = parse_rational(norm)
         p, nneg, z = lattice.space.inertia
-        if z == 0 and nneg == 0:
-            gram = lattice.space.gram
-        elif z == 0 and p == 0:
-            gram = tuple(tuple(-x for x in row) for row in lattice.space.gram)
-            target = -target
-        else:
+        if z or p and nneg:
             raise InputError("complete enumeration requires a definite lattice; pass --bound for a box search")
+        sign = -1 if nneg else 1  # enumerate in the positive definite form
+        gram, target = tuple(tuple(sign * x for x in row) for row in lattice.gram_int), sign * target
         if target <= 0:
             raise InputError("target norm has the wrong sign for this lattice")
         rl = RootList(roots=tuple(enumerate_norm_vectors(gram, target)), complete=True)
@@ -237,7 +240,7 @@ def reflect_cmd(kind, lattice_file, delta, x_vec):
         "delta": list(d),
         "matrix": [list(r) for r in iso.matrix],
         "determinant": iso.determinant,
-        "in_o_plus": is_in_O_plus(lattice, iso),
+        "in_o_plus": _in_o_plus(lattice, iso),
     }
     if x_vec is not None:
         xv = jsonio.decode_rational_vector(_load_arg(x_vec))
@@ -254,12 +257,8 @@ def isometry_check(kind, lattice_file, matrix):
     """Gram preservation, determinant and O+ membership of an integer matrix."""
     lattice = _lattice_option(kind, lattice_file)
     m = jsonio.decode_int_matrix(_load_arg(matrix))
-    ok = is_isometry(lattice, m)
     # An integer matrix has an integral determinant.
-    doc = {"isometry": ok, "determinant": int(det(m)), "in_o_plus": None}
-    if ok:
-        doc["in_o_plus"] = is_in_O_plus(lattice, Isometry(space=lattice.space, matrix=m))
-    _emit(doc)
+    _emit({"isometry": is_isometry(lattice, m), "determinant": int(det(m)), "in_o_plus": _in_o_plus(lattice, m)})
 
 
 @main.command("chamber-partition")

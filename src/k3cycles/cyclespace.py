@@ -96,18 +96,17 @@ class ThreeSpace:
         """(A, H, den): the symmetric and Hermitian Grams as 3x3 tables of
         Gaussian-integer (re, im) pairs over one positive denominator.
 
-        With qG the ambient Gram cleared to integers, rr, jj and rj pair
-        re with re, im with im and re with im under qG, after one sparse
-        G-apply per row; im_i qG re_j is rj[j][i], as G is symmetric.
+        With qG the ambient's integer Gram (q its denominator), rr, jj and rj
+        pair re with re, im with im and re with im under qG, after one sparse
+        qG-apply per row; im_i qG re_j is rj[j][i], as G is symmetric.
         """
         re, im, d = self.ints
-        q = lcm(*(g.denominator for row in self.ambient.sparse_rows for _, g in row))
-        rows = [[(j, int(q * g)) for j, g in row] for row in self.ambient.sparse_rows]
+        rows = self.ambient.sparse_rows
         g_re, g_im = ([gram_apply(rows, x) for x in part] for part in (re, im))
         rr, jj, rj = ([[sum(map(mul, x, y)) for y in gy] for x in xs] for xs, gy in ((re, g_re), (im, g_im), (re, g_im)))
         A = tuple(tuple((rr[i][j] - jj[i][j], rj[i][j] + rj[j][i]) for j in range(3)) for i in range(3))
         H = tuple(tuple((rr[i][j] + jj[i][j], rj[j][i] - rj[i][j]) for j in range(3)) for i in range(3))
-        return A, H, q * d * d
+        return A, H, self.ambient.den * d * d
 
     def symmetric_gram(self):
         return _gauss_matrix(self.gram_ints[0], self.gram_ints[2])
@@ -198,7 +197,7 @@ def example_family(t, n: int = 22) -> ThreeSpace:
 
 def apply_isometry(g: Isometry, threespace: ThreeSpace) -> ThreeSpace:
     """Map the basis rows by the isometry (column convention)."""
-    if g.space.gram != threespace.ambient.gram:
+    if g.space != threespace.ambient:
         raise AmbientMismatchError("isometry and three-space live in different spaces")
     rows = tuple(tuple(apply_matrix(g.matrix, row)) for row in threespace.basis)
     rows = tuple(tuple(GaussRational.of(x) for x in row) for row in rows)
@@ -207,7 +206,7 @@ def apply_isometry(g: Isometry, threespace: ThreeSpace) -> ThreeSpace:
 
 def is_twistor(lattice: IntegralLattice, threespace: ThreeSpace) -> TwistorStatus:
     """Twistor predicate: real, positive and orthogonal to no root of the lattice."""
-    if lattice.space.gram != threespace.ambient.gram:
+    if lattice.space != threespace.ambient:
         raise AmbientMismatchError("three-space ambient does not match lattice")
     if threespace.hermitian_inertia != (3, 0, 0):
         return TwistorStatus(status="not_applicable", reason="three-space is not positive")

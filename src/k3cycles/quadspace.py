@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from operator import mul
 
 from .errors import (
@@ -48,8 +49,8 @@ U_GRAM = ((0, 1), (1, 0))
 
 
 def sparse_rows(gram):
-    """Per row, the (j, gram[i][j]) pairs with a nonzero entry; integral entries as int."""
-    return tuple(tuple((j, int(x) if x.denominator == 1 else x) for j, x in enumerate(row) if x) for row in gram)
+    """Per row, the (j, gram[i][j]) pairs with a nonzero entry."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in gram)
 
 
 def gram_apply(rows, x):
@@ -66,34 +67,46 @@ def pair_rows(rows, x, y):
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuadraticSpace:
-    """Nondegenerate symmetric bilinear form over Q, given by its Gram matrix.
+    """Nondegenerate symmetric bilinear form over Q, given by int or Fraction
+    Gram entries and kept as the integer Gram `gram_int` over the least
+    positive denominator `den`; the rational `gram` is built when read.
 
-    `inertia` is its Sylvester inertia (pos, neg, 0), computed once per
-    distinct Gram (`_gram_inertia`); spaces with equal Grams share one Gram
-    tuple, so comparing their Grams is cheap.
+    `inertia`, the Sylvester inertia (pos, neg, 0), is computed once per
+    distinct `gram_int` (`_gram_inertia`); equal spaces share one `gram_int`.
     """
 
-    gram: tuple
+    gram_int: tuple
+    den: int
 
-    def __post_init__(self):
-        g = mat(tuple(tuple(as_fraction(x) for x in row) for row in self.gram))
-        if not g:
+    def __init__(self, gram):
+        rows = mat(gram)
+        if not rows:
             raise DimensionMismatchError("gram matrix must be square and nonempty")
-        g, inertia = _gram_inertia(g)
+        if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):
+            raise TypeError("gram entries must be exact rationals (int or Fraction)")
+        den = lcm(*(x.denominator for row in rows for x in row))
+        g, inertia = _gram_inertia(tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows))
         if inertia[2]:
             raise DegenerateGramError("gram matrix is degenerate")
-        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "gram_int", g)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "inertia", inertia)
 
     @property
     def n(self) -> int:
-        return len(self.gram)
+        return len(self.gram_int)
+
+    @cached_property
+    def gram(self):
+        """The rational Gram gram_int / den."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.gram_int)
 
     @cached_property
     def sparse_rows(self):
-        return sparse_rows(self.gram)
+        """Sparse rows of gram_int: pairings through them are den times the form's."""
+        return sparse_rows(self.gram_int)
 
 
 @dataclass(frozen=True)
@@ -103,23 +116,21 @@ class IntegralLattice:
     space: QuadraticSpace
 
     def __post_init__(self):
-        for row in self.space.gram:
-            for x in row:
-                if x.denominator != 1:
-                    raise NotIntegralError("lattice gram entries must be integers")
+        if self.space.den != 1:
+            raise NotIntegralError("lattice gram entries must be integers")
 
     @property
     def n(self) -> int:
         return self.space.n
 
-    @cached_property
+    @property
     def gram_int(self):
-        return tuple(tuple(int(x) for x in row) for row in self.space.gram)
+        return self.space.gram_int
 
 
 @dataclass(frozen=True)
 class Isometry:
-    """Integer matrix g with g^T * gram * g = gram (hence |det g| = 1)."""
+    """Integer matrix g with g^T * gram * g = gram."""
 
     space: QuadraticSpace
     matrix: tuple
@@ -132,11 +143,12 @@ class Isometry:
             raise NotIntegralError("isometry matrix must have integer entries")
         if not is_isometry(self.space, m):
             raise NotIsometryError("matrix does not preserve the gram matrix")
-        d = det(m)
-        if abs(d) != 1:
-            raise InternalCheckError("isometry of a nondegenerate form must be unimodular")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "determinant", int(d))  # det g, kept from the unimodularity check
+
+    @cached_property
+    def determinant(self) -> int:
+        """det g, which is +-1: g^T G g = G with det G != 0 forces (det g)^2 = 1."""
+        return int(det(self.matrix))
 
 
 def _block_diag(*blocks):
@@ -188,29 +200,20 @@ def _space_of(ambient) -> QuadraticSpace:
 def bilinear(ambient, x, y):
     """C-bilinear extension <x,y> = x^T * gram * y, no conjugation.
 
-    Pairs through the sparse Gram rows, in ints when both vectors are int.
+    Pairs through the sparse rows of the integer Gram, in ints when both
+    vectors are int, and divides by the denominator once.
     """
     space = _space_of(ambient)
     if len(x) != space.n or len(y) != space.n:
         raise DimensionMismatchError("vector length does not match space rank")
     if all(type(v) is int for v in x) and all(type(v) is int for v in y):
-        return Fraction(pair_rows(space.sparse_rows, x, y))
-    total = 0
-    gauss = live = False
-    for xi, row in zip(x, space.sparse_rows):
-        if xi == 0:
-            continue
-        live = True
-        gauss = gauss or isinstance(xi, GaussRational)
-        acc = 0
-        for j, g in row:
-            if y[j] != 0:
-                acc = acc + g * y[j]
-        total = total + xi * acc
-    # Gaussian as soon as a Gaussian entry meets a nonzero x, as with dense pairing.
-    if live and (gauss or any(isinstance(yj, GaussRational) and yj != 0 for yj in y)):
-        return GaussRational.of(total)
-    return Fraction(total)
+        return Fraction(pair_rows(space.sparse_rows, x, y), space.den)
+    total = GaussRational.of(pair_rows(space.sparse_rows, x, y))
+    re = Fraction(total.re, space.den)
+    # Gaussian as soon as a nonzero Gaussian entry meets a nonzero x, as with dense pairing.
+    if any(x) and any(isinstance(v, GaussRational) and v for v in (*x, *y)):
+        return GaussRational(re, Fraction(total.im, space.den))
+    return re
 
 
 def hermitian_pair(ambient, x, y):
@@ -285,8 +288,8 @@ def signature(m):
 
 @lru_cache(maxsize=8)
 def _gram_inertia(gram):
-    """(gram, signature(gram)) for an immutable Fraction Gram, once per
-    distinct Gram; equal Grams get back the first such tuple."""
+    """(gram, signature(gram)) for an integer Gram tuple, once per distinct
+    Gram; equal Grams get back the first such tuple."""
     return gram, signature(gram)
 
 
@@ -327,8 +330,9 @@ def lattice_invariants(lattice: IntegralLattice) -> LatticeInvariants:
 def is_isometry(ambient, g) -> bool:
     """True iff g^T * gram * g == gram, for int or Fraction g over any rational gram.
 
-    Entry (i, j) is column i of g paired with gram times column j, in ints
-    where both are integral.
+    Tested as g^T qG g == qG for the integer Gram qG = den * gram: entry
+    (i, j) is column i of g paired with qG times column j, in ints when g is
+    integral.
     """
     space = _space_of(ambient)
     m = mat(g)
@@ -337,4 +341,4 @@ def is_isometry(ambient, g) -> bool:
         raise DimensionMismatchError("matrix size does not match space rank")
     cols = tuple(zip(*m))
     images = [gram_apply(space.sparse_rows, c) for c in cols]
-    return all(sum(map(mul, ci, image)) == gij for ci, row in zip(cols, space.gram) for image, gij in zip(images, row))
+    return all(sum(map(mul, ci, image)) == gij for ci, row in zip(cols, space.gram_int) for image, gij in zip(images, row))

@@ -212,7 +212,7 @@ def enumerate_norm_vectors(gram, target):
 
 def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> RootList:
     """Complete list of roots of the lattice orthogonal to a positive three-space."""
-    if threespace.ambient.gram != lattice.space.gram:
+    if threespace.ambient != lattice.space:
         raise AmbientMismatchError("three-space ambient does not match lattice")
     if threespace.hermitian_inertia != (3, 0, 0):
         raise NotPositiveError("three-space must be positive for complete root enumeration")

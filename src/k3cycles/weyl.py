@@ -83,7 +83,7 @@ def _require_root(ambient, delta):
     space = _space_of(ambient)
     if len(delta) != space.n:
         raise DimensionMismatchError("vector length does not match space rank")
-    if pair_rows(space.sparse_rows, delta, delta) != -2:
+    if pair_rows(space.sparse_rows, delta, delta) != -2 * space.den:
         raise NotARootError("vector has norm != -2")
     return delta
 
@@ -101,10 +101,9 @@ def reflection_matrix(ambient, delta) -> Isometry:
     delta = _require_root(ambient, delta)
     space = _space_of(ambient)
     n = space.n
-    gd = gram_apply(space.sparse_rows, delta)
-    if any(x.denominator != 1 for x in gd):
+    gd, rem = zip(*(divmod(x, space.den) for x in gram_apply(space.sparse_rows, delta)))  # G delta = gd + rem / den
+    if any(rem):
         raise NotARootError("reflection is not integral over this ambient form")
-    gd = [int(x) for x in gd]
     m = tuple(tuple((1 if i == j else 0) + delta[i] * gd[j] for j in range(n)) for i in range(n))
     return Isometry(space=space, matrix=m)
 
@@ -112,17 +111,11 @@ def reflection_matrix(ambient, delta) -> Isometry:
 def _k3_frame(space: QuadraticSpace):
     """Supports of the positive reference frame: (e_b, f_b) for the K3 Gram,
     the first three basis vectors for a diagonal one; None otherwise."""
-    if space.gram == K3_GRAM:
+    if space.den == 1 and space.gram_int == K3_GRAM:
         return ((0, 1), (2, 3), (4, 5))
-    diag = all(space.gram[i][j] == 0 for i in range(space.n) for j in range(space.n) if i != j)
-    if (
-        diag
-        and space.n >= 3
-        and all(space.gram[i][i] > 0 for i in range(3))
-        and space.inertia == (3, space.n - 3, 0)
-    ):
-        return ((0,), (1,), (2,))
-    return None
+    # The diagonal of a diagonal Gram, with 0 standing in for an off-diagonal row.
+    d = [row[0][1] if len(row) == 1 and row[0][0] == i else 0 for i, row in enumerate(space.sparse_rows)]
+    return ((0,), (1,), (2,)) if len(d) >= 3 and min(d[:3]) > 0 and all(x < 0 for x in d[3:]) else None
 
 
 def is_in_O_plus(ambient, g) -> bool:
@@ -133,7 +126,8 @@ def is_in_O_plus(ambient, g) -> bool:
     reference span with respect to the form, the image frame has coordinates
     F^-1 R, with R the pairings of image and reference frame vectors and F
     the frame's Gram, which is positive definite.  So the sign of det R
-    decides membership; R is taken in ints where the Gram is integral.
+    decides membership; R is taken over the integer Gram, a positive
+    multiple of the form, which keeps that sign.
     """
     space = _space_of(ambient)
     iso = g if isinstance(g, Isometry) else Isometry(space=space, matrix=tuple(tuple(row) for row in g))
@@ -148,7 +142,7 @@ def is_in_O_plus(ambient, g) -> bool:
 
 def delta_p_bounded(lattice: IntegralLattice, p: PeriodPoint, coord_bound: int) -> RootList:
     """Bounded part of Delta_p = {roots orthogonal to the period point}."""
-    if p.space.gram != lattice.space.gram:
+    if p.space != lattice.space:
         raise AmbientMismatchError("period point does not live in the lattice")
     constraints = [c for c in (p.real_part(), p.imag_part()) if not is_zero_vec(c)]
     return bounded_root_search(lattice, constraints, coord_bound)

@@ -202,7 +202,26 @@ def test_isometry_check():
     assert doc == {"isometry": True, "determinant": 1, "in_o_plus": True}
     double = [[2 if i == j else 0 for j in range(22)] for i in range(22)]
     doc2 = json.loads(run_ok("isometry-check", "--kind", "K3", "--matrix", json.dumps(double)))
-    assert doc2["isometry"] is False
+    assert doc2["isometry"] is False and doc2["in_o_plus"] is None
+
+
+def test_frameless_ambient_reports_null_orientation():
+    # U has no positive reference frame: the matrix, determinant and image are still reported.
+    doc = json.loads(run_ok("reflect", "--kind", "U", "--delta", "[1,-1]", "--x", "[1,0]"))
+    assert doc == {"delta": [1, -1], "matrix": [[0, 1], [1, 0]], "determinant": -1, "in_o_plus": None, "vector": ["0", "1"]}
+    doc = json.loads(run_ok("isometry-check", "--kind", "U", "--matrix", "[[1,0],[0,1]]"))
+    assert doc == {"isometry": True, "determinant": 1, "in_o_plus": None}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("lattice-info", "--kind", "K3", "--signs", "1,-1"),
+        ("lattice-info", "--kind", "diag", "--signs", "1,-1", "--lattice-file", "/nonexistent.json"),
+    ],
+)
+def test_lattice_info_rejects_conflicting_options(args):
+    assert_input_error(run(*args), args)
 
 
 def test_partition_check_cli():

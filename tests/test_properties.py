@@ -5,6 +5,7 @@ integer three-space, the orientation test and rational parsing against the
 independent oracles in oracles.py, on random inputs drawn by hypothesis."""
 
 from fractions import Fraction as Q
+from math import gcd
 
 import mpmath
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import k3cycles as k
 from k3cycles.cyclespace import _sample_domain
-from k3cycles.errors import DimensionMismatchError, InputError, NonPositiveKappaError, WallError
+from k3cycles.errors import DimensionMismatchError, InputError, NonPositiveKappaError, NotARootError, WallError
 from k3cycles.gaussrat import GaussRational, parse_rational
 from k3cycles.linalg import conj_vec, det, hnf, int_kernel, mat_mul, rref
 from k3cycles.quadspace import congruence_diagonal, gram_apply, pair_rows, sparse_rows
@@ -164,12 +165,17 @@ scalars = st.one_of(
 )
 
 
+# Positive scalings that give an integral Gram a denominator den > 1.
+GRAM_SCALES = (1, 3, Q(1, 2), Q(2, 3))
+
+
 @st.composite
 def grams_and_vectors(draw):
-    """A symmetric rational Gram (integral or not) and two vectors of int,
-    Fraction or Gauss-rational entries."""
+    """A symmetric rational Gram (integral or not, times a scale of
+    GRAM_SCALES) and two vectors of int, Fraction or Gauss-rational entries."""
     n = draw(st.integers(1, 5))
-    upper = {(i, j): draw(st.one_of(st.just(0), st.integers(-3, 3), rationals)) for i in range(n) for j in range(i, n)}
+    scale = draw(st.sampled_from(GRAM_SCALES))
+    upper = {(i, j): scale * draw(st.one_of(st.just(0), st.integers(-3, 3), rationals)) for i in range(n) for j in range(i, n)}
     gram = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
     entries = draw(st.sampled_from((st.integers(-4, 4), scalars)))
     return gram, tuple(draw(entries) for _ in range(n)), tuple(draw(entries) for _ in range(n))
@@ -193,11 +199,13 @@ def _units(n):
 @st.composite
 def sparse_pairing_cases(draw):
     """A principal sub-block of a symmetric Gram, integral or with
-    non-integral Fraction entries, and two int or Fraction vectors for it."""
+    non-integral Fraction entries (times a scale of GRAM_SCALES), and two int
+    or Fraction vectors for it."""
     n = draw(st.integers(1, 6))
     small = st.one_of(st.just(0), st.integers(-3, 3))
     entry = draw(st.sampled_from((small, st.one_of(small, rationals))))
-    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    scale = draw(st.sampled_from(GRAM_SCALES))
+    upper = {(i, j): scale * draw(entry) for i in range(n) for j in range(i, n)}
     block = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
     sub = tuple(tuple(upper[min(i, j), max(i, j)] for j in block) for i in block)
     vec = draw(st.sampled_from((st.integers(-4, 4), rationals)))
@@ -208,14 +216,19 @@ def sparse_pairing_cases(draw):
 @given(sparse_pairing_cases())
 def test_pair_rows_and_gram_apply_match_dense(case):
     sub, x, y = case
-    rows = sparse_rows(tuple(tuple(Q(g) for g in row) for row in sub))
-    assert rows == sparse_rows(sub)
-    assert all(type(g) is int for row in rows for _, g in row if g.denominator == 1)
+    rows = sparse_rows(sub)
     got, image = pair_rows(rows, x, y), gram_apply(rows, x)
     assert got == dense_bilinear(sub, x, y)
     assert image == [dense_bilinear(sub, e, x) for e in _units(len(sub))]
     if all(type(v) is int for v in x + y + sum(sub, ())):
         assert type(got) is int and all(type(v) is int for v in image)
+    if det(sub) != 0:
+        # A space pairs over its integer Gram: den times the rational pairing.
+        space = k.QuadraticSpace(sub)
+        assert all(type(g) is int for row in space.sparse_rows for _, g in row)
+        assert gcd(space.den, *sum(space.gram_int, ())) == 1
+        assert space.gram == tuple(tuple(Q(g) for g in row) for row in sub)
+        assert pair_rows(space.sparse_rows, x, y) == space.den * dense_bilinear(sub, x, y)
 
 
 ISOMETRY_BLOCKS = (U_GRAM, ((-2,),), ((-2, 1), (1, -2)), ((1,),), ((-1,),), ((2, 1), (1, -2)))
@@ -230,22 +243,25 @@ def _reflection(gram, v):
 
 @st.composite
 def isometry_cases(draw):
-    """(gram, m, perturbed): an orthogonal sum of small integral forms, times
-    1, 3, 1/2 or 2/3, and a product of 1-3 reflections of it as an int or a
-    Fraction matrix, with one entry shifted when `perturbed`.  A reflection is
-    in e_i or e_i +- e_j of norm +-1 or +-2 (an integer matrix), or in a
-    random vector of nonzero norm (a rational one)."""
+    """(gram, m, perturbed, used): an orthogonal sum of small integral
+    forms, times a scale of GRAM_SCALES, and a product of 1-3 reflections of
+    it as an int or a Fraction matrix, with one entry shifted when
+    `perturbed`.  A reflection is in e_i or e_i +- e_j of norm +-1 or +-2 (an
+    integer matrix), or in a random vector of nonzero norm (a rational one);
+    `used` lists them."""
     base = _block_sum(draw(st.lists(st.sampled_from(ISOMETRY_BLOCKS), min_size=1, max_size=3)))
     n = len(base)
     vectors = [tuple(a + s * b for a, b in zip(e, f)) for e in _units(n) for f in _units(n) for s in (0, 1, -1) if e < f or s == 0]
     integral = [v for v in vectors if dense_bilinear(base, v, v) in (1, -1, 2, -2)]
     m = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    used = []
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.booleans()):
             v = draw(st.sampled_from(integral))
         else:
             v = tuple(draw(st.integers(-2, 2)) for _ in range(n))
             assume(dense_bilinear(base, v, v) != 0)
+        used.append(v)
         r = _reflection(base, v)
         m = [[sum((m[i][l] * r[l][j] for l in range(n)), start=Q(0)) for j in range(n)] for i in range(n)]
     if all(x.denominator == 1 for row in m for x in row) and draw(st.booleans()):
@@ -256,17 +272,31 @@ def isometry_cases(draw):
         shift = draw(st.integers(-2, 2) if type(m[0][0]) is int else rationals)
         assume(shift != 0)
         m[i][j] += shift
-    scale = draw(st.sampled_from((1, 3, Q(1, 2), Q(2, 3))))
-    return tuple(tuple(scale * g for g in row) for row in base), tuple(map(tuple, m)), perturbed
+    scale = draw(st.sampled_from(GRAM_SCALES))
+    return tuple(tuple(scale * g for g in row) for row in base), tuple(map(tuple, m)), perturbed, used
 
 
 @SETTINGS
 @given(isometry_cases())
+# den 2: the root e - f + a of U(1/2) + <-1> has a non-integral reflection,
+# the root a + b of <-1> + <-1> + U(1/2) an integral one.
+@example((((0, Q(1, 2), 0), (Q(1, 2), 0, 0), (0, 0, -1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), False, [(1, -1, 1)]))
+@example((_block_sum((((-1,),), ((-1,),), ((0, Q(1, 2)), (Q(1, 2), 0)))), ((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), False, [(1, 1, 0, 0)]))
 def test_is_isometry_matches_dense_congruence(case):
-    gram, m, perturbed = case
+    gram, m, perturbed, used = case
     want = dense_congruence(gram, m) == tuple(tuple(Q(g) for g in row) for row in gram)
     assert perturbed or want
-    assert k.is_isometry(k.QuadraticSpace(gram), m) is want
+    space = k.QuadraticSpace(gram)
+    assert k.is_isometry(space, m) is want
+    # A root's reflection is a lattice isometry exactly when its matrix is integral.
+    for v in used:
+        if dense_bilinear(gram, v, v) == -2:
+            r = _reflection(gram, v)
+            if all(x.denominator == 1 for row in r for x in row):
+                assert k.reflection_matrix(space, v).matrix == tuple(tuple(int(x) for x in row) for row in r)
+            else:
+                with pytest.raises(NotARootError):
+                    k.reflection_matrix(space, v)
 
 
 PARTITION_LATTICE = k.IntegralLattice(k.QuadraticSpace(_block_sum((U_GRAM, U_GRAM, ((-2, 1), (1, -2))))))
@@ -489,16 +519,17 @@ DIAG22 = k.make_standard_lattice("diag", signs=[1, 1, 1] + [-1] * 19)
 RATIONAL_DIAG6 = k.QuadraticSpace(
     tuple(tuple(g if i == j else 0 for j in range(6)) for i, g in enumerate((Q(1, 2), Q(3), Q(2, 3), Q(-1, 5), Q(-7, 2), Q(-4))))
 )
+RATIONAL_U3 = k.QuadraticSpace(_block_sum([((0, Q(3, 2)), (Q(3, 2), 0))] * 3))
 
 
 @st.composite
 def gauss_bases(draw):
     """(ambient, rows): three rows with 1-4 nonzero Gauss-rational or real
-    entries over K3, diag(1,1,1,-1^19) or a non-integral rational diagonal
-    form, mixed by a random Gauss-rational 3x3 matrix.  Real rows stay a
+    entries over K3, diag(1,1,1,-1^19), a non-integral rational diagonal
+    form or U(3/2)^3, mixed by a random Gauss-rational 3x3 matrix.  Real rows stay a
     real V under an invertible mix, with a non-real basis; a singular mix
     or dependent rows give a dependent basis."""
-    ambient = draw(st.sampled_from((K3_SPACE, DIAG22, RATIONAL_DIAG6)))
+    ambient = draw(st.sampled_from((K3_SPACE, DIAG22, RATIONAL_DIAG6, RATIONAL_U3)))
     n = ambient.n
     entries = draw(st.sampled_from((rationals, gauss_rationals)))
     rows = []

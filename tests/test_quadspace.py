@@ -10,6 +10,7 @@ from k3cycles.errors import (
     DimensionMismatchError,
     InputError,
     NotHermitianError,
+    NotIntegralError,
     NotSymmetricError,
 )
 
@@ -40,6 +41,24 @@ def test_diag_space():
         k.make_standard_lattice("diag", signs=[])
     with pytest.raises(InputError):
         k.make_standard_lattice("diag", signs=[2])
+
+
+def test_space_keeps_one_integer_gram():
+    # The integer Gram over its least denominator is the form: the rational
+    # Gram is only built when read, and the inertia cache is keyed by ints.
+    from k3cycles.quadspace import _gram_inertia
+
+    sp = k.QuadraticSpace(((Q(1, 2), Q(1, 3)), (Q(1, 3), -1)))
+    assert (sp.gram_int, sp.den) == (((3, 2), (2, -6)), 6)
+    assert "gram" not in vars(sp)
+    assert sp.gram == ((Q(1, 2), Q(1, 3)), (Q(1, 3), Q(-1)))
+    assert sp == k.QuadraticSpace(((Q(3, 6), Q(2, 6)), (Q(2, 6), Q(-6, 6)))) != k.QuadraticSpace(((3, 2), (2, -6)))
+    lattice = k.IntegralLattice(k.QuadraticSpace(((2, 1), (1, Q(-4, 2)))))
+    assert lattice.gram_int is lattice.space.gram_int == ((2, 1), (1, -2))
+    assert _gram_inertia(((3, 2), (2, -6))) == (sp.gram_int, sp.inertia)
+    assert _gram_inertia(((3, 2), (2, -6)))[0] is sp.gram_int
+    with pytest.raises(NotIntegralError):
+        k.IntegralLattice(sp)
 
 
 def test_space_validation():

@@ -140,3 +140,16 @@ def test_every_cli_command_is_guarded():
     assert len(commands) >= 10
     bare = [f.name for f in commands if getattr(f.decorator_list[-1], "id", None) != "_guarded"]
     assert not bare, f"cli commands without @_guarded as innermost decorator: {bare}"
+
+
+def test_only_quadspace_and_jsonio_read_the_rational_gram():
+    # The number type of a form is decided in quadspace: the library pairs
+    # over `gram_int` and `den`; the rational `gram` is for the JSON encoder.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("quadspace.py", "jsonio.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "gram" and isinstance(node.ctx, ast.Load)
+    ]
+    assert not found, f"modules other than quadspace and jsonio read .gram: {found}"
