@@ -1,5 +1,6 @@
-"""Root enumeration: saturated orthogonal complements, exact Fincke-Pohst
-branch-and-bound in definite lattices, and bounded searches in indefinite ones.
+"""Root enumeration: saturated orthogonal complements, integral LLL reduction
+and exact Fincke-Pohst branch-and-bound in definite lattices, and bounded
+searches in indefinite ones.
 
 All enumeration output is lexicographically sorted and lists x and -x
 explicitly, so CLI output is reproducible byte for byte.
@@ -23,7 +24,7 @@ from .errors import (
     NotSymmetricError,
 )
 from .gaussrat import as_fraction
-from .linalg import clear_denominators, identity_int, int_kernel, mat
+from .linalg import clear_denominators, det, identity_int, int_kernel, mat
 from .quadspace import IntegralLattice, gram_apply, pair_rows, signature, sparse_rows
 
 
@@ -210,8 +211,132 @@ def enumerate_norm_vectors(gram, target):
     return out
 
 
+def _lll(gram):
+    """Integral LLL reduction (delta = 3/4) of a positive-definite integer Gram.
+
+    Returns (H, reduced) with H unimodular and reduced = H gram H^T.  This is
+    Cohen's all-integer Alg. 2.6.7 (A Course in Computational Algebraic
+    Number Theory) run on the Gram alone: d[i] is the Gram determinant of the
+    first i basis vectors and lam[k][j] = d[j + 1] mu[k][j], both integers,
+    updated in place by the size reductions and swaps; every division is
+    exact.  A Gram determinant <= 0 means the form is not positive definite.
+    """
+    n = len(gram)
+    g = [list(row) for row in gram]
+    h = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def orthogonalize(k):
+        lk = lam[k]
+        for j in range(k + 1):
+            u, lj = g[k][j], lam[j]
+            for i in range(j):
+                u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+            if j < k:
+                lk[j] = u
+            elif u <= 0:
+                raise NotPositiveDefiniteError("form is not positive definite")
+            else:
+                d[k + 1] = u
+
+    def reduce(k, l):
+        # b_k -= q b_l for q the integer nearest to mu[k][l]
+        lk, dl = lam[k], d[l + 1]
+        q = (2 * lk[l] + dl) // (2 * dl)
+        h[k] = [a - q * b for a, b in zip(h[k], h[l])]
+        g[k] = [a - q * b for a, b in zip(g[k], g[l])]
+        for row in g:
+            row[k] -= q * row[l]
+        lk[l] -= q * dl
+        ll = lam[l]
+        for i in range(l):
+            lk[i] -= q * ll[i]
+
+    def swap(k, kmax):
+        # exchange b_k and b_{k-1}
+        h[k - 1], h[k] = h[k], h[k - 1]
+        g[k - 1], g[k] = g[k], g[k - 1]
+        for row in g:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
+        m, dk, dk1 = lam[k][k - 1], d[k], d[k + 1]
+        b = (d[k - 1] * dk1 + m * m) // dk
+        for i in range(k + 1, kmax + 1):
+            li = lam[i]
+            t = li[k]
+            li[k] = u = (dk1 * li[k - 1] - m * t) // dk
+            li[k - 1] = (b * t + m * u) // dk1
+        d[k] = b
+
+    if n:
+        orthogonalize(0)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            orthogonalize(k)
+        lk = lam[k]
+        if 2 * abs(lk[k - 1]) > d[k]:
+            reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk[k - 1] * lk[k - 1]:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                if 2 * abs(lk[l]) > d[l + 1]:
+                    reduce(k, l)
+            k += 1
+    return tuple(map(tuple, h)), tuple(map(tuple, g))
+
+
+def _block_norm_table(block, rows, n):
+    """The vectors t of norm <= 2 in a positive-definite block, as ambient
+    partials sum t_k rows[k] grouped by t^T block t, which is accumulated
+    exactly over the block's sparse rows, one nonzero t_k at a time."""
+    block_rows, live = sparse_rows(block), sparse_rows(rows)
+    table = {}
+    for t in _enumerate_up_to(block, 2):
+        x, norm = [0] * n, 0
+        for tk, brow, arow in zip(t, block_rows, live):
+            if tk:
+                for j, g in brow:
+                    norm += tk * g * t[j]
+                for c, b in arow:
+                    x[c] += tk * b
+        if not 0 <= norm <= 2:
+            raise InternalCheckError(f"block vector {t} has norm {norm} outside the walk radius 2")
+        table.setdefault(norm, []).append(tuple(x))
+    return table
+
+
+def _check_reduction(g, H, rows, reduced):
+    """Certificate of an LLL step: H is unimodular and the ambient Gram of
+    the reduced rows is -reduced entrywise."""
+    if abs(det(H)) != 1:
+        raise InternalCheckError("LLL transform is not unimodular")
+    for i, ri in enumerate(rows):
+        gi = gram_apply(g, ri)
+        for j in range(i, len(rows)):
+            if sum(map(mul, gi, rows[j])) != -reduced[i][j]:
+                raise InternalCheckError(f"reduced Gram entry ({i}, {j}) differs from the ambient pairing")
+
+
 def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> RootList:
-    """Complete list of roots of the lattice orthogonal to a positive three-space."""
+    """Complete list of roots of the lattice orthogonal to a positive three-space.
+
+    The negated form on the saturated complement is LLL-reduced; each
+    connected block of the reduced Gram is walked up to norm 2, its vectors
+    grouped by their block norm, and the blocks are joined to total norm 2.
+    The join is needed: a root of an orthogonal sum lies in one block only
+    when the blocks are even (in <-1> + <-1> the root (1, 1) takes norm -1
+    from each block).
+    One certificate per call stands for a norm check per root: det H = +-1
+    (the reduced rows span the complement), the ambient Gram of the reduced
+    rows is -reduced entrywise (so block norms add up to ambient norms), and
+    every block vector's group is its exact block norm, within the walk's
+    radius.
+    """
     if threespace.ambient != lattice.space:
         raise AmbientMismatchError("three-space ambient does not match lattice")
     if threespace.hermitian_inertia != (3, 0, 0):
@@ -220,9 +345,15 @@ def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> Root
     sub = orthogonal_complement_lattice(lattice, [c for c in re + im if any(c)])
     if sub.rank == 0:
         return RootList(roots=(), complete=True)
-    neg = tuple(tuple(-x for x in row) for row in sub.restricted_gram)
-    roots = sorted(sub.to_ambient(t) for t in enumerate_norm_vectors(neg, 2))
-    _check_norms(lattice.gram_int, roots, -2)
+    H, reduced = _lll(tuple(tuple(-x for x in row) for row in sub.restricted_gram))
+    rows = [sub.to_ambient(t) for t in H]
+    _check_reduction(lattice.space.sparse_rows, H, rows, reduced)
+    tables = []
+    for comp in _components(reduced):
+        block = [[reduced[i][j] for j in comp] for i in comp]
+        tables.append(_block_norm_table(block, [rows[k] for k in comp], lattice.n))
+    roots = _join(tables, 2, None, lattice.n, [])
+    roots.sort()
     return RootList(roots=tuple(roots), complete=True)
 
 

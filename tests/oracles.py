@@ -2,9 +2,9 @@
 
 Everything here is deliberately separate from the library: the coordinate
 bounds come from a locally computed inverse Gram, the scan is a plain product
-box evaluated with numpy, and block-diagonal forms are handled by the
-orthogonal-sum argument (a norm -2 vector of a definite direct sum has
-exactly one nonzero block component).  Bounded root searches in indefinite
+box evaluated with numpy, and block-diagonal forms with even blocks are
+handled by the orthogonal-sum argument (a norm -2 vector of a definite direct
+sum of even blocks has exactly one nonzero block component).  Bounded root searches in indefinite
 lattices have a literal box scan (`box_scan_roots`) and, for period points of
 K3 supported on U^3, a closed form (`k3_u3_box_roots`).  The conic domain sweep
 has a reference in `reference_conic_sweep`, an `mpmath` implementation that
@@ -120,21 +120,27 @@ def blocks_of(gram):
     return comps
 
 
-def block_sum_roots(gram, target=-2):
-    """Norm `target` vectors of a definite block-diagonal form.
+def block_sum_roots(gram):
+    """Norm -2 vectors of a negative definite block-diagonal form with even blocks.
 
-    Each block must be negative definite (target < 0 case): any norm -2
-    vector is supported on exactly one block, so the full answer is the union
-    of per-block naive scans embedded back into the ambient coordinates.
+    In an even negative definite block every nonzero vector has norm <= -2,
+    so a norm -2 vector is supported on exactly one block and the answer is
+    the union of per-block naive scans embedded back into the ambient
+    coordinates.  An odd block breaks this (in <-1> + <-1> the root (1, 1)
+    takes -1 from each block), so a block with an odd diagonal entry, like
+    one that is not negative definite on its diagonal, raises ValueError.
     """
     n = len(gram)
     comps = blocks_of(gram)
     out = []
     for comp in comps:
         sub = [[gram[i][j] for j in comp] for i in comp]
-        assert all(sub[i][i] < 0 for i in range(len(comp))), "oracle expects negative definite blocks"
+        if any(sub[i][i] >= 0 for i in range(len(comp))):
+            raise ValueError("oracle expects negative definite blocks")
+        if any(sub[i][i] % 2 for i in range(len(comp))):
+            raise ValueError("oracle expects even blocks: an odd block can share a root with another")
         neg = [[-x for x in row] for row in sub]
-        for v in naive_box_norm_vectors(neg, -target):
+        for v in naive_box_norm_vectors(neg, 2):
             amb = [0] * n
             for val, pos in zip(v, comp):
                 amb[pos] = val

@@ -1,8 +1,9 @@
-"""Property tests: the Fincke-Pohst walk, the bounded root search, the sparse
-pairing and isometry check, the chamber partition, the congruence
-diagonalisation, the integer HNF and kernel, the exact conic sweep, the
-integer three-space, the orientation test and rational parsing against the
-independent oracles in oracles.py, on random inputs drawn by hypothesis."""
+"""Property tests: the Fincke-Pohst walk, the integral LLL and the reduced
+root enumeration, the bounded root search, the sparse pairing and isometry
+check, the chamber partition, the congruence diagonalisation, the integer HNF
+and kernel, the exact conic sweep, the integer three-space, the orientation
+test and rational parsing against the independent oracles in oracles.py, on
+random inputs drawn by hypothesis."""
 
 from fractions import Fraction as Q
 from math import gcd
@@ -18,7 +19,7 @@ from k3cycles.errors import DimensionMismatchError, InputError, NonPositiveKappa
 from k3cycles.gaussrat import GaussRational, parse_rational
 from k3cycles.linalg import conj_vec, det, hnf, int_kernel, mat_mul, rref
 from k3cycles.quadspace import congruence_diagonal, gram_apply, pair_rows, sparse_rows
-from k3cycles.rootenum import _coefficient_bounds, _enumerate_up_to
+from k3cycles.rootenum import _coefficient_bounds, _enumerate_up_to, _lll
 
 from oracles import (
     _floor_sqrt,
@@ -132,6 +133,96 @@ def test_bounded_search_matches_box_scan(case):
     got = k.bounded_root_search(lattice, [tuple(Q(x) for x in c) for c in constraints], bound)
     assert (got.complete, got.bound_used) == (False, bound)
     assert list(got.roots) == box_scan_roots(gram, constraints, bound)
+
+
+def _gram_schmidt(gram):
+    """mu[i][j] and the squared Gram-Schmidt lengths B[i] of a Gram, in Fractions."""
+    n = len(gram)
+    mu = [[Q(0)] * n for _ in range(n)]
+    B = []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (gram[i][j] - sum(mu[j][l] * mu[i][l] * B[l] for l in range(j))) / B[j]
+        B.append(gram[i][i] - sum(mu[i][l] ** 2 * B[l] for l in range(i)))
+    return mu, B
+
+
+@SETTINGS
+@given(posdef_grams())
+def test_lll_output_is_reduced_and_congruent(gram):
+    H, reduced = _lll(gram)
+    n = len(gram)
+    assert reduced == dense_congruence(gram, tuple(zip(*H)))  # H gram H^T
+    assert abs(cofactor_det(H)) == 1
+    mu, B = _gram_schmidt(reduced)
+    d = [Q(1)]
+    for b in B:
+        d.append(d[-1] * b)
+    for k in range(n):
+        # size-reduced: 2 |lambda_kj| <= d_j for lambda_kj = d_j mu_kj (Cohen's indexing)
+        assert all(2 * abs(d[j + 1] * mu[k][j]) <= d[j + 1] for j in range(k))
+        # Lovasz condition with delta = 3/4
+        assert k == 0 or B[k] >= (Q(3, 4) - mu[k][k - 1] ** 2) * B[k - 1]
+
+
+def _cartan(n, edges):
+    return tuple(tuple(2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0 for j in range(n)) for i in range(n))
+
+
+def _a(n):
+    return _cartan(n, {(i, i + 1) for i in range(n - 1)})
+
+
+def _d(n):
+    return _cartan(n, {(i, i + 1) for i in range(n - 2)} | {(n - 3, n - 1)})
+
+
+# Positive-definite summands: A_n, D_n, E8, the odd <1> and the even <2>.
+ROOT_BLOCKS = (_a(1), _a(2), _a(3), _a(4), _d(4), _d(5), ((2,),))
+ONE = ((1,),)
+
+
+@st.composite
+def unimodular_root_lattices(draw):
+    """(G, U): G an orthogonal sum of root-system blocks, U unimodular.
+
+    G is E8 alone (its box scan is cached once for the session) or up to
+    three of ROOT_BLOCKS and up to three <1> in a drawn order, with a small
+    box scan; two or more <1> give roots across blocks.  U is a signed
+    permutation times 1-8 elementary row moves."""
+    if draw(st.sampled_from((True,) + (False,) * 5)):
+        gram = k.E8_GRAM
+    else:
+        blocks = draw(st.lists(st.sampled_from(ROOT_BLOCKS), max_size=3)) + [ONE] * draw(st.integers(0, 3))
+        assume(blocks)
+        gram = _block_sum(draw(st.permutations(blocks)))
+        assume(_box_points(gram, 2) <= 200_000)
+    r = len(gram)
+    perm = draw(st.permutations(range(r)))
+    u = [[draw(st.sampled_from((1, -1))) if j == perm[i] else 0 for j in range(r)] for i in range(r)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, r - 1), st.integers(-2, 2)), min_size=1, max_size=8)):
+        if i != j:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return gram, tuple(map(tuple, u))
+
+
+@SETTINGS
+@given(unimodular_root_lattices())
+@example((_block_sum((ONE,) * 3), ((1, 0, 0), (0, 1, 0), (0, 0, 1))))  # 12 roots +-e_i +-e_j, each across two blocks
+@example((_block_sum((ONE, _a(2), ONE, ((2,),))), ((1, 1, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 2, 1, 0), (1, 0, 0, 0, 1))))
+def test_reduced_roots_map_back_through_a_unimodular_change(case):
+    # Roots of <1>^3 + (-U^T G U) orthogonal to span(e1, e2, e3) are (0, 0, 0, y)
+    # with U y a norm 2 vector of G.
+    gram, u = case
+    r = len(gram)
+    ug = [[sum(u[l][i] * gram[l][m] * u[m][j] for l in range(r) for m in range(r)) for j in range(r)] for i in range(r)]
+    ambient = _block_sum((ONE,) * 3 + (tuple(tuple(-x for x in row) for row in ug),))
+    lattice = k.IntegralLattice(k.QuadraticSpace(ambient))
+    v = k.ThreeSpace(ambient=lattice.space, basis=tuple(tuple(GaussRational.of(int(i == j)) for j in range(r + 3)) for i in range(3)))
+    inv = _inverse_fraction(u)
+    assert all(x.denominator == 1 for row in inv for x in row)
+    want = sorted((0, 0, 0) + tuple(int(sum(inv[i][j] * x[j] for j in range(r))) for i in range(r)) for x in naive_box_norm_vectors(gram, 2))
+    assert list(k.roots_orthogonal_to_threespace(lattice, v).roots) == want
 
 
 @st.composite

@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 import pytest
 
 import k3cycles as k
-from k3cycles.errors import InputError, NotPositiveDefiniteError, NotPositiveError
+from k3cycles import rootenum
+from k3cycles.errors import InputError, InternalCheckError, NotPositiveDefiniteError, NotPositiveError
 from k3cycles.linalg import hnf, int_kernel
 from k3cycles.rootenum import _enumerate_up_to
 
@@ -140,6 +141,77 @@ def test_roots_orthogonal_to_vprime_empty(k3, vprime):
     rl = k.roots_orthogonal_to_threespace(k3, vprime)
     assert rl.complete
     assert len(rl) == 0
+
+
+def _diag_threespace(signs):
+    lattice = k.IntegralLattice(k.make_standard_lattice("diag", signs=signs))
+    rows = [tuple(int(i == j) for j in range(len(signs))) for i in range(3)]
+    return lattice, k.ThreeSpace(ambient=lattice.space, basis=gauss_rows(rows))
+
+
+@pytest.mark.parametrize("negatives", [2, 4])
+def test_roots_of_odd_diagonal_complements_cross_blocks(negatives):
+    # The complement of span(e1, e2, e3) in diag(1,1,1,-1,...,-1) is <-1>^m: each
+    # coordinate is its own block and every root +-e_i +-e_j takes norm -1 from
+    # two of them, so a union of per-block roots would be empty.
+    lattice, v = _diag_threespace([1, 1, 1] + [-1] * negatives)
+    n = 3 + negatives
+    expect = sorted(
+        tuple(a if c == i else b if c == j else 0 for c in range(n))
+        for i in range(3, n)
+        for j in range(i + 1, n)
+        for a in (1, -1)
+        for b in (1, -1)
+    )
+    rl = k.roots_orthogonal_to_threespace(lattice, v)
+    assert rl.complete
+    assert len(rl) == {2: 4, 4: 24}[negatives]
+    assert list(rl.roots) == expect
+    with pytest.raises(ValueError, match="even blocks"):
+        block_sum_roots([row[3:] for row in lattice.gram_int[3:]])  # the one-block oracle refuses odd blocks
+
+
+@pytest.mark.parametrize("gram", [((0, 1), (1, 0)), ((1, 2), (2, 1)), ((2, 1, 0), (1, 2, 0), (0, 0, -1))])
+def test_lll_rejects_a_form_that_is_not_positive_definite(gram):
+    with pytest.raises(NotPositiveDefiniteError):
+        rootenum._lll(gram)
+
+
+def _patched_lll(monkeypatch, edit):
+    lll = rootenum._lll
+    monkeypatch.setattr(rootenum, "_lll", lambda gram: edit(*map(lambda m: [list(r) for r in m], lll(gram))))
+
+
+def test_certificate_rejects_a_transform_that_is_not_unimodular(monkeypatch, k3, vprime):
+    def double_first_row(H, reduced):
+        H[0] = [2 * x for x in H[0]]
+        return H, reduced
+
+    _patched_lll(monkeypatch, double_first_row)
+    with pytest.raises(InternalCheckError, match="unimodular"):
+        k.roots_orthogonal_to_threespace(k3, vprime)
+
+
+def test_certificate_rejects_a_reduced_gram_off_its_blocks(monkeypatch, k3, u3_diagonal):
+    # The reduced complement of the U^3 diagonal is A1^3 + E8 + E8; joining
+    # two of its blocks by a false entry must fail the ambient pairing check.
+    def join_two_blocks(H, reduced):
+        first, second = rootenum._components(reduced)[:2]
+        i, j = first[0], second[0]
+        assert reduced[i][j] == 0
+        reduced[i][j] = reduced[j][i] = 1
+        return H, reduced
+
+    _patched_lll(monkeypatch, join_two_blocks)
+    with pytest.raises(InternalCheckError, match="reduced Gram entry"):
+        k.roots_orthogonal_to_threespace(k3, u3_diagonal)
+
+
+def test_certificate_rejects_a_walk_beyond_its_radius(monkeypatch, k3, u3_diagonal):
+    walk = rootenum._enumerate_up_to
+    monkeypatch.setattr(rootenum, "_enumerate_up_to", lambda gram, radius: walk(gram, radius) + ((3,) * len(gram),))
+    with pytest.raises(InternalCheckError, match="outside the walk radius"):
+        k.roots_orthogonal_to_threespace(k3, u3_diagonal)
 
 
 def test_roots_orthogonal_requires_positive(k3):
