@@ -5,6 +5,7 @@ three-spaces as cycles."""
 
 from .errors import (
     AmbientMismatchError,
+    BudgetExceededError,
     DegenerateGramError,
     DimensionMismatchError,
     FrameError,

@@ -71,6 +71,12 @@ class InternalCheckError(K3CyclesError):
     code = "internal_check"
 
 
+class BudgetExceededError(K3CyclesError):
+    """A search would exceed its fixed work budget (the input is valid)."""
+
+    code = "budget_exceeded"
+
+
 class InputError(K3CyclesError):
     """Malformed structured input (JSON schema violations, bad flags)."""
 

@@ -54,8 +54,17 @@ def sparse_rows(gram):
 
 
 def gram_apply(rows, x):
-    """G x over the sparse rows of G."""
-    return [sum(g * x[j] for j, g in row) for row in rows]
+    """G x over the sparse rows of a symmetric G, visiting the nonzero x_j only.
+
+    G x = sum_j x_j G[j] reads row j of G as its column j, so G must be
+    symmetric; every Gram passed here is.
+    """
+    out = [0] * len(rows)
+    for xj, row in zip(x, rows):
+        if xj:
+            for i, g in row:
+                out[i] += g * xj
+    return out
 
 
 def pair_rows(rows, x, y):

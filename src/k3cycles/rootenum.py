@@ -16,6 +16,7 @@ from operator import add, itemgetter, le, mul
 
 from .errors import (
     AmbientMismatchError,
+    BudgetExceededError,
     DimensionMismatchError,
     InputError,
     InternalCheckError,
@@ -113,8 +114,14 @@ def orthogonal_complement_lattice(lattice: IntegralLattice, constraints) -> Subl
     """Saturated kernel {x in Z^n : <x, c> = 0 for all constraints c}."""
     rows = _constraint_rows(lattice, constraints)
     basis = int_kernel(rows) if rows else identity_int(lattice.n)
-    g = lattice.space.sparse_rows
-    restricted = tuple(tuple(pair_rows(g, bi, bj) for bj in basis) for bi in basis)
+    r = len(basis)
+    restricted = [[0] * r for _ in range(r)]
+    # One image G b_i per row, paired with b_j for j >= i and mirrored.
+    for i, bi in enumerate(basis):
+        image = gram_apply(lattice.space.sparse_rows, bi)
+        for j in range(i, r):
+            restricted[i][j] = restricted[j][i] = sum(map(mul, image, basis[j]))
+    restricted = tuple(map(tuple, restricted))
     return Sublattice(ambient=lattice, basis=basis, restricted_gram=restricted)
 
 
@@ -503,7 +510,7 @@ def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int)
             continue
         boxsize = math.prod(2 * W[k] + 1 for k in comp)
         if boxsize > 2_000_000:
-            raise InputError("bounded search box is too large for the indefinite block structure")
+            raise BudgetExceededError(f"indefinite block box of {boxsize} points exceeds the 2,000,000-point budget")
         box = itertools.product(*[range(-W[k], W[k] + 1) for k in comp])
         tables[comp[0]] = _block_table(g, basis, comp, box, limit)
     # A negative definite block needs norms down to -2 minus what the scanned

@@ -17,7 +17,7 @@ from .errors import (
     WallError,
 )
 from .gaussrat import GaussRational, as_fraction
-from .linalg import clear_denominators, det, is_zero_vec
+from .linalg import clear_denominators, det, hnf, is_zero_vec
 from .quadspace import (
     K3_GRAM,
     IntegralLattice,
@@ -28,6 +28,7 @@ from .quadspace import (
     gram_apply,
     hermitian_pair,
     pair_rows,
+    signature,
 )
 from .rootenum import RootList, bounded_root_search
 
@@ -183,6 +184,14 @@ def check_partition_property(lattice: IntegralLattice, plus, depth: int = 4) -> 
     Combinations are scanned with total coefficient sum up to `depth`; the
     first violation (coefficient vector over plus, offending root) is
     reported.
+
+    Total 2 is a scan of the pairs a < b.  If it finds nothing and the form
+    is negative definite on span(plus), no total finds anything (Humphreys,
+    Lie Algebras, 10.2; Bourbaki, Lie VI 1.6, Prop. 19): if a root
+    alpha = alpha_1 + ... + alpha_t, t >= 2, is not some alpha_i, then
+    (alpha, alpha_i) = -1 for some i, so alpha - alpha_i is a root of total
+    t - 1, in plus by induction, and alpha is a pair sum.  Other spans get
+    the scan of totals 3..depth.
     """
     if depth < 1:
         raise InputError(f"depth must be at least 1, got {depth}")
@@ -192,23 +201,41 @@ def check_partition_property(lattice: IntegralLattice, plus, depth: int = 4) -> 
         _require_root(lattice, r)
         if tuple(-x for x in r) in plus_set:
             raise InputError("plus must contain at most one of each +-pair")
-    # With P the integer Gram of plus (diagonal -2), the sum over a combination
-    # a_1 <= ... <= a_t has norm -2t + 2 sum_{i<j} P[a_i][a_j]: a root iff that
-    # sum is t - 1.  Row a of P is computed when a first needs it.
+    if depth == 1:
+        return PartitionCheck(ok=True)
+
+    def violation(combo):
+        vec = tuple(map(sum, zip(*(plus[idx] for idx in combo))))
+        if vec in plus_set:
+            return None
+        coeffs = [0] * len(plus)
+        for idx in combo:
+            coeffs[idx] += 1
+        return PartitionCheck(ok=False, violation=(tuple(coeffs), vec))
+
+    # With P the integer Gram of plus (diagonal -2), a pair sum is a root iff
+    # P[a][b] = 1.  upper[a][b - a] = P[a][b] for b >= a; row a is built when
+    # the pair scan reaches it, from one image G plus[a].
     sparse = lattice.space.sparse_rows
-    gram_plus = [None] * len(plus)
-    for total in range(2, depth + 1):
+    support = [[(j, x) for j, x in enumerate(r) if x] for r in plus]
+    upper = []
+    for a, r in enumerate(plus):
+        image = gram_apply(sparse, r)
+        upper.append([sum(image[j] * x for j, x in s) for s in support[a:]])
+        for b, p in enumerate(upper[a][1:], a + 1):
+            if p == 1 and (found := violation((a, b))):
+                return found
+    if depth == 2:
+        return PartitionCheck(ok=True)
+    basis = hnf(plus)
+    images = [gram_apply(sparse, v) for v in basis]
+    if signature([[sum(map(mul, gv, w)) for w in basis] for gv in images]) == (0, len(basis), 0):
+        return PartitionCheck(ok=True)
+    # Otherwise scan: the sum over a_1 <= ... <= a_t has norm
+    # -2t + 2 sum_{i<j} P[a_i][a_j], a root iff that sum is t - 1.
+    for total in range(3, depth + 1):
         for combo in combinations_with_replacement(range(len(plus)), total):
-            for a in combo[:-1]:
-                if gram_plus[a] is None:
-                    image = gram_apply(sparse, plus[a])
-                    gram_plus[a] = [sum(map(mul, image, s)) for s in plus]
-            if sum(gram_plus[a][b] for i, a in enumerate(combo) for b in combo[i + 1:]) != total - 1:
-                continue
-            vec = tuple(map(sum, zip(*(plus[idx] for idx in combo))))
-            if vec not in plus_set:
-                coeffs = [0] * len(plus)
-                for idx in combo:
-                    coeffs[idx] += 1
-                return PartitionCheck(ok=False, violation=(tuple(coeffs), vec))
+            pairs = sum(upper[a][b - a] for i, a in enumerate(combo) for b in combo[i + 1:])
+            if pairs == total - 1 and (found := violation(combo)):
+                return found
     return PartitionCheck(ok=True)

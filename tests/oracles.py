@@ -218,6 +218,24 @@ def dense_bilinear(gram, x, y):
     return total
 
 
+def reference_partition_scan(gram, plus, depth):
+    """First violation of the chamber property by exhaustive scan, or None.
+
+    Every multiset of plus-roots of total 2..depth is summed, in
+    combinations_with_replacement order, and its norm taken with
+    `dense_bilinear`; the first sum of norm -2 outside plus is returned as
+    (coefficients over plus, root).
+    """
+    plus = [tuple(r) for r in plus]
+    members = set(plus)
+    for total in range(2, depth + 1):
+        for combo in itertools.combinations_with_replacement(range(len(plus)), total):
+            vec = tuple(sum(plus[i][c] for i in combo) for c in range(len(gram)))
+            if dense_bilinear(gram, vec, vec) == -2 and vec not in members:
+                return tuple(combo.count(i) for i in range(len(plus))), vec
+    return None
+
+
 def dense_congruence(gram, g):
     """g^T gram g over every entry, in Fractions."""
     n = len(gram)

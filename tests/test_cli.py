@@ -118,6 +118,13 @@ def test_roots_bounded_with_constraints():
     assert e3f3 in doc["roots"]
 
 
+def test_roots_bounded_over_budget_is_typed():
+    # bound 1000 in U is a box of 2001^2 points, over the 2,000,000 budget
+    res = run("roots", "--kind", "U", "--norm", "-2", "--bound", "1000")
+    assert res.exit_code == 2
+    assert json.loads(res.output)["code"] == "budget_exceeded"
+
+
 def test_lattice_info_diag():
     doc = json.loads(run_ok("lattice-info", "--kind", "diag", "--signs", "1,1,1,-1"))
     assert doc["signature"] == [3, 1, 0]

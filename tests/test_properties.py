@@ -34,6 +34,7 @@ from oracles import (
     reference_conic_sweep,
     reference_in_O_plus,
     reference_inertia,
+    reference_partition_scan,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -423,6 +424,48 @@ def test_partition_by_chamber_is_scale_invariant(kappa, scale):
     assert part.plus == part_scaled.plus == tuple(r for r, s in zip(PARTITION_ROOTS.roots, pairings) if s > 0)
     assert part.minus == part_scaled.minus == tuple(r for r, s in zip(PARTITION_ROOTS.roots, pairings) if s < 0)
     assert (part.kappa, part_scaled.kappa) == (kappa, scaled)
+
+
+# Positive-definite Cartan forms whose negatives carry the root systems of the
+# partition scan test: A_2..A_5, D_4, D_5 and E8.
+SCAN_SYSTEMS = (_a(2), _a(3), _a(4), _a(5), _d(4), _d(5), k.E8_GRAM)
+
+
+@st.composite
+def partition_scan_cases(draw):
+    """(lattice, plus, depth): a positive system of the negated form from a
+    generic kappa, as it is, with one non-simple root flipped in place, or a
+    random subset.  E8 has 120 positive roots, too many for the exhaustive
+    oracle unless a flip stops it early, so its unflipped draws are subsets
+    of at most 12 roots."""
+    gram = draw(st.sampled_from(SCAN_SYSTEMS))
+    n = len(gram)
+    roots = k.enumerate_norm_vectors(gram, 2)  # inputs only; the oracle below decides
+    kappa = draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n))
+    signs = [sum(a * g * b for a, row in zip(kappa, gram) for g, b in zip(row, r)) for r in roots]
+    assume(0 not in signs)
+    plus = [r for r, s in zip(roots, signs) if s > 0]  # kappa . G . r > 0, i.e. <kappa, r> < 0 in -G
+    mode = draw(st.sampled_from(("as", "flip", "subset")))
+    if mode == "as" and n == 8:
+        mode = "subset"
+    if mode == "flip":
+        members = set(plus)
+        non_simple = [r for r in plus if any(tuple(a - b for a, b in zip(r, s)) in members for s in plus)]
+        i = plus.index(draw(st.sampled_from(non_simple)))
+        plus[i] = tuple(-x for x in plus[i])
+    elif mode == "subset":
+        plus = draw(st.lists(st.sampled_from(plus), min_size=1, max_size=min(len(plus), 12), unique=True))
+    lattice = k.IntegralLattice(k.QuadraticSpace(tuple(tuple(-x for x in row) for row in gram)))
+    return lattice, plus, draw(st.integers(3, 4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(partition_scan_cases())
+def test_partition_property_matches_exhaustive_scan(case):
+    lattice, plus, depth = case
+    got = k.check_partition_property(lattice, plus, depth)
+    want = reference_partition_scan(lattice.gram_int, plus, depth)
+    assert (got.ok, got.violation) == (want is None, want)
 
 
 DIAG6 = k.make_standard_lattice("diag", signs=[1, 1, 1, -1, -1, -1])

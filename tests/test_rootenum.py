@@ -5,7 +5,7 @@ import pytest
 
 import k3cycles as k
 from k3cycles import rootenum
-from k3cycles.errors import InputError, InternalCheckError, NotPositiveDefiniteError, NotPositiveError
+from k3cycles.errors import BudgetExceededError, InputError, InternalCheckError, NotPositiveDefiniteError, NotPositiveError
 from k3cycles.linalg import hnf, int_kernel
 from k3cycles.rootenum import _enumerate_up_to
 
@@ -264,6 +264,15 @@ def test_bounded_search_matches_scan_in_u3():
         if dense_bilinear(u3.gram_int, v, v) == -2
     )
     assert list(got.roots) == expect
+
+
+def test_bounded_search_box_budget(hyperbolic):
+    # U is one indefinite block: bound b scans (2b + 1)^2 coefficient vectors,
+    # at most 2,000,000 of them.
+    with pytest.raises(BudgetExceededError) as err:
+        k.bounded_root_search(hyperbolic, [], 707)  # 1415^2 = 2,002,225 points; 1413^2 at bound 706 would pass
+    assert err.value.code == "budget_exceeded"
+    assert isinstance(err.value, k.K3CyclesError) and not isinstance(err.value, InputError)
 
 
 def test_bounded_search_trivial_cases(k3):

@@ -272,3 +272,66 @@ def test_chamber_transport_a2(k3):
     refl_kappa = tuple(k.reflect(k3, d1, kappa))
     part2 = k.partition_by_chamber(k3, rl, refl_kappa)
     assert set(part2.plus) == {tuple(-x for x in d1), d2, s}
+
+
+# U + U in coordinates (e1, f1, e2, f2).
+UU_GRAM = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+# Span semidefinite with a radical: Gram [[-2, 2], [2, -2]], signature (0, 1, 1).
+UU_SEMIDEFINITE = [(-1, 1, -2, 0), (-1, -1, 2, -1)]
+# Span indefinite, signature (2, 2, 0).
+UU_INDEFINITE = [(-1, 1, 0, 2), (1, 1, 2, -1), (0, -2, 1, -1), (2, 0, -1, 1)]
+
+
+def _uu():
+    return k.IntegralLattice(k.QuadraticSpace(UU_GRAM))
+
+
+def _e8_neg_positive_system(e8_neg):
+    kappa = (1, 10, 100, 1000, 10**4, 10**5, 10**6, 10**7)  # generic: off every wall
+    roots = k.enumerate_norm_vectors(k.E8_GRAM, 2)
+    plus = [r for r in roots if k.bilinear(e8_neg, kappa, r) > 0]
+    assert len(plus) == 120
+    return plus
+
+
+def test_partition_property_semidefinite_span_keeps_scanning():
+    uu = _uu()
+    assert k.signature([[k.bilinear(uu, x, y) for y in UU_SEMIDEFINITE] for x in UU_SEMIDEFINITE]) == (0, 1, 1)
+    assert k.check_partition_property(uu, UU_SEMIDEFINITE, depth=2).ok
+    bad = k.check_partition_property(uu, UU_SEMIDEFINITE, depth=3)
+    assert bad.violation == ((2, 1), (-3, 1, -2, -1))
+
+
+def test_partition_property_indefinite_span_keeps_scanning():
+    uu = _uu()
+    assert k.signature([[k.bilinear(uu, x, y) for y in UU_INDEFINITE] for x in UU_INDEFINITE]) == (2, 2, 0)
+    assert k.check_partition_property(uu, UU_INDEFINITE, depth=2).ok
+    bad = k.check_partition_property(uu, UU_INDEFINITE, depth=3)
+    assert bad.violation == ((1, 0, 1, 1), (1, -1, 0, 2))
+
+
+def test_partition_property_e8_positive_system_depth_4(e8_neg):
+    plus = _e8_neg_positive_system(e8_neg)
+    assert k.check_partition_property(e8_neg, plus, depth=4) == k.PartitionCheck(ok=True)
+    members = set(plus)
+    r = next(r for r in plus if any(tuple(a - b for a, b in zip(r, s)) in members for s in plus))  # not simple
+    flipped = [tuple(-x for x in r)] + [s for s in plus if s != r]
+    coeffs, delta = k.check_partition_property(e8_neg, flipped, depth=4).violation
+    assert sum(coeffs) == 2 and delta not in flipped and k.bilinear(e8_neg, delta, delta) == -2
+
+
+class _Scanned(Exception):
+    pass
+
+
+def test_partition_property_scans_only_spans_that_are_not_negative_definite(e8_neg, monkeypatch):
+    def scan(*args):
+        raise _Scanned
+
+    monkeypatch.setattr(k.weyl, "combinations_with_replacement", scan)
+    # Negative definite: the pairs decide every depth.
+    assert k.check_partition_property(e8_neg, _e8_neg_positive_system(e8_neg), depth=4).ok
+    for plus in (UU_SEMIDEFINITE, UU_INDEFINITE):
+        assert k.check_partition_property(_uu(), plus, depth=2).ok
+        with pytest.raises(_Scanned):
+            k.check_partition_property(_uu(), plus, depth=3)
