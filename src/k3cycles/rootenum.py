@@ -1,6 +1,13 @@
-"""Root enumeration: saturated orthogonal complements, integral LLL reduction
-and exact Fincke-Pohst branch-and-bound in definite lattices, and bounded
-searches in indefinite ones.
+"""Root enumeration: saturated orthogonal complements, integral LLL reduction,
+exact Fincke-Pohst branch-and-bound in definite lattices, and one block join.
+
+Both root searches end in `_block_roots`: the form on a lattice basis splits
+into orthogonal blocks, each block's ambient partials are tabulated by block
+norm (walked if LDL^T finds the block negative definite, else box-scanned),
+and the tables are joined to norm -2; in <-1> + <-1> the root (1, 1) takes
+norm -1 from each block.  The complete search joins the LLL-reduced
+complement of a positive three-space without a bound, `bounded_root_search`
+the constraint kernel over a coordinate box.
 
 All enumeration output is lexicographically sorted and lists x and -x
 explicitly, so CLI output is reproducible byte for byte.
@@ -26,7 +33,7 @@ from .errors import (
 )
 from .gaussrat import as_fraction
 from .linalg import clear_denominators, det, identity_int, int_kernel, mat
-from .quadspace import IntegralLattice, gram_apply, pair_rows, signature, sparse_rows
+from .quadspace import IntegralLattice, gram_apply, pair_rows, sparse_rows
 
 
 @dataclass(frozen=True)
@@ -153,6 +160,15 @@ def _ldl(gram):
     dens = [p * q for p, q in zip(lead, [1] + lead)]
     scale = math.lcm(*dens)
     return lead, low, [scale // d for d in dens], scale
+
+
+def _positive_definite(gram) -> bool:
+    """Whether an integer Gram is positive definite: its LDL^T completes."""
+    try:
+        _ldl(gram)
+    except NotPositiveDefiniteError:
+        return False
+    return True
 
 
 def _int_interval(s: int, lead: int, bound: int):
@@ -297,26 +313,6 @@ def _lll(gram):
     return tuple(map(tuple, h)), tuple(map(tuple, g))
 
 
-def _block_norm_table(block, rows, n):
-    """The vectors t of norm <= 2 in a positive-definite block, as ambient
-    partials sum t_k rows[k] grouped by t^T block t, which is accumulated
-    exactly over the block's sparse rows, one nonzero t_k at a time."""
-    block_rows, live = sparse_rows(block), sparse_rows(rows)
-    table = {}
-    for t in _enumerate_up_to(block, 2):
-        x, norm = [0] * n, 0
-        for tk, brow, arow in zip(t, block_rows, live):
-            if tk:
-                for j, g in brow:
-                    norm += tk * g * t[j]
-                for c, b in arow:
-                    x[c] += tk * b
-        if not 0 <= norm <= 2:
-            raise InternalCheckError(f"block vector {t} has norm {norm} outside the walk radius 2")
-        table.setdefault(norm, []).append(tuple(x))
-    return table
-
-
 def _check_reduction(g, H, rows, reduced):
     """Certificate of an LLL step: H is unimodular and the ambient Gram of
     the reduced rows is -reduced entrywise."""
@@ -332,17 +328,12 @@ def _check_reduction(g, H, rows, reduced):
 def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> RootList:
     """Complete list of roots of the lattice orthogonal to a positive three-space.
 
-    The negated form on the saturated complement is LLL-reduced; each
-    connected block of the reduced Gram is walked up to norm 2, its vectors
-    grouped by their block norm, and the blocks are joined to total norm 2.
-    The join is needed: a root of an orthogonal sum lies in one block only
-    when the blocks are even (in <-1> + <-1> the root (1, 1) takes norm -1
-    from each block).
-    One certificate per call stands for a norm check per root: det H = +-1
-    (the reduced rows span the complement), the ambient Gram of the reduced
-    rows is -reduced entrywise (so block norms add up to ambient norms), and
-    every block vector's group is its exact block norm, within the walk's
-    radius.
+    The negated form on the saturated complement is LLL-reduced and the
+    blocks of the reduced basis are joined without a bound.  One certificate
+    per call stands for a norm check per root: det H = +-1 (the reduced rows
+    span the complement), the ambient Gram of the reduced rows is -reduced
+    entrywise (so block norms add up to ambient norms), and every block
+    vector's norm is exact and within the walk's radius.
     """
     if threespace.ambient != lattice.space:
         raise AmbientMismatchError("three-space ambient does not match lattice")
@@ -355,11 +346,7 @@ def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> Root
     H, reduced = _lll(tuple(tuple(-x for x in row) for row in sub.restricted_gram))
     rows = [sub.to_ambient(t) for t in H]
     _check_reduction(lattice.space.sparse_rows, H, rows, reduced)
-    tables = []
-    for comp in _components(reduced):
-        block = [[reduced[i][j] for j in comp] for i in comp]
-        tables.append(_block_norm_table(block, [rows[k] for k in comp], lattice.n))
-    roots = _join(tables, 2, None, lattice.n, [])
+    roots = _block_roots(lattice.n, rows, tuple(tuple(-x for x in row) for row in reduced), None)
     roots.sort()
     return RootList(roots=tuple(roots), complete=True)
 
@@ -394,15 +381,6 @@ def _components(m):
     return comps
 
 
-def _box_slack(sparse_basis, W, rows_excluded, n):
-    """Per ambient coordinate: max |contribution| of the excluded rows."""
-    slack = [0] * n
-    for k in rows_excluded:
-        for c, b in sparse_basis[k]:
-            slack[c] += abs(b) * W[k]
-    return slack
-
-
 def _coefficient_bounds(basis, bound):
     """W_j = floor(bound * sum_i |(M^-1 B)_{j,i}|) for B = basis, M = B B^T.
 
@@ -424,20 +402,31 @@ def _coefficient_bounds(basis, bound):
     return [bound * sum(map(abs, row[r:])) // prev for row in a]
 
 
-def _block_table(gram_rows, sparse_basis, comp, coeffs, limit):
-    """Ambient partials sum_k t_k basis[k] over the block's rows, for the
-    coefficient vectors t, inside the per-coordinate limit, grouped by norm."""
-    live = [sparse_basis[k] for k in comp]
+def _block_table(block, rows, coeffs, limit, radius):
+    """The ambient partials sum_k t_k rows[k] of one block, grouped by the
+    exact block norm t^T block t, for the coefficient vectors t whose partial
+    lies inside the per-coordinate limit (every t when limit is None).  A
+    walked block's norms must lie in [-radius, 0]."""
+    n, live = len(rows[0]), sparse_rows(rows)
+    # t^T block t over the upper triangle, with off-diagonal entries doubled
+    upper = [[(j, g if j == k else 2 * g) for j, g in row if j >= k] for k, row in enumerate(sparse_rows(block))]
     table = {}
     for t in coeffs:
-        x = [0] * len(limit)
-        for tv, row in zip(t, live):
-            if tv:
+        x = [0] * n
+        for tk, row in zip(t, live):
+            if tk:
                 for c, b in row:
-                    x[c] += tv * b
-        if all(map(le, map(abs, x), limit)):
-            x = tuple(x)
-            table.setdefault(pair_rows(gram_rows, x, x), []).append(x)
+                    x[c] += tk * b
+        if limit is not None and not all(map(le, map(abs, x), limit)):
+            continue
+        norm = 0
+        for tk, row in zip(t, upper):
+            if tk:
+                for j, g in row:
+                    norm += tk * g * t[j]
+        if radius is not None and not -radius <= norm <= 0:
+            raise InternalCheckError(f"block vector {t} has norm {norm} outside the walk radius {radius}")
+        table.setdefault(norm, []).append(tuple(x))
     return table
 
 
@@ -473,54 +462,64 @@ def _join(tables, target, bound, n, shared):
     return out
 
 
-def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int) -> RootList:
-    """All roots satisfying the constraints with every ambient coordinate in
-    [-coord_bound, coord_bound]; complete=False records the box semantics.
+def _block_roots(n, rows, gram, coord_bound):
+    """The vectors x = sum_k t_k rows[k] (length n) with t^T gram t = -2, and
+    every coordinate in [-coord_bound, coord_bound] unless coord_bound is None.
 
-    The constraint kernel carries the restricted form, which splits into
-    orthogonal blocks whose norms add.  Each block's coefficients are bounded
-    over the box; a block contributes its ambient partial vectors, grouped by
-    block norm: short vectors for negative definite blocks (down to the
-    lowest norm the other blocks can make up), a box scan otherwise.  The
-    partials are joined by norm and the box decides at the leaf, on the
-    coordinates that two blocks share.  Neither stage discards a vector of
-    the box, so the output equals the exhaustive filtered scan.
+    Negative definite blocks are walked down to -2 minus the most the scanned
+    blocks can add.  With a bound, every coefficient is bounded over the box
+    by W, other blocks are scanned over their W-box (at most 2,000,000
+    points), a per-coordinate filter that allows for what the other blocks
+    can add drops partials that cannot reach the box, and the join tests the
+    box on the coordinates two blocks share.  Without a bound every block
+    must be negative definite and all are walked, unfiltered.
     """
-    if coord_bound < 0:
-        raise InputError("coordinate bound must be >= 0")
-    sub = orthogonal_complement_lattice(lattice, constraints)
-    basis, C, r = sub.sparse_basis, sub.restricted_gram, sub.rank
-    if r == 0 or coord_bound == 0:
-        return RootList(roots=(), complete=False, bound_used=coord_bound)
-    n = lattice.n
-    g = lattice.space.sparse_rows
-    W = _coefficient_bounds(sub.basis, coord_bound)
-    comps = _components(C)
-    # A coordinate touched by the rows of one block only gets no slack, so its block's filter settles it.
-    touched = [{c for k in comp for c, _ in basis[k]} for comp in comps]
-    shared = [c for c in range(n) if sum(c in t for t in touched) > 1]
-
-    tables, negdef = {}, []
-    for comp in comps:
-        sub = tuple(tuple(C[i][j] for j in comp) for i in comp)
-        limit = [coord_bound + s for s in _box_slack(basis, W, [k for k in range(r) if k not in comp], n)]
-        pos, _, null = signature(sub)
-        if pos == 0 and null == 0:
-            negdef.append((comp, sub, limit))
+    comps = _components(gram)
+    blocks = [tuple(tuple(gram[i][j] for j in comp) for i in comp) for comp in comps]
+    negs = [tuple(tuple(-x for x in row) for row in block) for block in blocks]
+    limits, shared = [None] * len(comps), []
+    if coord_bound is not None:
+        sparse, W = sparse_rows(rows), _coefficient_bounds(rows, coord_bound)
+        limits = [[coord_bound] * n for _ in comps]
+        for i, j in itertools.permutations(range(len(comps)), 2):  # block i's limit allows for what block j can add
+            for k in comps[j]:
+                for c, b in sparse[k]:
+                    limits[i][c] += abs(b) * W[k]
+        # A coordinate touched by the rows of one block only gets no slack, so its block's filter settles it.
+        touched = [{c for k in comp for c, _ in sparse[k]} for comp in comps]
+        shared = [c for c in range(n) if sum(c in t for t in touched) > 1]
+    tables, walked = {}, []
+    for i, comp in enumerate(comps):
+        if coord_bound is None or _positive_definite(negs[i]):
+            walked.append(i)
             continue
         boxsize = math.prod(2 * W[k] + 1 for k in comp)
         if boxsize > 2_000_000:
             raise BudgetExceededError(f"indefinite block box of {boxsize} points exceeds the 2,000,000-point budget")
         box = itertools.product(*[range(-W[k], W[k] + 1) for k in comp])
-        tables[comp[0]] = _block_table(g, basis, comp, box, limit)
-    # A negative definite block needs norms down to -2 minus what the scanned
-    # blocks can add at most.
+        tables[i] = _block_table(blocks[i], [rows[k] for k in comp], box, limits[i], None)
     radius = 2 + sum(max(table) for table in tables.values())
-    for comp, sub, limit in negdef:
-        neg = tuple(tuple(-x for x in row) for row in sub)
-        tables[comp[0]] = _block_table(g, basis, comp, _enumerate_up_to(neg, radius), limit)
+    for i in walked:
+        tables[i] = _block_table(blocks[i], [rows[k] for k in comps[i]], _enumerate_up_to(negs[i], radius), limits[i], radius)
+    return _join([tables[i] for i in sorted(tables)], -2, coord_bound, n, shared)
 
-    roots = _join([tables[c] for c in sorted(tables)], -2, coord_bound, n, shared)
+
+def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int) -> RootList:
+    """All roots satisfying the constraints with every ambient coordinate in
+    [-coord_bound, coord_bound]; complete=False records the box semantics.
+
+    The roots lie in the saturated constraint kernel, whose blocks
+    `_block_roots` joins over the box, so the output equals the exhaustive
+    filtered scan; every root is then re-checked in ambient coordinates.
+    """
+    if isinstance(coord_bound, bool) or not isinstance(coord_bound, int):
+        raise InputError(f"coordinate bound must be an integer, got {coord_bound!r}")
+    if coord_bound < 0:
+        raise InputError("coordinate bound must be >= 0")
+    sub = orthogonal_complement_lattice(lattice, constraints)
+    if sub.rank == 0 or coord_bound == 0:
+        return RootList(roots=(), complete=False, bound_used=coord_bound)
+    roots = _block_roots(lattice.n, sub.basis, sub.restricted_gram, coord_bound)
     roots.sort()
     _check_norms(lattice.gram_int, roots, -2, coord_bound)
     return RootList(roots=tuple(roots), complete=False, bound_used=coord_bound)

@@ -28,9 +28,8 @@ from .quadspace import (
     gram_apply,
     hermitian_pair,
     pair_rows,
-    signature,
 )
-from .rootenum import RootList, bounded_root_search
+from .rootenum import RootList, _positive_definite, bounded_root_search
 
 
 @dataclass(frozen=True)
@@ -193,6 +192,8 @@ def check_partition_property(lattice: IntegralLattice, plus, depth: int = 4) -> 
     t - 1, in plus by induction, and alpha is a pair sum.  Other spans get
     the scan of totals 3..depth.
     """
+    if isinstance(depth, bool) or not isinstance(depth, int):
+        raise InputError(f"depth must be an integer, got {depth!r}")
     if depth < 1:
         raise InputError(f"depth must be at least 1, got {depth}")
     plus = [tuple(r) for r in plus]
@@ -229,7 +230,7 @@ def check_partition_property(lattice: IntegralLattice, plus, depth: int = 4) -> 
         return PartitionCheck(ok=True)
     basis = hnf(plus)
     images = [gram_apply(sparse, v) for v in basis]
-    if signature([[sum(map(mul, gv, w)) for w in basis] for gv in images]) == (0, len(basis), 0):
+    if _positive_definite([[-sum(map(mul, gv, w)) for w in basis] for gv in images]):
         return PartitionCheck(ok=True)
     # Otherwise scan: the sum over a_1 <= ... <= a_t has norm
     # -2t + 2 sum_{i<j} P[a_i][a_j], a root iff that sum is t - 1.

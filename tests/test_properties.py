@@ -6,7 +6,7 @@ test and rational parsing against the independent oracles in oracles.py, on
 random inputs drawn by hypothesis."""
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 
 import mpmath
 import pytest
@@ -19,7 +19,7 @@ from k3cycles.errors import DimensionMismatchError, InputError, NonPositiveKappa
 from k3cycles.gaussrat import GaussRational, parse_rational
 from k3cycles.linalg import conj_vec, det, hnf, int_kernel, mat_mul, rref
 from k3cycles.quadspace import congruence_diagonal, gram_apply, pair_rows, sparse_rows
-from k3cycles.rootenum import _coefficient_bounds, _enumerate_up_to, _lll
+from k3cycles.rootenum import _coefficient_bounds, _enumerate_up_to, _lll, _positive_definite
 
 from oracles import (
     _floor_sqrt,
@@ -128,6 +128,9 @@ def bounded_search_cases(draw):
 # U + U + A1(-1): 8 of the 12 roots need the slack, a block partial outside
 # the box that the other block brings back into it.
 @example((_block_sum((U_GRAM, U_GRAM, ((-2,),))), [(-1, -1, 1, 2, 1)], 1))
+# A1(-1) + U: the kernel of (1, 1, 1) is one block [[-2, 2], [2, -2]] of
+# signature (0, 1, 1), which must be box-scanned, not walked; 2 roots.
+@example((_block_sum((((-2,),), U_GRAM)), [(1, 1, 1)], 1))
 def test_bounded_search_matches_box_scan(case):
     gram, constraints, bound = case
     lattice = k.IntegralLattice(k.QuadraticSpace(gram))
@@ -549,6 +552,8 @@ def test_congruence_diagonal_is_exact_and_invertible(case):
             assert value == (d[i] if i == j else 0)
     assert det(S) != 0
     assert k.signature(m) == reference_inertia(m)
+    den = lcm(*(x.denominator for row in m for x in row))
+    assert _positive_definite([[x.numerator * (den // x.denominator) for x in row] for row in m]) == (reference_inertia(m) == (n, 0, 0))
 
 
 @st.composite

@@ -214,6 +214,19 @@ def test_certificate_rejects_a_walk_beyond_its_radius(monkeypatch, k3, u3_diagon
         k.roots_orthogonal_to_threespace(k3, u3_diagonal)
 
 
+@pytest.mark.parametrize("fixture, count", [("u3_diagonal", 486), ("vprime", 0)])
+def test_complete_search_walks_every_block_without_a_bound(monkeypatch, request, k3, fixture, count):
+    # The reduced complement is negative definite, so the unbounded join
+    # neither bounds coefficients nor tests a block for definiteness.
+    def refuse(*args):
+        raise AssertionError("the complete search has no box")
+
+    monkeypatch.setattr(rootenum, "_coefficient_bounds", refuse)
+    monkeypatch.setattr(rootenum, "_positive_definite", refuse)
+    rl = k.roots_orthogonal_to_threespace(k3, request.getfixturevalue(fixture))
+    assert (rl.complete, len(rl)) == (True, count)
+
+
 def test_roots_orthogonal_requires_positive(k3):
     neg = [uvec(0), uvec(1)]
     third = [Q(0)] * 22
@@ -273,6 +286,14 @@ def test_bounded_search_box_budget(hyperbolic):
         k.bounded_root_search(hyperbolic, [], 707)  # 1415^2 = 2,002,225 points; 1413^2 at bound 706 would pass
     assert err.value.code == "budget_exceeded"
     assert isinstance(err.value, k.K3CyclesError) and not isinstance(err.value, InputError)
+
+
+@pytest.mark.parametrize("kind, bound", [("E8_neg", 1.5), ("U", 1.5), ("E8_neg", True), ("U", Q(1))])
+def test_bounded_search_rejects_a_bound_that_is_not_an_int(kind, bound):
+    # A float once gave 88 E8(-1) roots reported at bound 1.5, and True was
+    # reported as bound_used=True, which the JSON decoder refuses.
+    with pytest.raises(InputError, match="coordinate bound must be an integer"):
+        k.bounded_root_search(k.make_standard_lattice(kind), [], bound)
 
 
 def test_bounded_search_trivial_cases(k3):

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "k3cycles"
 
@@ -153,3 +155,12 @@ def test_only_quadspace_and_jsonio_read_the_rational_gram():
         if isinstance(node, ast.Attribute) and node.attr == "gram" and isinstance(node.ctx, ast.Load)
     ]
     assert not found, f"modules other than quadspace and jsonio read .gram: {found}"
+
+
+def test_benchmark_smoke_run_passes():
+    # Each workload on its first two inputs, every result checked against
+    # values computed apart from k3cycles (perfbench/checks.py): the twistor
+    # fixtures, the chamber Delta_p point and the domain and reflect samples.
+    root = SRC.parent.parent
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"], cwd=root, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

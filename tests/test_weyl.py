@@ -245,6 +245,14 @@ def test_partition_property_rejects_sign_pair(k3):
         k.check_partition_property(k3, [d, tuple(-x for x in d)])
 
 
+@pytest.mark.parametrize("depth", [2.5, True, "3"])
+def test_partition_property_rejects_a_depth_that_is_not_an_int(e8_neg, depth):
+    # depth 2.5 once returned ok after the pair scan.
+    d1, d2, _ = _a2_triple(e8_neg)
+    with pytest.raises(InputError, match="depth must be an integer"):
+        k.check_partition_property(e8_neg, [d1, d2], depth=depth)
+
+
 @pytest.mark.parametrize("depth", [0, -3])
 def test_partition_property_rejects_depth_below_one(e8_neg, depth):
     d1, d2, _ = _a2_triple(e8_neg)
