@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from fractions import Fraction
 
 import click
 
@@ -219,9 +218,7 @@ def cycle_intersect(input_path, delta, precision):
 def cycle_sweep_example(t_values, rank):
     """Exact classification sweep of the deformation family V_t."""
     ts = [parse_rational(s) for s in t_values.split(",")]
-    records = []
-    for t in ts:
-        records.append({"t": jsonio.encode_rational(Fraction(t)), **exact_classification(example_family(t, n=rank))})
+    records = [{"t": jsonio.encode_rational(t), **exact_classification(example_family(t, n=rank))} for t in ts]
     _emit({"rank": rank, "family": records})
 
 

@@ -14,24 +14,26 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from math import isqrt, lcm
-from operator import mul
+from math import isqrt
+from operator import floordiv, mul
 
 import mpmath
 from mpmath.libmp import from_rational, mpf_shift, to_int
 
 from .errors import AmbientMismatchError, DimensionMismatchError, InputError, InternalCheckError
 from .gaussrat import GaussRational, as_fraction
-from .linalg import apply_matrix, det, hnf, is_zero_vec, mat, rank
+from .linalg import _det_bareiss, apply_matrix, hnf, is_zero_vec, mat, rank
 from .quadspace import (
     IntegralLattice,
     Isometry,
     QuadraticSpace,
+    _gauss_ints,
+    _hermitian_inertia,
+    _realify,
     bilinear,
     congruence_diagonal,
     gram_apply,
     gram_of,
-    hermitian_signature,
     make_standard_lattice,
 )
 from .rootenum import roots_orthogonal_to_threespace
@@ -52,9 +54,9 @@ def resolve_precision(bits=None) -> int:
             bits = int(env)
         except ValueError as exc:
             raise InputError(f"bad {PRECISION_ENV_VAR} value {env!r}") from exc
-    if int(bits) < MIN_PRECISION_BITS:
-        raise InputError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {bits}")
-    return int(bits)
+    if isinstance(bits, bool) or not isinstance(bits, int) or bits < MIN_PRECISION_BITS:
+        raise InputError(f"precision must be an integer of at least {MIN_PRECISION_BITS} bits, got {bits!r}")
+    return bits
 
 
 @dataclass(frozen=True)
@@ -116,8 +118,8 @@ class ThreeSpace:
 
     @cached_property
     def hermitian_inertia(self):
-        """Inertia (pos, neg, null) of the Hermitian Gram, computed once."""
-        return hermitian_signature(self.hermitian_gram())
+        """Inertia (pos, neg, null) of the Hermitian Gram, computed once in integers."""
+        return _hermitian_inertia(self.gram_ints[1])
 
     def is_real(self) -> bool:
         return self._real
@@ -234,8 +236,8 @@ def classify_cycle(
     lattice context; without one it reports not applicable.
     """
     bits = resolve_precision(precision)
-    if samples < 1:
-        raise InputError(f"samples must be at least 1, got {samples}")
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise InputError(f"samples must be an integer of at least 1, got {samples!r}")
     exact = exact_classification(threespace)
     if lattice is None:
         twistor = TwistorStatus(status="not_applicable", reason="no integral lattice context")
@@ -249,11 +251,11 @@ def classify_cycle(
 
 
 def exact_classification(threespace: ThreeSpace) -> dict:
-    """The exact fields of a CycleClassification, in field order: smooth,
-    hermitian_signature, real and positive."""
+    """The exact fields of a CycleClassification, in field order: smooth (the
+    realification of A has determinant |det A|^2), hermitian_signature, real and positive."""
     hsig = threespace.hermitian_inertia
     return {
-        "smooth": det(threespace.symmetric_gram()) != 0,
+        "smooth": _det_bareiss(_realify(threespace.gram_ints[0]), floordiv) != 0,
         "hermitian_signature": hsig,
         "real": threespace.is_real(),
         "positive": hsig == (3, 0, 0),
@@ -318,13 +320,6 @@ PENCIL_DEN = 119  # 17 * 7, the common denominator of the pencil parameters
 def _gdot(u, v):
     """sum_i u_i v_i over Gaussian integers."""
     return (sum(a * c - b * d for (a, b), (c, d) in zip(u, v)), sum(a * d + b * c for (a, b), (c, d) in zip(u, v)))
-
-
-def _gauss_ints(rows):
-    """(re, im, d): GaussRational rows = (re + i im) / d with integer re and im rows and d > 0."""
-    parts = [[(z.re, z.im) for z in row] for row in rows]
-    d = lcm(*(x.denominator for row in parts for z in row for x in z))
-    return tuple(tuple(tuple(z[t].numerator * (d // z[t].denominator) for z in row) for row in parts) for t in (0, 1)) + (d,)
 
 
 def _gauss_matrix(pairs, den):

@@ -87,6 +87,48 @@ def _det_bareiss(m, div):
     return sign * a[n - 1][n - 1]
 
 
+def _symmetric_bareiss(m):
+    """Fraction-free congruence elimination of a symmetric integer matrix m.
+
+    Returns (order, lead, low, splits): the pivots in order; the Bareiss pivots,
+    lead[k] = lead[k-1] times the k-th rational pivot; per step the nonzero
+    pairs (r, a) of the pivot column over the active rows r; {step: j} where
+    pivot p was split as x_p + x_j.  The pivot is the first active index with
+    a nonzero diagonal, else the first nonzero pair (p, j) is split; the
+    radical is left.  Lower triangle only, no transform, exact divisions.
+    """
+    a = [list(row[:i + 1]) for i, row in enumerate(m)]
+    active = list(range(len(m)))
+    order, lead, low, splits = [], [], [], {}
+    col, prev = [0] * len(m), 1
+    while active:
+        p = next((i for i in active if a[i][i]), None)
+        if p is None:
+            p, j = next(((i, j) for ii, i in enumerate(active) for j in active[ii + 1:] if a[j][i]), (None, None))
+            if p is None:
+                break
+            splits[len(order)] = j
+            for c in active:  # row and column p gain those of j; a[j][j] = 0
+                r, s = (p, c) if c < p else (c, p)
+                a[r][s] += a[j][c] if c < j else a[c][j]
+            a[p][p] *= 2
+        active.remove(p)
+        for r in active:
+            col[r] = a[r][p] if r > p else a[p][r]
+        piv, pairs = a[p][p], []
+        for ii, r in enumerate(active, 1):
+            row, x = a[r], col[r]
+            if x:
+                pairs.append((r, x))
+            for c in active[:ii]:
+                row[c] = (row[c] * piv - x * col[c]) // prev
+        order.append(p)
+        lead.append(piv)
+        low.append(tuple(pairs))
+        prev = piv
+    return order, lead, low, splits
+
+
 def det(m):
     """Determinant: a Fraction, a GaussRational when an entry is one, Fraction(0) when singular.
 

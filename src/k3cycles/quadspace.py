@@ -22,14 +22,13 @@ from .errors import (
     DegenerateGramError,
     DimensionMismatchError,
     InputError,
-    InternalCheckError,
     NotHermitianError,
     NotIntegralError,
     NotIsometryError,
     NotSymmetricError,
 )
-from .gaussrat import GaussRational, as_fraction
-from .linalg import conj_vec, det, mat
+from .gaussrat import GaussRational
+from .linalg import _symmetric_bareiss, conj_vec, det, mat
 
 # Chain basis of E8 in the D8+glue model: rows are
 #   (1/2,...,1/2), e1+e2, e2-e1, e3-e2, e4-e3, e5-e4, e6-e5, e7-e6
@@ -93,10 +92,8 @@ class QuadraticSpace:
         rows = mat(gram)
         if not rows:
             raise DimensionMismatchError("gram matrix must be square and nonempty")
-        if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):
-            raise TypeError("gram entries must be exact rationals (int or Fraction)")
-        den = lcm(*(x.denominator for row in rows for x in row))
-        g, inertia = _gram_inertia(tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows))
+        g, den = _cleared(rows)
+        g, inertia = _gram_inertia(g)
         if inertia[2]:
             raise DegenerateGramError("gram matrix is degenerate")
         object.__setattr__(self, "gram_int", g)
@@ -235,88 +232,87 @@ def gram_of(ambient, rows):
     return tuple(tuple(bilinear(ambient, r, s) for s in rows) for r in rows)
 
 
-def congruence_diagonal(m):
-    """Exact congruence diagonalisation: (d, S) with S * m * S^T = diag(d).
-
-    m is a symmetric rational matrix; d and S have Fraction entries.
-    Nonzero diagonal pivots go first, lowest index first.  A block with zero
-    diagonal is split at its first nonzero pair (p, j) by x_p + x_j, whose
-    norm 2 m[p][j] is nonzero.  The zero block that remains, the radical,
-    comes last with d = 0.
-    """
+def _cleared(m):
+    """(den * m, den) for a square symmetric rational m and its least positive denominator den."""
     n = len(m)
-    a = [[as_fraction(x) for x in row] for row in m]
-    if any(len(r) != n for r in a):
-        raise DimensionMismatchError("congruence diagonalisation of a non-square matrix")
-    for i in range(n):
-        for j in range(i, n):
-            if a[i][j] != a[j][i]:
-                raise NotSymmetricError("matrix is not symmetric")
-    zero, one = Fraction(0), Fraction(1)
-    S = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    active, done = list(range(n)), []
-    while active:
-        p = next((i for i in active if a[i][i] != 0), None)
-        if p is None:
-            pair = next(((i, j) for ii, i in enumerate(active) for j in active[ii + 1:] if a[i][j] != 0), None)
-            if pair is None:
-                break  # the rest is the radical
-            p, j = pair
-            for c in active:
-                a[p][c] = a[p][c] + a[j][c]
-            for r in active:
-                a[r][p] = a[r][p] + a[r][j]
-            S[p] = [x + y for x, y in zip(S[p], S[j])]
-        active.remove(p)
-        done.append(p)
-        # Only the nonzero entries of the pivot rows of a and S take part.
-        d = a[p][p]
-        piv = [(c, a[p][c]) for c in active if a[p][c] != 0]
-        s_piv = [(k, x) for k, x in enumerate(S[p]) if x]
-        for r in active:
-            if a[r][p] != 0:
-                f, row, s_row = a[r][p] / d, a[r], S[r]
-                for c, x in piv:
-                    row[c] = row[c] - f * x
-                for k, x in s_piv:
-                    s_row[k] = s_row[k] - f * x
-    order = done + active
-    return [a[i][i] for i in order], [tuple(S[i]) for i in order]
+    if not all(isinstance(x, (int, Fraction)) for row in m for x in row):
+        raise TypeError("entries must be exact rationals (int or Fraction)")
+    if any(len(r) != n for r in m):
+        raise DimensionMismatchError("matrix is not square")
+    den = lcm(*(x.denominator for row in m for x in row))
+    g = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in m)
+    if g != tuple(zip(*g)):
+        raise NotSymmetricError("matrix is not symmetric")
+    return g, den
 
 
-def _inertia(d):
-    pos = sum(1 for x in d if x > 0)
-    neg = sum(1 for x in d if x < 0)
-    return (pos, neg, len(d) - pos - neg)
+def congruence_diagonal(m):
+    """Exact congruence diagonalisation (d, S), S * m * S^T = diag(d), of a symmetric rational m:
+    the rational view of `_symmetric_bareiss` on den * m, in its pivot order with the radical
+    last, d[k] = lead[k] / (lead[k-1] den), and S replayed in Fractions from the recorded steps."""
+    g, den = _cleared(m)
+    n = len(g)
+    order, lead, low, splits = _symmetric_bareiss(g)
+    S = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k, p in enumerate(order):
+        if k in splits:
+            S[p] = [x + y for x, y in zip(S[p], S[splits[k]])]
+        s_piv = [(c, x) for c, x in enumerate(S[p]) if x]
+        for r, b in low[k]:
+            f, row = Fraction(b, lead[k]), S[r]
+            for c, x in s_piv:
+                row[c] = row[c] - f * x
+    radical = [i for i in range(n) if i not in order]
+    d = [Fraction(p, q * den) for p, q in zip(lead, [1] + lead)] + [Fraction(0)] * len(radical)
+    return d, [tuple(S[i]) for i in order + radical]
+
+
+def _int_inertia(g):
+    """Sylvester inertia (pos, neg, null) of a symmetric integer matrix; pivot k has the sign of lead[k] lead[k-1]."""
+    lead = _symmetric_bareiss(g)[1]
+    pos = sum(1 for p, q in zip(lead, [1] + lead) if (p > 0) == (q > 0))
+    return (pos, len(lead) - pos, len(g) - len(lead))
 
 
 def signature(m):
     """Exact Sylvester inertia (pos, neg, null) of a symmetric rational matrix."""
-    return _inertia(congruence_diagonal(m)[0])
+    return _int_inertia(_cleared(m)[0])
 
 
 @lru_cache(maxsize=8)
 def _gram_inertia(gram):
-    """(gram, signature(gram)) for an integer Gram tuple, once per distinct
-    Gram; equal Grams get back the first such tuple."""
-    return gram, signature(gram)
+    """(gram, inertia) of a symmetric integer Gram tuple, once per distinct Gram: equal Grams get the first tuple."""
+    return gram, _int_inertia(gram)
+
+
+def _gauss_ints(rows):
+    """(re, im, d): GaussRational rows = (re + i im) / d with integer re and im rows and d > 0."""
+    parts = [[(z.re, z.im) for z in row] for row in rows]
+    d = lcm(*(x.denominator for row in parts for z in row for x in z))
+    return tuple(tuple(tuple(z[t].numerator * (d // z[t].denominator) for z in row) for row in parts) for t in (0, 1)) + (d,)
+
+
+def _realify(pairs):
+    """[[X, -Y], [Y, X]] for the Gaussian-integer matrix X + iY of (re, im) pairs."""
+    return [[x for x, _ in r] + [-y for _, y in r] for r in pairs] + [[y for _, y in r] + [x for x, _ in r] for r in pairs]
+
+
+def _hermitian_inertia(pairs):
+    """Inertia of a Hermitian Gaussian-integer matrix of (re, im) pairs, half that
+    of its real form, which is symmetric and carries every eigenvalue twice."""
+    return tuple(x // 2 for x in _int_inertia(_realify(pairs)))
 
 
 def hermitian_signature(h):
-    """Exact inertia (pos, neg, null) of a Hermitian Gauss-rational matrix.
-
-    For h = A + iB the real form [[A, -B], [B, A]] is symmetric exactly when
-    h is Hermitian and carries every eigenvalue of h twice, so its inertia is
-    twice that of h.
-    """
+    """Exact inertia (pos, neg, null) of a Hermitian Gauss-rational matrix, cleared to Gaussian integers."""
     n = len(h)
     z = [[GaussRational.of(x) for x in row] for row in h]
     if any(len(r) != n for r in z):
-        raise DimensionMismatchError("congruence diagonalisation of a non-square matrix")
+        raise DimensionMismatchError("matrix is not square")
     if any(z[i][j] != z[j][i].conjugate() for i in range(n) for j in range(i, n)):
         raise NotHermitianError("matrix is not Hermitian")
-    real = [[x.re for x in r] + [-x.im for x in r] for r in z] + [[x.im for x in r] + [x.re for x in r] for r in z]
-    return tuple(x // 2 for x in _inertia(congruence_diagonal(real)[0]))
+    re, im, _ = _gauss_ints(z)
+    return _hermitian_inertia([tuple(zip(r, i)) for r, i in zip(re, im)])
 
 
 @dataclass(frozen=True)
@@ -329,10 +325,7 @@ class LatticeInvariants:
 def lattice_invariants(lattice: IntegralLattice) -> LatticeInvariants:
     g = lattice.gram_int
     even = all(g[i][i] % 2 == 0 for i in range(len(g)))
-    d = det(g)
-    if d.denominator != 1:
-        raise InternalCheckError("determinant of an integral Gram matrix is not an integer")
-    d = int(d)
+    d = int(det(g))
     return LatticeInvariants(even=even, determinant=d, unimodular=abs(d) == 1)
 
 

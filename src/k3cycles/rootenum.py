@@ -29,11 +29,10 @@ from .errors import (
     InternalCheckError,
     NotPositiveDefiniteError,
     NotPositiveError,
-    NotSymmetricError,
 )
 from .gaussrat import as_fraction
-from .linalg import clear_denominators, det, identity_int, int_kernel, mat
-from .quadspace import IntegralLattice, gram_apply, pair_rows, sparse_rows
+from .linalg import _symmetric_bareiss, clear_denominators, det, identity_int, int_kernel, mat
+from .quadspace import IntegralLattice, _cleared, gram_apply, pair_rows, sparse_rows
 
 
 @dataclass(frozen=True)
@@ -133,37 +132,22 @@ def orthogonal_complement_lattice(lattice: IntegralLattice, constraints) -> Subl
 
 
 def _ldl(gram):
-    """Fraction-free G = L D L^T of a positive-definite integer gram.
-
-    Symmetric Bareiss elimination without pivoting: lead[i] is the leading
-    principal minor of size i + 1, D[i] = lead[i] / lead[i-1] and
-    L[j][i] = a / lead[i] for the integer pairs (j, a) in low[i].  Scaled by
-    the common denominator `scale`, the Fincke-Pohst step
-    D[i] (x_i + sum L[j][i] x_j)^2 is weight[i] * (lead[i] x_i + sum a x_j)^2.
-    By Sylvester's criterion the form is positive definite iff every lead[i] > 0.
+    """Fraction-free G = L D L^T of a positive-definite integer gram, read off
+    its `_symmetric_bareiss`: lead[i] is the leading principal minor of size
+    i + 1, D[i] = lead[i] / lead[i-1], L[j][i] = a / lead[i] for (j, a) in
+    low[i], and over the common denominator `scale` the Fincke-Pohst step
+    D[i] (x_i + sum L[j][i] x_j)^2 is weight[i] (lead[i] x_i + sum a x_j)^2.
     """
-    n = len(gram)
-    a = [list(row) for row in gram]
-    lead, low = [], []
-    prev = 1
-    for k in range(n):
-        p = a[k][k]
-        if p <= 0:
-            raise NotPositiveDefiniteError("form is not positive definite")
-        low.append(tuple((r, a[r][k]) for r in range(k + 1, n) if a[r][k]))
-        for r in range(k + 1, n):
-            row, ark = a[r], a[r][k]
-            for c in range(k + 1, r + 1):
-                row[c] = (row[c] * p - ark * a[c][k]) // prev
-        lead.append(p)
-        prev = p
+    order, lead, low, _ = _symmetric_bareiss(gram)
+    if order != list(range(len(gram))) or not all(p > 0 for p in lead):  # Sylvester's criterion
+        raise NotPositiveDefiniteError("form is not positive definite")
     dens = [p * q for p, q in zip(lead, [1] + lead)]
     scale = math.lcm(*dens)
     return lead, low, [scale // d for d in dens], scale
 
 
 def _positive_definite(gram) -> bool:
-    """Whether an integer Gram is positive definite: its LDL^T completes."""
+    """Whether an integer Gram is positive definite: its `_ldl` exists."""
     try:
         _ldl(gram)
     except NotPositiveDefiniteError:
@@ -186,16 +170,10 @@ def _fincke_pohst(gram, bound, exact: bool):
     the remaining norm is kept as an integer over the common denominator of
     the fraction-free LDL^T.  Rational grams and bounds are scaled to integers.
     """
-    g = mat(gram)
-    n = len(g)
-    for i, row in enumerate(g):
-        if len(row) != n:
-            raise DimensionMismatchError("gram matrix must be square")
-        if any(row[j] != g[j][i] for j in range(i)):
-            raise NotSymmetricError("gram matrix is not symmetric")
-    den = math.lcm(bound.denominator, *(x.denominator for row in g for x in row))
-    lead, low, weight, scale = _ldl([[x.numerator * (den // x.denominator) for x in row] for row in g])
-    x = [0] * n
+    g, den_g = _cleared(gram)
+    den = math.lcm(bound.denominator, den_g)
+    lead, low, weight, scale = _ldl([[x * (den // den_g) for x in row] for row in g])
+    x = [0] * len(g)
     out = []
 
     def walk(i, rem):
@@ -214,7 +192,7 @@ def _fincke_pohst(gram, bound, exact: bool):
             walk(i - 1, rem - w * u * u)
         x[i] = 0
 
-    walk(n - 1, bound.numerator * (den // bound.denominator) * scale)
+    walk(len(g) - 1, bound.numerator * (den // bound.denominator) * scale)
     out.sort()
     return tuple(out)
 
@@ -361,23 +339,17 @@ def _enumerate_up_to(gram, radius):
 
 def _components(m):
     """Connected components of indices under the nonzero off-diagonal graph."""
-    n = len(m)
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and m[i][j] != 0:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(comp))
+    seen, comps = set(), []
+    for s in range(len(m)):
+        if s not in seen:
+            seen.add(s)
+            comp, stack = [], [s]
+            while stack:
+                i = stack.pop()
+                comp.append(i)
+                stack += [j for j, x in enumerate(m[i]) if x and j not in seen]
+                seen.update(stack)
+            comps.append(sorted(comp))
     return comps
 
 

@@ -1,3 +1,4 @@
+import fractions
 import json
 import pathlib
 import random
@@ -429,6 +430,52 @@ def test_classify_rejects_precision_below_53(precision):
 def test_classify_rejects_samples_below_one(samples):
     with pytest.raises(InputError):
         k.classify_cycle(k.example_family(2), samples=samples)
+
+
+@pytest.mark.parametrize("samples", [1.5, 4.0, True, "8"])
+def test_classify_rejects_non_integer_samples(samples):
+    # 1.5 used to run as a sweep of 2 good samples reported short, True as 1.
+    with pytest.raises(InputError):
+        k.classify_cycle(k.example_family(2, n=5), samples=samples)
+
+
+@pytest.mark.parametrize("bits", [100.7, 128.0, True, "128"])
+def test_resolve_precision_rejects_non_integer_bits(bits):
+    # 100.7 used to become 100 bits silently.
+    with pytest.raises(InputError):
+        k.resolve_precision(bits)
+    with pytest.raises(InputError):
+        k.classify_cycle(k.example_family(2, n=5), samples=4, precision=bits)
+
+
+def _fraction_calls(fn):
+    """Python-level calls into fractions.py while fn runs, counted by a profile hook."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_integer_inertia_paths_make_no_fraction_calls(u3_diagonal):
+    # Inertia and smoothness run on integer Grams alone; the counter itself
+    # sees the rational view, which builds its Fraction transform.
+    assert _fraction_calls(lambda: quadspace.congruence_diagonal(quadspace.K3_GRAM)) > 0
+    assert _fraction_calls(lambda: k.signature(quadspace.K3_GRAM)) == 0
+    for build in (lambda: k.example_family(Q(1, 2)), lambda: k.example_family(2), lambda: k.ThreeSpace(ambient=u3_diagonal.ambient, basis=u3_diagonal.basis)):
+        v = build()
+        assert _fraction_calls(lambda: v.hermitian_inertia) == 0
+        w = build()
+        assert _fraction_calls(lambda: k.cyclespace.exact_classification(w)) == 0
+        assert k.cyclespace.exact_classification(w) == k.cyclespace.exact_classification(v)
 
 
 def test_precision_env_var_below_minimum(monkeypatch):

@@ -19,7 +19,7 @@ from k3cycles.errors import DimensionMismatchError, InputError, NonPositiveKappa
 from k3cycles.gaussrat import GaussRational, parse_rational
 from k3cycles.linalg import conj_vec, det, hnf, int_kernel, mat_mul, rref
 from k3cycles.quadspace import congruence_diagonal, gram_apply, pair_rows, sparse_rows
-from k3cycles.rootenum import _coefficient_bounds, _enumerate_up_to, _lll, _positive_definite
+from k3cycles.rootenum import _coefficient_bounds, _enumerate_up_to, _ldl, _lll, _positive_definite
 
 from oracles import (
     _floor_sqrt,
@@ -41,10 +41,10 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 
 @st.composite
-def posdef_grams(draw):
-    """D + B^T B with |B| <= 70: entries up to about 2e4, leading minors up to
-    about 6e15 and common denominators up to about 1e40."""
-    n = draw(st.integers(1, 4))
+def posdef_grams(draw, max_n=4):
+    """D + B^T B with |B| <= 70: at n = 4 entries up to about 2e4, leading
+    minors up to about 6e15 and common denominators up to about 1e40."""
+    n = draw(st.integers(1, max_n))
     b = [[draw(st.integers(-70, 70)) for _ in range(n)] for _ in range(n)]
     d = [draw(st.integers(1, 30)) for _ in range(n)]
     return tuple(tuple(sum(b[l][i] * b[l][j] for l in range(n)) + (d[i] if i == j else 0) for j in range(n)) for i in range(n))
@@ -554,6 +554,13 @@ def test_congruence_diagonal_is_exact_and_invertible(case):
     assert k.signature(m) == reference_inertia(m)
     den = lcm(*(x.denominator for row in m for x in row))
     assert _positive_definite([[x.numerator * (den // x.denominator) for x in row] for row in m]) == (reference_inertia(m) == (n, 0, 0))
+
+
+@SETTINGS
+@given(posdef_grams(max_n=6))
+def test_ldl_leads_are_the_leading_principal_minors(gram):
+    lead = _ldl(gram)[0]
+    assert lead == [cofactor_det([row[:k + 1] for row in gram[:k + 1]]) for k in range(len(gram))]
 
 
 @st.composite

@@ -7,7 +7,7 @@ import k3cycles as k
 from k3cycles import rootenum
 from k3cycles.errors import BudgetExceededError, InputError, InternalCheckError, NotPositiveDefiniteError, NotPositiveError
 from k3cycles.linalg import hnf, int_kernel
-from k3cycles.rootenum import _enumerate_up_to
+from k3cycles.rootenum import _enumerate_up_to, _ldl, _positive_definite
 
 from conftest import gauss_rows, uvec, vprime_rows
 from oracles import block_sum_roots, dense_bilinear, naive_box_norm_vectors, naive_box_radius_vectors
@@ -32,9 +32,25 @@ def test_enumerate_e8_count(e8):
     assert all(tuple(-x for x in v) in got_set for v in got)
 
 
+NOT_POSITIVE_DEFINITE = (
+    ((0, 1), (1, 0)),
+    # Forms a pivoting elimination runs past: a zero pivot it would skip, a
+    # radical it would stop at, a negative pivot, a pivot out of order.
+    ((0, 0), (0, 1)),
+    ((1, 0, 0), (0, 0, 0), (0, 0, 1)),
+    ((1, 1), (1, 1)),
+    ((1, 0), (0, -1)),
+    ((0, 1), (1, 2)),
+)
+
+
 def test_enumerate_requires_positive_definite():
-    with pytest.raises(NotPositiveDefiniteError):
-        k.enumerate_norm_vectors(((0, 1), (1, 0)), 2)
+    for gram in NOT_POSITIVE_DEFINITE:
+        assert not _positive_definite(gram)
+        with pytest.raises(NotPositiveDefiniteError):
+            _ldl(gram)
+        with pytest.raises(NotPositiveDefiniteError):
+            k.enumerate_norm_vectors(gram, 2)
     with pytest.raises(InputError):
         k.enumerate_norm_vectors(((2,),), 0)
 
