@@ -151,7 +151,8 @@ def roots_cmd(kind, lattice_file, norm, bound, constraints):
     if bound is not None:
         if parse_rational(norm) != -2:
             raise InputError("bounded searches enumerate norm -2 vectors")
-        rows = () if constraints is None else jsonio.decode_rational_matrix(_load_arg(constraints))
+        # Cleared to integer rows over one denominator d > 0: the same orthogonality constraints.
+        rows = () if constraints is None else jsonio.decode_rational_matrix(_load_arg(constraints))[0]
         rl = bounded_root_search(lattice, rows, bound)
     else:
         if constraints is not None:
@@ -176,7 +177,7 @@ def roots_cmd(kind, lattice_file, norm, bound, constraints):
 def complement_cmd(kind, lattice_file, constraints):
     """Saturated orthogonal-complement sublattice of a constraint set."""
     lattice = _lattice_option(kind, lattice_file)
-    rows = jsonio.decode_rational_matrix(_load_arg(constraints))
+    rows = jsonio.decode_rational_matrix(_load_arg(constraints))[0]
     sub = orthogonal_complement_lattice(lattice, rows)
     _emit(jsonio.sublattice_to_json(sub))
 

@@ -14,7 +14,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from math import isqrt
+from itertools import chain
+from math import gcd, isqrt
 from operator import floordiv, mul
 
 import mpmath
@@ -22,7 +23,7 @@ from mpmath.libmp import from_rational, mpf_shift, to_int
 
 from .errors import AmbientMismatchError, DimensionMismatchError, InputError, InternalCheckError
 from .gaussrat import GaussRational, as_fraction
-from .linalg import _det_bareiss, apply_matrix, hnf, is_zero_vec, mat, rank
+from .linalg import _det_bareiss, hnf, is_zero_vec, mat, rank
 from .quadspace import (
     IntegralLattice,
     Isometry,
@@ -59,35 +60,54 @@ def resolve_precision(bits=None) -> int:
     return bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ThreeSpace:
     """Rank-3 subspace of the complexified ambient space.
 
-    `ints` is the basis cleared once to Gaussian-integer rows: (re, im, d)
-    with basis = (re + i im) / d, integer rows and d > 0.  Independence,
-    reality and both Grams are decided from it in integers.
+    `ints` is the basis cleared to Gaussian-integer rows: (re, im, d) with
+    basis = (re + i im) / d, integer rows and d > 0 least.  Independence,
+    reality and both Grams are decided from it in integers.  Give either the
+    Gauss-rational `basis` rows or `ints`; the GaussRational `basis` of a
+    space built from `ints` is made only when read.
     """
 
     ambient: QuadraticSpace
-    basis: tuple  # 3 x n GaussRational rows
+    ints: tuple
 
-    def __post_init__(self):
-        rows = mat(tuple(tuple(GaussRational.of(x) for x in row) for row in self.basis))
-        if len(rows) != 3:
+    def __init__(self, ambient: QuadraticSpace, basis=None, ints=None):
+        if (basis is None) == (ints is None):
+            raise TypeError("ThreeSpace takes exactly one of basis and ints")
+        if basis is not None:
+            rows = mat(tuple(tuple(GaussRational.of(x) for x in row) for row in basis))
+            self.__dict__["basis"] = rows
+            ints = _gauss_ints(rows)
+        re, im, d = ints
+        re, im = mat(re), mat(im)
+        if len(re) != 3 or len(im) != 3:
             raise DimensionMismatchError("a three-space needs exactly 3 basis rows")
-        if any(len(r) != self.ambient.n for r in rows):
+        if type(d) is not int or d < 1:
+            raise InputError(f"basis denominator must be a positive integer, got {d!r}")
+        if any(len(r) != ambient.n for r in re + im):
             raise DimensionMismatchError("basis row length does not match ambient rank")
-        re, im, d = _gauss_ints(rows)
+        c = gcd(d, *chain(*re, *im))
+        if c > 1:
+            re, im, d = tuple(tuple(x // c for x in r) for r in re), tuple(tuple(x // c for x in r) for r in im), d // c
         # Rank over Q(i) is half the rank of the realification, rows (re | im) and (-im | re) of v and iv.
         if len(hnf([r + i for r, i in zip(re, im)] + [tuple(-x for x in i) + r for r, i in zip(re, im)])) != 6:
             raise InputError("basis rows are linearly dependent over Q(i)")
-        p, n, z = self.ambient.inertia
+        p, n, z = ambient.inertia
         if p != 3 or z != 0:
             raise InputError(f"ambient signature must be (3, n-, 0), got ({p}, {n}, {z})")
-        object.__setattr__(self, "basis", rows)
+        object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "ints", (re, im, d))
         # V + conj V is spanned by the re and im rows, so V is real iff they span only 3 dimensions.
         object.__setattr__(self, "_real", len(hnf(re + im)) == 3)
+
+    @cached_property
+    def basis(self):
+        """The 3 x n GaussRational rows (re + i im) / d."""
+        re, im, d = self.ints
+        return _gauss_matrix([zip(r, i) for r, i in zip(re, im)], d)
 
     @property
     def n(self) -> int:
@@ -198,12 +218,13 @@ def example_family(t, n: int = 22) -> ThreeSpace:
 
 
 def apply_isometry(g: Isometry, threespace: ThreeSpace) -> ThreeSpace:
-    """Map the basis rows by the isometry (column convention)."""
+    """Map the basis rows by the isometry (column convention), in integers:
+    g times each re and im row of `ints`, over the same denominator."""
     if g.space != threespace.ambient:
         raise AmbientMismatchError("isometry and three-space live in different spaces")
-    rows = tuple(tuple(apply_matrix(g.matrix, row)) for row in threespace.basis)
-    rows = tuple(tuple(GaussRational.of(x) for x in row) for row in rows)
-    return ThreeSpace(ambient=threespace.ambient, basis=rows)
+    re, im, d = threespace.ints
+    re, im = (tuple(tuple(sum(map(mul, row, v)) for row in g.matrix) for v in part) for part in (re, im))
+    return ThreeSpace(ambient=threespace.ambient, ints=(re, im, d))
 
 
 def is_twistor(lattice: IntegralLattice, threespace: ThreeSpace) -> TwistorStatus:
@@ -356,7 +377,6 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
     point, reported as a counterexample when its normalized hermitian value is <= 1e-9.
     A sweep cut short by the cap of 4 * samples + 16 attempts reports "sampled_short".
     """
-    A = threespace.symmetric_gram()
     found = partial(DomainStatus, kind="counterexample", samples=0, certified_exact=True, precision_bits=bits)
     with mpmath.workprec(bits):
         if real:
@@ -373,38 +393,43 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
                 # hermitian = bilinear on real vectors; s^2 d_i + d_j = 0 exactly.
                 return found(point=tuple(mpmath.mpc(x) for x in numeric))
             # real definite restriction: fall through to complex sampling
-        base = _conic_base_point(A)
+        base = _conic_base_point(threespace.symmetric_gram())
     p = tuple((to_int(mpf_shift(z.real._mpf_, bits), "n"), to_int(mpf_shift(z.imag._mpf_, bits), "n")) for z in base)
     a_rows, h_rows, a = threespace.gram_ints  # both Grams over the denominator a
     re, im, b = threespace.ints
     b_rows = [tuple(zip(r, i)) for r, i in zip(re, im)]
     # Euclidean form of the embedding: ||w B||^2 = w E conj(w)^T with E = b_rows conj(b_rows)^T / e
     e, conj_rows = b * b, [[(x, -y) for x, y in row] for row in b_rows]
-    e_coeffs = _herm_coeffs([[_gdot(row, other) for other in conj_rows] for row in b_rows])
-    h_coeffs = _herm_coeffs(h_rows)
+    E = [[_gdot(row, other) for other in conj_rows] for row in b_rows]
     # alpha = delta A delta^T and beta = 2 p A delta^T as polynomials in ell, delta_i = D^(2-i) ell^i
     D, pa = PENCIL_DEN, [_gdot(p, row) for row in a_rows]  # p A, A symmetric
     alpha_poly = [tuple(D ** (4 - k) * sum(a_rows[i][k - i][t] for i in range(max(0, k - 2), min(k, 2) + 1)) for t in (0, 1)) for k in range(5)]
     beta_poly = [tuple(2 * D ** (2 - j) * x for x in pa[j]) for j in range(3)]
-    conic = (p, alpha_poly, beta_poly, (a * D**4) ** 2, (bits + 1) // 2, bits)
+    # per Hermitian M in (E, H): p M p*, the terms D^(2-i) (p M)_i of p M conj(delta) in conj(ell)^i, and the
+    # coefficients of w M w* against _herm_products(w)
+    forms = []
+    for m in (E, h_rows):
+        coeffs, pm = _herm_coeffs(m), [_gdot(p, col) for col in zip(*m)]
+        forms.append((sum(map(mul, coeffs, _herm_products(p))), [tuple(D ** (2 - i) * x for x in pm[i]) for i in range(3)], coeffs))
+    conic = (p, alpha_poly, beta_poly, (a * D**4) ** 2, (bits + 1) // 2, bits, forms)
     # w A w^T = alpha^2 (p A p^T) exactly, so the residual needs |p A p^T|^2 only
     tol, pap = Fraction(DOMAIN_TOLERANCE), _gdot(pa, p)
     res_lhs, res_rhs = (pap[0] ** 2 + pap[1] ** 2) * (e * tol.denominator) ** 2, (tol.numerator * a) ** 2
     ok = attempt = 0
     while ok < samples and attempt < 4 * samples + 16:
-        sample = _second_intersection(conic, _pencil_parameter(attempt))
+        ell = _pencil_parameter(attempt)
+        sample = _second_intersection(conic, ell)
         attempt += 1
         if sample is None:
             continue
-        w, (ar, ai) = sample
-        products = _herm_products(w)
-        scale = sum(map(mul, e_coeffs, products))  # e 4^bits |alpha|^2 ||w B||^2
+        (scale, value), (ar, ai), (br, bi) = sample  # scale = e 4^bits |alpha|^2 ||w B||^2
         if scale <= 0:
             continue
         norm_alpha = ar * ar + ai * ai
         if norm_alpha * norm_alpha * res_lhs > res_rhs * scale * scale:
             continue  # |w A w^T| / ||w B||^2 > tolerance
-        if sum(map(mul, h_coeffs, products)) * e * tol.denominator <= tol.numerator * a * scale:
+        if value * e * tol.denominator <= tol.numerator * a * scale:
+            w = tuple((ar * u - ai * v - br * c + bi * d, ar * v + ai * u - br * d - bi * c) for (u, v), (c, d) in zip(p, _pencil_direction(ell)))
             # the ambient point sum_i w_i B_i / (2^bits alpha), rounded once per coordinate:
             # coordinate c is N_c conj(alpha) / (b 2^bits |alpha|^2), N_c = sum_i w_i b_rows[i][c]
             den = (b * norm_alpha) << bits
@@ -443,25 +468,41 @@ def _pencil_parameter(k: int):
     return (7 * (2 * (k % g) - g + 1) + g * (k % 5 - 2), 7 * (2 * ((k // g) % g) - g + 1))
 
 
-def _second_intersection(conic, ell):
-    """(W, alpha) for the second conic point on the line through p with direction delta(ell).
+def _pencil_direction(ell):
+    """delta = (D^2, D ell, ell^2), D = PENCIL_DEN: the direction D^2 (1, lambda, lambda^2) of line ell."""
+    x, y = ell
+    return ((PENCIL_DEN * PENCIL_DEN, 0), (PENCIL_DEN * x, PENCIL_DEN * y), (x * x - y * y, 2 * x * y))
 
-    `conic` is (p, alpha and beta as polynomials in ell, a^2 D^8, half, bits): delta = (D^2, D ell,
-    ell^2), alpha = delta A delta^T, beta = 2 p A delta^T.  The point is base + tau d with d = delta / D^2,
-    tau = -beta D^2 / (2^bits alpha), and W = alpha p - beta delta is it times 2^bits alpha.  None
-    where |alpha| or |tau| < 2^-half for the unscaled A, half = ceil(bits / 2).
+
+def _second_intersection(conic, ell):
+    """((W E W*, W H W*), alpha, beta) for the second conic point W on the line through p with direction delta(ell).
+
+    `conic` is (p, alpha and beta as polynomials in ell, a^2 D^8, half, bits, forms): delta =
+    `_pencil_direction(ell)`, alpha = delta A delta^T, beta = 2 p A delta^T.  The point is base + tau d
+    with d = delta / D^2, tau = -beta D^2 / (2^bits alpha), and W = alpha p - beta delta is it times
+    2^bits alpha.  None where |alpha| or |tau| < 2^-half for the unscaled A, half = ceil(bits / 2).
+    W is not built: for Hermitian M, with p M p*, p M and the coefficients c of M from `forms`,
+    W M W* = |alpha|^2 p M p* - 2 Re(alpha conj(beta) (p M . conj(delta))) + |beta|^2 c . _herm_products(delta).
     """
-    p, alpha_poly, beta_poly, alpha_bound, half, bits = conic
+    p, alpha_poly, beta_poly, alpha_bound, half, bits, forms = conic
     x, y = ell
     ar, ai = _horner(alpha_poly, x, y)
     norm_alpha = ar * ar + ai * ai
     if norm_alpha << (2 * half) < alpha_bound:
         return None
     br, bi = _horner(beta_poly, x, y)
-    if (br * br + bi * bi) * PENCIL_DEN**4 << (2 * half) < norm_alpha << (2 * bits):
+    norm_beta = br * br + bi * bi
+    if norm_beta * PENCIL_DEN**4 << (2 * half) < norm_alpha << (2 * bits):
         return None  # degenerate: returns the base point itself
-    delta = ((PENCIL_DEN * PENCIL_DEN, 0), (PENCIL_DEN * x, PENCIL_DEN * y), (x * x - y * y, 2 * x * y))
-    return tuple((ar * u - ai * v - br * c + bi * d, ar * v + ai * u - br * d - bi * c) for (u, v), (c, d) in zip(p, delta)), (ar, ai)
+    products = _herm_products(_pencil_direction(ell))
+    sr, si = ar * br + ai * bi, ai * br - ar * bi  # alpha conj(beta)
+    values = []
+    for pmp, ((r0, i0), (r1, i1), (r2, i2)), coeffs in forms:
+        # p M conj(delta) = (c2 conj(ell) + c1) conj(ell) + c0, by Horner at conj(ell) = x - iy
+        tr, ti = r2 * x + i2 * y + r1, i2 * x - r2 * y + i1
+        cr, ci = tr * x + ti * y + r0, ti * x - tr * y + i0
+        values.append(norm_alpha * pmp - 2 * (sr * cr - si * ci) + norm_beta * sum(map(mul, coeffs, products)))
+    return tuple(values), (ar, ai), (br, bi)
 
 
 def _try_exact_counterexample(threespace, w):

@@ -21,19 +21,26 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def parse_rational(s) -> Fraction:
-    """Parse "p/q" or "p" (also accepts plain ints, but not bools: JSON true is no number)."""
+def parse_ratio(s) -> tuple:
+    """(p, q) in lowest terms, q > 0, for "p/q" or "p" (also plain ints, but not
+    bools: JSON true is no number).  An ASCII integer makes no Fraction."""
     if type(s) is int:
-        return Fraction(s)
+        return s, 1
     if isinstance(s, str):
         t = s.strip()
         try:
             if t.isascii() and t[t[:1] == "-":].isdigit():
-                return Fraction(int(t))  # an ASCII integer skips the Fraction string parser
-            return Fraction(t)
+                return int(t), 1
+            x = Fraction(t)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {s!r}") from exc
+        return x.numerator, x.denominator
     raise InputError(f"bad rational value {s!r}")
+
+
+def parse_rational(s) -> Fraction:
+    """Parse "p/q" or "p" to a Fraction, as `parse_ratio` reads it."""
+    return Fraction(*parse_ratio(s))
 
 
 def format_rational(x: Fraction) -> str:

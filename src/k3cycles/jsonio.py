@@ -8,6 +8,9 @@ precision used to compute it.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 import mpmath
 
 from .cyclespace import (
@@ -18,7 +21,7 @@ from .cyclespace import (
     TwistorStatus,
 )
 from .errors import InputError
-from .gaussrat import GaussRational, format_rational, parse_rational
+from .gaussrat import GaussRational, format_rational, parse_ratio, parse_rational
 from .quadspace import IntegralLattice, QuadraticSpace
 from .rootenum import RootList, Sublattice
 from .weyl import ChamberPartition, PartitionCheck
@@ -38,10 +41,16 @@ def encode_gauss(x) -> dict:
 
 
 def decode_gauss(obj) -> GaussRational:
+    re, im = _gauss_ratios(obj)
+    return GaussRational(Fraction(*re), Fraction(*im))
+
+
+def _gauss_ratios(obj) -> tuple:
+    """The (p, q) pairs of the real and imaginary parts of a JSON Gauss rational."""
     if isinstance(obj, (int, str)):
-        return GaussRational.of(parse_rational(obj))
+        return parse_ratio(obj), (0, 1)
     if isinstance(obj, dict):
-        return GaussRational(parse_rational(obj.get("re", 0)), parse_rational(obj.get("im", 0)))
+        return parse_ratio(obj.get("re", 0)), parse_ratio(obj.get("im", 0))
     raise InputError(f"bad Gauss-rational value {obj!r}")
 
 
@@ -49,10 +58,22 @@ def encode_rational_vector(v) -> list:
     return [format_rational(x) for x in v]
 
 
-def decode_rational_vector(obj) -> tuple:
+def _ratios(obj) -> list:
+    """The (p, q) pairs of a JSON rational vector."""
     if not isinstance(obj, list):
         raise InputError("expected a JSON array for a rational vector")
-    return tuple(parse_rational(x) for x in obj)
+    return [parse_ratio(x) for x in obj]
+
+
+def _gauss_row(obj) -> list:
+    """The `_gauss_ratios` of a JSON Gauss-rational vector."""
+    if not isinstance(obj, list):
+        raise InputError("expected a JSON array for a vector")
+    return [_gauss_ratios(x) for x in obj]
+
+
+def decode_rational_vector(obj) -> tuple:
+    return tuple(Fraction(p, q) for p, q in _ratios(obj))
 
 
 def encode_rational_matrix(m) -> list:
@@ -66,15 +87,22 @@ def _rows(obj) -> list:
     return obj
 
 
+def _clear(rows) -> tuple:
+    """(int rows, d): rows of (p, q) pairs in lowest terms, times their least common denominator d."""
+    d = lcm(*(q for row in rows for _, q in row))
+    return tuple(tuple(p * (d // q) for p, q in row) for row in rows), d
+
+
 def decode_rational_matrix(obj) -> tuple:
-    return tuple(decode_rational_vector(row) for row in _rows(obj))
+    """(rows, d): the rational rows as integer rows over their least common denominator d > 0."""
+    return _clear([_ratios(row) for row in _rows(obj)])
 
 
 def decode_int_vector(obj) -> tuple:
-    v = decode_rational_vector(obj)
-    if any(x.denominator != 1 for x in v):
+    v = _ratios(obj)
+    if any(q != 1 for _, q in v):
         raise InputError("expected integer entries")
-    return tuple(int(x) for x in v)
+    return tuple(p for p, _ in v)
 
 
 def decode_int_matrix(obj) -> tuple:
@@ -85,12 +113,6 @@ def encode_gauss_vector(v) -> list:
     return [encode_gauss(x) for x in v]
 
 
-def decode_gauss_vector(obj) -> tuple:
-    if not isinstance(obj, list):
-        raise InputError("expected a JSON array for a vector")
-    return tuple(decode_gauss(x) for x in obj)
-
-
 def space_to_json(space: QuadraticSpace) -> dict:
     return {"gram": encode_rational_matrix(space.gram)}
 
@@ -98,7 +120,7 @@ def space_to_json(space: QuadraticSpace) -> dict:
 def space_from_json(obj) -> QuadraticSpace:
     if not isinstance(obj, dict) or "gram" not in obj:
         raise InputError("quadratic space JSON needs a 'gram' key")
-    return QuadraticSpace(gram=decode_rational_matrix(obj["gram"]))
+    return QuadraticSpace(*decode_rational_matrix(obj["gram"]))
 
 
 def lattice_from_json(obj) -> IntegralLattice:
@@ -116,8 +138,10 @@ def threespace_from_json(obj) -> ThreeSpace:
     if not isinstance(obj, dict) or "ambient" not in obj or "basis" not in obj:
         raise InputError("three-space JSON needs 'ambient' and 'basis'")
     ambient = space_from_json(obj["ambient"])
-    basis = tuple(decode_gauss_vector(row) for row in _rows(obj["basis"]))
-    return ThreeSpace(ambient=ambient, basis=basis)
+    rows = [_gauss_row(row) for row in _rows(obj["basis"])]
+    # The re rows and the im rows, cleared together to integers over one denominator.
+    parts, d = _clear([[z[t] for z in row] for t in (0, 1) for row in rows])
+    return ThreeSpace(ambient=ambient, ints=(parts[: len(rows)], parts[len(rows):], d))
 
 
 def rootlist_to_json(r: RootList) -> dict:

@@ -39,13 +39,6 @@ def mat_mul(a, b):
     return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
 
 
-def apply_matrix(m, v):
-    """Column-vector action: (m @ v) for a row-tuple v."""
-    if m and len(m[0]) != len(v):
-        raise DimensionMismatchError("matrix/vector size mismatch")
-    return tuple(dot(row, v) for row in m)
-
-
 def identity_int(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -78,8 +78,9 @@ def pair_rows(rows, x, y):
 @dataclass(frozen=True, init=False)
 class QuadraticSpace:
     """Nondegenerate symmetric bilinear form over Q, given by int or Fraction
-    Gram entries and kept as the integer Gram `gram_int` over the least
-    positive denominator `den`; the rational `gram` is built when read.
+    Gram entries over an optional positive integer `den` (the form is gram / den)
+    and kept as the integer Gram `gram_int` over the least positive denominator
+    `den`; the rational `gram` is built when read.
 
     `inertia`, the Sylvester inertia (pos, neg, 0), is computed once per
     distinct `gram_int` (`_gram_inertia`); equal spaces share one `gram_int`.
@@ -88,11 +89,13 @@ class QuadraticSpace:
     gram_int: tuple
     den: int
 
-    def __init__(self, gram):
+    def __init__(self, gram, den=1):
         rows = mat(gram)
         if not rows:
             raise DimensionMismatchError("gram matrix must be square and nonempty")
-        g, den = _cleared(rows)
+        if type(den) is not int or den < 1:
+            raise InputError(f"gram denominator must be a positive integer, got {den!r}")
+        g, den = _cleared(rows, den)
         g, inertia = _gram_inertia(g)
         if inertia[2]:
             raise DegenerateGramError("gram matrix is degenerate")
@@ -232,17 +235,24 @@ def gram_of(ambient, rows):
     return tuple(tuple(bilinear(ambient, r, s) for s in rows) for r in rows)
 
 
-def _cleared(m):
-    """(den * m, den) for a square symmetric rational m and its least positive denominator den."""
+def _cleared(m, den=1):
+    """(g, q) with g / q = m / den, g an integer matrix and q > 0 the least such denominator,
+    for a square symmetric m of int or Fraction entries and an int den > 0."""
     n = len(m)
-    if not all(isinstance(x, (int, Fraction)) for row in m for x in row):
+    if all(type(x) is int for row in m for x in row):
+        g = tuple(map(tuple, m))
+    elif not all(isinstance(x, (int, Fraction)) for row in m for x in row):
         raise TypeError("entries must be exact rationals (int or Fraction)")
-    if any(len(r) != n for r in m):
+    else:
+        q = lcm(*(x.denominator for row in m for x in row))
+        g, den = tuple(tuple(x.numerator * (q // x.denominator) for x in row) for row in m), den * q
+    if any(len(r) != n for r in g):
         raise DimensionMismatchError("matrix is not square")
-    den = lcm(*(x.denominator for row in m for x in row))
-    g = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in m)
     if g != tuple(zip(*g)):
         raise NotSymmetricError("matrix is not symmetric")
+    c = gcd(den, *(x for row in g for x in row))
+    if c > 1:
+        g, den = tuple(tuple(x // c for x in row) for row in g), den // c
     return g, den
 
 

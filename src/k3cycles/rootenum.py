@@ -138,6 +138,8 @@ def _ldl(gram):
     low[i], and over the common denominator `scale` the Fincke-Pohst step
     D[i] (x_i + sum L[j][i] x_j)^2 is weight[i] (lead[i] x_i + sum a x_j)^2.
     """
+    if any(gram[i][i] <= 0 for i in range(len(gram))):  # e_i^T G e_i <= 0: no elimination needed
+        raise NotPositiveDefiniteError("form is not positive definite")
     order, lead, low, _ = _symmetric_bareiss(gram)
     if order != list(range(len(gram))) or not all(p > 0 for p in lead):  # Sylvester's criterion
         raise NotPositiveDefiniteError("form is not positive definite")

@@ -108,6 +108,28 @@ def test_threespace_validation():
         )
 
 
+def test_threespace_from_ints_builds_its_basis_when_read():
+    sp = diag_space(4)
+    re, im = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0)), ((0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0))
+    v = k.ThreeSpace(ambient=sp, ints=(re, im, 2))
+    assert "basis" not in vars(v)
+    assert v.basis == (
+        (GaussRational.of(1), GaussRational.of(0), GaussRational.of(0), GaussRational(0, Q(1, 2))),
+        (0, 1, 0, 0),
+        (0, 0, 1, 0),
+    )
+    assert v == k.ThreeSpace(ambient=sp, basis=v.basis) and not v.is_real()
+    with pytest.raises(TypeError):
+        k.ThreeSpace(ambient=sp)
+    with pytest.raises(TypeError):
+        k.ThreeSpace(ambient=sp, basis=v.basis, ints=v.ints)
+    for d in (0, -2, True, Q(1, 2)):
+        with pytest.raises(InputError, match="denominator"):
+            k.ThreeSpace(ambient=sp, ints=(re, im, d))
+    with pytest.raises(DimensionMismatchError):
+        k.ThreeSpace(ambient=sp, ints=(re[:2], im[:2], 2))
+
+
 def test_k3_decode_and_classify_pair_in_ints_and_reuse_the_inertia(monkeypatch, k3):
     # The integer three-space takes no Gauss-rational bilinear pairing, and
     # the K3 Gram is diagonalised at most once (if the inertia cache lost it).
@@ -269,6 +291,22 @@ def test_apply_block_swap_fixes_diagonal(k3, u3_diagonal):
         perm[14 + c][6 + c] = 1
     iso = k.Isometry(space=k3.space, matrix=tuple(tuple(r) for r in perm))
     assert spans_equal(k.apply_isometry(iso, u3_diagonal), u3_diagonal)
+
+
+def test_apply_isometry_matches_the_dense_gauss_product(k3, vprime):
+    # The integer image of the cleared rows against the product of g with
+    # each Gauss-rational row, with d > 1 and a root d = e1 + f2 + b1 that
+    # meets all three rows.
+    rows = (tuple(x * GaussRational(Q(1, 2), Q(1, 3)) for x in vprime.basis[0]),) + vprime.basis[1:]
+    v = k.ThreeSpace(ambient=k3.space, basis=rows)
+    d = tuple(int(i in (0, 3, 6)) for i in range(22))
+    assert all(k.bilinear(k3, row, d) for row in rows)
+    g = k.reflection_matrix(k3, d)
+    moved = k.apply_isometry(g, v)
+    dense = tuple(tuple(sum((m * x for m, x in zip(grow, row)), start=GaussRational.of(0)) for grow in g.matrix) for row in rows)
+    assert moved.basis == dense
+    assert moved == k.ThreeSpace(ambient=k3.space, basis=dense)
+    assert moved.ints[2] == v.ints[2] > 1 and moved != v
 
 
 def _classification_key(c):
@@ -478,6 +516,17 @@ def test_integer_inertia_paths_make_no_fraction_calls(u3_diagonal):
         assert k.cyclespace.exact_classification(w) == k.cyclespace.exact_classification(v)
 
 
+def test_integer_decode_and_isometry_make_no_fraction_calls(k3):
+    # An integer three-space document decodes to cleared rows, and an
+    # isometry moves them, without a Fraction or a Gauss-rational basis.
+    doc = json.loads((pathlib.Path(__file__).parent / "data" / "threespace_u3_diagonal.json").read_text())
+    assert _fraction_calls(lambda: jsonio.threespace_from_json(doc)) == 0
+    v = jsonio.threespace_from_json(doc)
+    g = k.reflection_matrix(k3, tuple(int(i in (0, 3, 6)) for i in range(22)))
+    assert _fraction_calls(lambda: k.apply_isometry(g, v)) == 0
+    assert "basis" not in vars(v) and "basis" not in vars(k.apply_isometry(g, v))
+
+
 def test_precision_env_var_below_minimum(monkeypatch):
     monkeypatch.setenv("K3CYCLES_PRECISION", "52")
     with pytest.raises(InputError):
@@ -567,3 +616,23 @@ def test_real_smooth_in_domain_is_positive():
             assert c.domain_status.kind == "counterexample"
         if c.positive:
             assert c.domain_status.kind == "verified_positive"
+
+
+@pytest.mark.parametrize("reject_every", [0, 3])
+def test_one_counted_call_per_conic_attempt(monkeypatch, reject_every):
+    # The benchmark counts conic attempts by wrapping the module-level
+    # _second_intersection: the sweep must call it once per attempt, in
+    # pencil order, also when an attempt is rejected.
+    original, calls = k.cyclespace._second_intersection, []
+
+    def counted(conic, ell):
+        calls.append(ell)
+        if reject_every and len(calls) % reject_every == 0:
+            return None
+        return original(conic, ell)
+
+    monkeypatch.setattr(k.cyclespace, "_second_intersection", counted)
+    c = k.classify_cycle(k.example_family(2), samples=64)
+    assert (c.domain_status.kind, c.domain_status.samples) == ("sampled_ok", 64)
+    attempts = {0: 64, 3: 95}[reject_every]  # 95 calls, 31 of them rejected
+    assert calls == [k.cyclespace._pencil_parameter(i) for i in range(attempts)]

@@ -5,7 +5,7 @@ import pytest
 
 import k3cycles as k
 from k3cycles import GaussRational, jsonio
-from k3cycles.errors import InputError
+from k3cycles.errors import DegenerateGramError, DimensionMismatchError, InputError, NotSymmetricError
 
 from conftest import gauss_rows
 
@@ -95,3 +95,50 @@ def test_counterexample_point_keeps_its_precision():
     doc = jsonio.classification_to_json(k.classify_cycle(v, samples=64, precision=128))
     assert doc["domain"]["status"] == "counterexample"
     assert doc["domain"]["point"][0]["re"] == "0.244287195392330744946359003630283675"
+
+
+def _diag_doc():
+    """diag(1,1,1,-1) with the three-space span(e1, e2 + e4/2, e3)."""
+    gram = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "-1"]]
+    basis = [["1", "0", "0", "0"], ["0", "1", "0", {"re": "1/2", "im": "0"}], ["0", "0", "1", "0"]]
+    return {"ambient": {"gram": gram}, "basis": basis}
+
+
+def _with(path, value):
+    doc = _diag_doc()
+    *keys, last = path
+    node = doc
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        (_with(("ambient", "gram", 0, 0), "1/0"), InputError),
+        (_with(("ambient", "gram", 1, 1), "x"), InputError),
+        (_with(("ambient", "gram", 2, 2), True), InputError),
+        (_with(("ambient", "gram", 2, 2), 1.5), InputError),
+        (_with(("ambient", "gram", 0), "1"), InputError),
+        (_with(("ambient", "gram"), 5), InputError),
+        (_with(("ambient", "gram", 3), ["0", "0", "0"]), DimensionMismatchError),
+        (_with(("ambient", "gram", 0, 1), "2/4"), NotSymmetricError),
+        (_with(("ambient", "gram", 3, 3), "0"), DegenerateGramError),
+        (_with(("ambient", "gram", 3, 3), "1"), InputError),  # signature (4, 0, 0)
+        (_with(("basis", 0, 0), True), InputError),
+        (_with(("basis", 0, 0), {"re": "1", "im": True}), InputError),
+        (_with(("basis", 0, 0), ["1"]), InputError),
+        (_with(("basis", 0, 0), " 1/0 "), InputError),
+        (_with(("basis", 1), ["0", "1", "0"]), DimensionMismatchError),
+        (_with(("basis", 2), ["0", "2", "0", "1"]), InputError),  # dependent rows
+        (_with(("basis", 2), "0"), InputError),
+        (_with(("basis",), [["1", "0", "0", "0"], ["0", "1", "0", "0"]]), DimensionMismatchError),
+    ],
+)
+def test_bad_threespace_documents_raise_their_error_class(doc, error):
+    assert jsonio.threespace_from_json(_diag_doc()).ints == (((2, 0, 0, 0), (0, 2, 0, 1), (0, 0, 2, 0)), ((0,) * 4,) * 3, 2)
+    with pytest.raises(error) as info:
+        jsonio.threespace_from_json(json.loads(json.dumps(doc)))
+    assert type(info.value) is error

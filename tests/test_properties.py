@@ -1,12 +1,16 @@
 """Property tests: the Fincke-Pohst walk, the integral LLL and the reduced
 root enumeration, the bounded root search, the sparse pairing and isometry
 check, the chamber partition, the congruence diagonalisation, the integer HNF
-and kernel, the exact conic sweep, the integer three-space, the orientation
-test and rational parsing against the independent oracles in oracles.py, on
-random inputs drawn by hypothesis."""
+and kernel, the exact conic sweep and its closed-form sample values, the
+integer three-space and its JSON decode, the orientation test and rational
+parsing against the independent oracles in oracles.py, on random inputs drawn
+by hypothesis."""
 
+import json
 from fractions import Fraction as Q
 from math import gcd, lcm
+from operator import mul
+from unittest.mock import patch
 
 import mpmath
 import pytest
@@ -14,7 +18,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import k3cycles as k
-from k3cycles.cyclespace import _sample_domain
+from k3cycles import cyclespace, jsonio
+from k3cycles.cyclespace import PENCIL_DEN, _herm_coeffs, _herm_products, _sample_domain, _second_intersection
 from k3cycles.errors import DimensionMismatchError, InputError, NonPositiveKappaError, NotARootError, WallError
 from k3cycles.gaussrat import GaussRational, parse_rational
 from k3cycles.linalg import conj_vec, det, hnf, int_kernel, mat_mul, rref
@@ -516,6 +521,46 @@ def test_exact_conic_sweep_matches_mpmath_sweep(bits, v):
             assert err <= max(abs(y) for y in point) * mpmath.mpf(2) ** (8 - bits)
 
 
+def _hermitian_value(m, w):
+    """sum_ij w_i m_ij conj(w_j) for Gaussian-integer (re, im) pairs; real for Hermitian m."""
+    re = im = 0
+    for (a, b), row in zip(w, m):
+        for (x, y), (c, d) in zip(row, w):
+            u, v = a * x - b * y, a * y + b * x  # w_i m_ij
+            re, im = re + u * c + v * d, im + v * c - u * d  # times conj(w_j)
+    assert im == 0
+    return re
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(nonreal_threespaces(), st.sampled_from((64, 128)))
+def test_sample_values_equal_the_explicit_point(v, bits):
+    # _second_intersection returns W E W* and W H W* in closed form, without W;
+    # rebuild W = alpha p - beta delta here and evaluate both forms on it.
+    seen = []
+
+    def record(conic, ell):
+        out = _second_intersection(conic, ell)
+        seen.append((conic[0], ell, out))
+        return out
+
+    with patch.object(cyclespace, "_second_intersection", record):
+        _sample_domain(v, False, 12, bits)
+    re, im, _ = v.ints
+    b_rows = [tuple(zip(r, i)) for r, i in zip(re, im)]
+    E = [[(sum(x * u + y * t for (x, y), (u, t) in zip(bi, bj)), sum(y * u - x * t for (x, y), (u, t) in zip(bi, bj))) for bj in b_rows] for bi in b_rows]
+    H = v.gram_ints[1]
+    D = PENCIL_DEN
+    for p, (x, y), out in seen:
+        if out is None:
+            continue
+        values, (ar, ai), (br, bi) = out
+        delta = ((D * D, 0), (D * x, D * y), (x * x - y * y, 2 * x * y))
+        w = [(ar * u - ai * t - (br * c - bi * d), ar * t + ai * u - (br * d + bi * c)) for (u, t), (c, d) in zip(p, delta)]
+        assert values == (_hermitian_value(E, w), _hermitian_value(H, w))
+        assert values == tuple(sum(map(mul, _herm_coeffs(m), _herm_products(w))) for m in (E, H))
+
+
 @st.composite
 def symmetric_or_hermitian(draw):
     """(hermitian, m): a symmetric Fraction or Hermitian GaussRational matrix,
@@ -716,6 +761,41 @@ def test_integer_threespace_matches_dense_oracle(case, scale, which):
     scaled = tuple(tuple(x * scale for x in row) if j == which else row for j, row in enumerate(rows))
     w = k.ThreeSpace(ambient=ambient, basis=scaled)
     assert (w.is_real(), w.hermitian_inertia) == (v.is_real(), v.hermitian_inertia)
+
+
+def _respelled(obj, rng):
+    """A JSON document with every rational literal written another way that
+    means the same: "p/q" as "kp/kq" (unreduced), an integer as "p/1", a JSON
+    int or "+p", and spaces around it."""
+    if isinstance(obj, list):
+        return [_respelled(x, rng) for x in obj]
+    if isinstance(obj, dict):
+        return {key: _respelled(x, rng) for key, x in obj.items()}
+    x, m = Q(obj), rng.randint(1, 4)
+    if x.denominator == 1 and m == 1:
+        return rng.choice((x.numerator, f"{x.numerator}/1", f"+{x.numerator}" if x >= 0 else obj))
+    return rng.choice(("", " ", "\t")) + f"{x.numerator * m}/{x.denominator * m}" + rng.choice(("", "  ", "\n"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gauss_bases(), st.randoms(use_true_random=False))
+def test_json_decode_matches_the_rational_constructor(case, rng):
+    ambient, rows = case
+    doc = {"ambient": jsonio.space_to_json(ambient), "basis": [jsonio.encode_gauss_vector(row) for row in rows]}
+    doc = json.loads(json.dumps(_respelled(doc, rng)))
+    try:
+        v = k.ThreeSpace(ambient=ambient, basis=rows)
+    except InputError:
+        with pytest.raises(InputError, match="linearly dependent"):
+            jsonio.threespace_from_json(doc)
+        return
+    back = jsonio.threespace_from_json(doc)
+    assert (back.ambient.gram_int, back.ambient.den) == (ambient.gram_int, ambient.den)
+    assert back.ints == v.ints and back.basis == v.basis == rows
+    assert back == v and hash(back) == hash(v)
+    # ints over a multiple of d are the same three-space
+    re, im, d = v.ints
+    assert k.ThreeSpace(ambient=ambient, ints=(tuple(tuple(3 * x for x in r) for r in re), tuple(tuple(3 * x for x in r) for r in im), 3 * d)) == v
 
 
 def _integral_reflections(gram):

@@ -61,6 +61,18 @@ def test_space_keeps_one_integer_gram():
         k.IntegralLattice(sp)
 
 
+def test_space_over_a_denominator_is_reduced():
+    # QuadraticSpace(g, den) is the form g / den, kept over its least denominator.
+    sp = k.QuadraticSpace(((Q(1, 2), Q(1, 3)), (Q(1, 3), -1)))
+    assert k.QuadraticSpace(((6, 4), (4, -12)), den=12) == sp
+    assert k.QuadraticSpace(((Q(3, 2), 1), (1, -3)), den=3) == sp
+    integral = k.QuadraticSpace(((4, 2), (2, -4)), den=2)
+    assert (integral.gram_int, integral.den) == (((2, 1), (1, -2)), 1)
+    for den in (0, -2, True, 1.5, Q(1, 2)):
+        with pytest.raises(InputError, match="denominator"):
+            k.QuadraticSpace(((1, 0), (0, -1)), den=den)
+
+
 def test_space_validation():
     with pytest.raises(NotSymmetricError):
         k.QuadraticSpace(((0, 1), (2, 0)))

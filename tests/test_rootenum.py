@@ -55,6 +55,26 @@ def test_enumerate_requires_positive_definite():
         k.enumerate_norm_vectors(((2,),), 0)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_non_positive_diagonal_is_rejected_before_elimination(monkeypatch, sign):
+    # K3 and K3(-1) have zero diagonal entries (the U blocks): no form with
+    # e_i^T G e_i <= 0 is positive definite, so no elimination runs.
+    gram = tuple(tuple(sign * x for x in row) for row in k.quadspace.K3_GRAM)
+
+    def refuse(m):
+        raise AssertionError("the elimination ran")
+
+    monkeypatch.setattr(rootenum, "_symmetric_bareiss", refuse)
+    with pytest.raises(NotPositiveDefiniteError, match="form is not positive definite"):
+        _ldl(gram)
+    assert not _positive_definite(gram)
+    with pytest.raises(NotPositiveDefiniteError):
+        k.enumerate_norm_vectors(gram, 2)
+    # a positive diagonal still needs the elimination
+    with pytest.raises(AssertionError, match="the elimination ran"):
+        _ldl(((1, 2), (2, 1)))
+
+
 def test_walk_matches_box_oracles_e8_and_vprime_complement(e8, k3):
     # Both entry points of the one Fincke-Pohst walk against the box scans.
     # E8 gives the full 240 roots.  The rank-19 vprime complement box has
