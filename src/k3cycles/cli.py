@@ -16,7 +16,7 @@ import click
 from . import jsonio
 from .cyclespace import classify_cycle, example_family, exact_classification, intersect_hyperplane
 from .errors import FrameError, InputError, K3CyclesError, NotIsometryError
-from .gaussrat import parse_rational
+from .gaussrat import format_rational, parse_rational
 from .linalg import det
 from .quadspace import (
     IntegralLattice,
@@ -219,7 +219,7 @@ def cycle_intersect(input_path, delta, precision):
 def cycle_sweep_example(t_values, rank):
     """Exact classification sweep of the deformation family V_t."""
     ts = [parse_rational(s) for s in t_values.split(",")]
-    records = [{"t": jsonio.encode_rational(t), **exact_classification(example_family(t, n=rank))} for t in ts]
+    records = [{"t": format_rational(t), **exact_classification(example_family(t, n=rank))} for t in ts]
     _emit({"rank": rank, "family": records})
 
 

@@ -23,12 +23,11 @@ from mpmath.libmp import from_rational, mpf_shift, to_int
 
 from .errors import AmbientMismatchError, DimensionMismatchError, InputError, InternalCheckError
 from .gaussrat import GaussRational, as_fraction
-from .linalg import _det_bareiss, hnf, is_zero_vec, mat, rank
+from .linalg import _det_bareiss, clear_rows, hnf, is_zero_vec, mat
 from .quadspace import (
     IntegralLattice,
     Isometry,
     QuadraticSpace,
-    _gauss_ints,
     _hermitian_inertia,
     _realify,
     bilinear,
@@ -42,6 +41,8 @@ from .rootenum import roots_orthogonal_to_threespace
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 53
 DOMAIN_TOLERANCE = 1e-9
+# the float's exact binary value, read once rather than per sample
+_TOL_NUM, _TOL_DEN = DOMAIN_TOLERANCE.as_integer_ratio()
 PRECISION_ENV_VAR = "K3CYCLES_PRECISION"
 
 
@@ -66,9 +67,9 @@ class ThreeSpace:
 
     `ints` is the basis cleared to Gaussian-integer rows: (re, im, d) with
     basis = (re + i im) / d, integer rows and d > 0 least.  Independence,
-    reality and both Grams are decided from it in integers.  Give either the
-    Gauss-rational `basis` rows or `ints`; the GaussRational `basis` of a
-    space built from `ints` is made only when read.
+    reality, the real basis and both Grams are decided from it in integers.
+    Give either the Gauss-rational `basis` rows or `ints`; the GaussRational
+    `basis` of a space built from `ints` is made only when read, for output.
     """
 
     ambient: QuadraticSpace
@@ -80,7 +81,8 @@ class ThreeSpace:
         if basis is not None:
             rows = mat(tuple(tuple(GaussRational.of(x) for x in row) for row in basis))
             self.__dict__["basis"] = rows
-            ints = _gauss_ints(rows)
+            parts, d = clear_rows([[getattr(z, t).as_integer_ratio() for z in row] for t in ("re", "im") for row in rows])
+            ints = parts[: len(rows)], parts[len(rows):], d
         re, im, d = ints
         re, im = mat(re), mat(im)
         if len(re) != 3 or len(im) != 3:
@@ -93,7 +95,8 @@ class ThreeSpace:
         if c > 1:
             re, im, d = tuple(tuple(x // c for x in r) for r in re), tuple(tuple(x // c for x in r) for r in im), d // c
         # Rank over Q(i) is half the rank of the realification, rows (re | im) and (-im | re) of v and iv.
-        if len(hnf([r + i for r, i in zip(re, im)] + [tuple(-x for x in i) + r for r, i in zip(re, im)])) != 6:
+        echelon = hnf([r + i for r, i in zip(re, im)] + [tuple(-x for x in i) + r for r, i in zip(re, im)])
+        if len(echelon) != 6:
             raise InputError("basis rows are linearly dependent over Q(i)")
         p, n, z = ambient.inertia
         if p != 3 or z != 0:
@@ -101,13 +104,15 @@ class ThreeSpace:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "ints", (re, im, d))
         # V + conj V is spanned by the re and im rows, so V is real iff they span only 3 dimensions.
-        object.__setattr__(self, "_real", len(hnf(re + im)) == 3)
+        # Row operations keep the rank of the first n columns, which hold re and -im: it is the
+        # number of echelon rows with a pivot there.
+        object.__setattr__(self, "_real", sum(1 for row in echelon if any(row[: ambient.n])) == 3)
 
     @cached_property
     def basis(self):
         """The 3 x n GaussRational rows (re + i im) / d."""
         re, im, d = self.ints
-        return _gauss_matrix([zip(r, i) for r, i in zip(re, im)], d)
+        return tuple(tuple(GaussRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(r, i)) for r, i in zip(re, im))
 
     @property
     def n(self) -> int:
@@ -130,12 +135,6 @@ class ThreeSpace:
         H = tuple(tuple((rr[i][j] + jj[i][j], rj[j][i] - rj[i][j]) for j in range(3)) for i in range(3))
         return A, H, self.ambient.den * d * d
 
-    def symmetric_gram(self):
-        return _gauss_matrix(self.gram_ints[0], self.gram_ints[2])
-
-    def hermitian_gram(self):
-        return _gauss_matrix(self.gram_ints[1], self.gram_ints[2])
-
     @cached_property
     def hermitian_inertia(self):
         """Inertia (pos, neg, null) of the Hermitian Gram, computed once in integers."""
@@ -145,17 +144,17 @@ class ThreeSpace:
         return self._real
 
     def real_basis(self):
-        """A rational basis of V's real points (only valid when real)."""
-        candidates = [tuple(getattr(x, part) for x in row) for row in self.basis for part in ("re", "im")]
+        """A rational basis of V's real points (only valid when real): the first
+        of the integer rows re_0, im_0, re_1, im_1, re_2, im_2 that raise the
+        integer rank, over d."""
+        re, im, d = self.ints
         picked = []
-        for c in candidates:
-            if is_zero_vec(c):
-                continue
-            if rank(picked + [c]) > len(picked):
+        for c in chain.from_iterable(zip(re, im)):
+            if len(hnf(picked + [c])) > len(picked):
                 picked.append(c)
         if len(picked) != 3:
             raise InternalCheckError("real_basis called on a three-space that is not real")
-        return tuple(picked)
+        return tuple(tuple(Fraction(x, d) for x in row) for row in picked)
 
 
 @dataclass(frozen=True)
@@ -211,10 +210,9 @@ def example_family(t, n: int = 22) -> ThreeSpace:
         raise InputError("the deformation family needs ambient rank > 3")
     t = as_fraction(t)
     space = make_standard_lattice("diag", signs=[1, 1, 1] + [-1] * (n - 3))
-    # ThreeSpace lifts the int entries to Gauss rationals.
-    rows = [[int(i == j) for j in range(n)] for i in range(3)]
-    rows[0][3] = GaussRational(0, t)
-    return ThreeSpace(ambient=space, basis=tuple(map(tuple, rows)))
+    re = tuple(tuple(t.denominator * int(i == j) for j in range(n)) for i in range(3))
+    im = tuple(tuple(t.numerator * int((i, j) == (0, 3)) for j in range(n)) for i in range(3))
+    return ThreeSpace(ambient=space, ints=(re, im, t.denominator))
 
 
 def apply_isometry(g: Isometry, threespace: ThreeSpace) -> ThreeSpace:
@@ -297,30 +295,32 @@ def _exact_sqrt(q: Fraction):
     return None
 
 
-def _real_isotropic_witness(threespace: ThreeSpace):
-    """For real V: an exact-arithmetic conic point with hermitian value 0.
-
-    Returns (rational_point or None, squared_coefficient, index_pair, rows)
-    data sufficient to build the point; None when the real form is definite.
-    """
+def _real_isotropic_witness(threespace: ThreeSpace, bits: int):
+    """For real V: the counterexample at a real conic point, where the hermitian
+    value is the bilinear one, 0; None when the real form is definite.  Numeric
+    points are taken at the current mpmath precision."""
+    found = partial(DomainStatus, kind="counterexample", samples=0, certified_exact=True, precision_bits=bits)
     rb = threespace.real_basis()
-    a = gram_of(threespace.ambient, rb)
-    diag, S = congruence_diagonal(a)
-    rows = [tuple(sum((S[i][k] * as_fraction(rb[k][c]) for k in range(3)), start=Fraction(0)) for c in range(threespace.n)) for i in range(3)]
-    for i in range(3):
-        if diag[i] == 0:
-            return rows[i], None, None, rows  # radical vector: exactly isotropic
-    pos = [i for i in range(3) if diag[i] > 0]
-    neg = [i for i in range(3) if diag[i] < 0]
-    if not pos or not neg:
-        return None, None, None, rows
-    i, j = pos[0], neg[0]
-    q = -diag[j] / diag[i]  # the point s*u_i + u_j with s^2 = q is isotropic
-    s = _exact_sqrt(q)
-    if s is not None:
-        point = tuple(s * rows[i][c] + rows[j][c] for c in range(threespace.n))
-        return point, None, None, rows
-    return None, q, (i, j), rows
+    diag, S = congruence_diagonal(gram_of(threespace.ambient, rb))
+    rows = [tuple(sum((S[i][k] * rb[k][c] for k in range(3)), start=Fraction(0)) for c in range(threespace.n)) for i in range(3)]
+    point = next((rows[i] for i in range(3) if diag[i] == 0), None)  # radical vector: exactly isotropic
+    if point is None:
+        pos = [i for i in range(3) if diag[i] > 0]
+        neg = [i for i in range(3) if diag[i] < 0]
+        if not pos or not neg:
+            return None
+        i, j = pos[0], neg[0]
+        q = -diag[j] / diag[i]  # the point s*u_i + u_j with s^2 = q is isotropic
+        s = _exact_sqrt(q)
+        if s is None:
+            s = mpmath.sqrt(_to_mpf(q))
+            # hermitian = bilinear on real vectors; s^2 d_i + d_j = 0 exactly.
+            return found(point=tuple(mpmath.mpc(s * _to_mpf(x) + _to_mpf(y)) for x, y in zip(rows[i], rows[j])))
+        point = tuple(s * x + y for x, y in zip(rows[i], rows[j]))
+    if bilinear(threespace.ambient, point, point) != 0:
+        raise InternalCheckError("real conic witness is not isotropic")
+    exact = tuple(GaussRational.of(x) for x in point)
+    return found(point=tuple(_to_mpc(x) for x in exact), exact_point=exact)
 
 
 def _to_mpf(x: Fraction):
@@ -332,6 +332,11 @@ def _to_mpc(x) -> mpmath.mpc:
     return mpmath.mpc(_to_mpf(g.re), _to_mpf(g.im))
 
 
+def _pair_mpc(z, den) -> mpmath.mpc:
+    """The Gaussian integer (re, im) over den, as _to_mpc rounds the same Gauss rational."""
+    return mpmath.mpc(_to_mpf(Fraction(z[0], den)), _to_mpf(Fraction(z[1], den)))
+
+
 # ---------------------------------------------------------------------------
 # Exact conic sweep: Gaussian integers as (re, im) pairs of ints
 
@@ -341,11 +346,6 @@ PENCIL_DEN = 119  # 17 * 7, the common denominator of the pencil parameters
 def _gdot(u, v):
     """sum_i u_i v_i over Gaussian integers."""
     return (sum(a * c - b * d for (a, b), (c, d) in zip(u, v)), sum(a * d + b * c for (a, b), (c, d) in zip(u, v)))
-
-
-def _gauss_matrix(pairs, den):
-    """The GaussRational matrix of Gaussian-integer (re, im) pairs over den."""
-    return tuple(tuple(GaussRational(Fraction(x, den), Fraction(y, den)) for x, y in row) for row in pairs)
 
 
 def _herm_products(w):
@@ -377,25 +377,14 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
     point, reported as a counterexample when its normalized hermitian value is <= 1e-9.
     A sweep cut short by the cap of 4 * samples + 16 attempts reports "sampled_short".
     """
-    found = partial(DomainStatus, kind="counterexample", samples=0, certified_exact=True, precision_bits=bits)
-    with mpmath.workprec(bits):
-        if real:
-            point, q, pair, rows = _real_isotropic_witness(threespace)
-            if point is not None:
-                if bilinear(threespace.ambient, point, point) != 0:
-                    raise InternalCheckError("real conic witness is not isotropic")
-                exact = tuple(GaussRational.of(x) for x in point)
-                return found(point=tuple(_to_mpc(x) for x in exact), exact_point=exact)
-            if q is not None:
-                i, j = pair
-                s = mpmath.sqrt(_to_mpf(q))
-                numeric = tuple(s * _to_mpf(rows[i][c]) + _to_mpf(rows[j][c]) for c in range(threespace.n))
-                # hermitian = bilinear on real vectors; s^2 d_i + d_j = 0 exactly.
-                return found(point=tuple(mpmath.mpc(x) for x in numeric))
-            # real definite restriction: fall through to complex sampling
-        base = _conic_base_point(threespace.symmetric_gram())
-    p = tuple((to_int(mpf_shift(z.real._mpf_, bits), "n"), to_int(mpf_shift(z.imag._mpf_, bits), "n")) for z in base)
     a_rows, h_rows, a = threespace.gram_ints  # both Grams over the denominator a
+    with mpmath.workprec(bits):
+        witness = _real_isotropic_witness(threespace, bits) if real else None
+        if witness is not None:
+            return witness
+        # not real, or real with a definite real form: sample the conic
+        base = _conic_base_point(a_rows, a)
+    p = tuple((to_int(mpf_shift(z.real._mpf_, bits), "n"), to_int(mpf_shift(z.imag._mpf_, bits), "n")) for z in base)
     re, im, b = threespace.ints
     b_rows = [tuple(zip(r, i)) for r, i in zip(re, im)]
     # Euclidean form of the embedding: ||w B||^2 = w E conj(w)^T with E = b_rows conj(b_rows)^T / e
@@ -413,8 +402,8 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
         forms.append((sum(map(mul, coeffs, _herm_products(p))), [tuple(D ** (2 - i) * x for x in pm[i]) for i in range(3)], coeffs))
     conic = (p, alpha_poly, beta_poly, (a * D**4) ** 2, (bits + 1) // 2, bits, forms)
     # w A w^T = alpha^2 (p A p^T) exactly, so the residual needs |p A p^T|^2 only
-    tol, pap = Fraction(DOMAIN_TOLERANCE), _gdot(pa, p)
-    res_lhs, res_rhs = (pap[0] ** 2 + pap[1] ** 2) * (e * tol.denominator) ** 2, (tol.numerator * a) ** 2
+    pap = _gdot(pa, p)
+    res_lhs, res_rhs = (pap[0] ** 2 + pap[1] ** 2) * (e * _TOL_DEN) ** 2, (_TOL_NUM * a) ** 2
     ok = attempt = 0
     while ok < samples and attempt < 4 * samples + 16:
         ell = _pencil_parameter(attempt)
@@ -428,34 +417,38 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
         norm_alpha = ar * ar + ai * ai
         if norm_alpha * norm_alpha * res_lhs > res_rhs * scale * scale:
             continue  # |w A w^T| / ||w B||^2 > tolerance
-        if value * e * tol.denominator <= tol.numerator * a * scale:
+        if value * e * _TOL_DEN <= _TOL_NUM * a * scale:
             w = tuple((ar * u - ai * v - br * c + bi * d, ar * v + ai * u - br * d - bi * c) for (u, v), (c, d) in zip(p, _pencil_direction(ell)))
             # the ambient point sum_i w_i B_i / (2^bits alpha), rounded once per coordinate:
             # coordinate c is N_c conj(alpha) / (b 2^bits |alpha|^2), N_c = sum_i w_i b_rows[i][c]
             den = (b * norm_alpha) << bits
             numeric = (_gdot((_gdot(w, col),), ((ar, -ai),)) for col in zip(*b_rows))
             exact = _try_exact_counterexample(threespace, w)
-            return found(
+            return DomainStatus(
+                kind="counterexample",
                 samples=ok,
                 point=tuple(mpmath.mp.make_mpc((from_rational(x, den, bits, "n"), from_rational(y, den, bits, "n"))) for x, y in numeric),
                 exact_point=exact,
                 certified_exact=exact is not None,
+                precision_bits=bits,
             )
         ok += 1
     return DomainStatus(kind="sampled_ok" if ok == samples else "sampled_short", samples=ok, precision_bits=bits)
 
 
-def _conic_base_point(A):
-    """One numeric point of {w : w A w^T = 0} in coefficient space."""
+def _conic_base_point(pairs, den):
+    """One numeric point of {w : w A w^T = 0} in coefficient space, for A the
+    Gaussian-integer (re, im) pairs over den; b^2 - ac is taken in integers."""
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        a, b, c = A[i][i], A[i][j], A[j][j]
-        if a == 0 and b == 0 and c == 0:
+        a, b, c = pairs[i][i], pairs[i][j], pairs[j][j]
+        if a == b == c == (0, 0):
             continue
         w = [mpmath.mpc(0)] * 3
-        if a == 0:
+        if a == (0, 0):
             w[i] = mpmath.mpc(1)
         else:
-            w[i], w[j] = (-_to_mpc(b) + mpmath.sqrt(_to_mpc(b * b - a * c))) / _to_mpc(a), mpmath.mpc(1)
+            disc = _gdot((b, a), (b, (-c[0], -c[1])))
+            w[i], w[j] = (-_pair_mpc(b, den) + mpmath.sqrt(_pair_mpc(disc, den * den))) / _pair_mpc(a, den), mpmath.mpc(1)
         return tuple(w)
     # the form vanishes on every coordinate plane, so A = 0: every point is a conic point
     return (mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0))
@@ -511,8 +504,8 @@ def _try_exact_counterexample(threespace, w):
     norms = [x * x + y * y for x, y in w]
     n = max(norms)
     pr, pi = w[norms.index(n)]
-    coeffs = [GaussRational(*(Fraction(t, n).limit_denominator(10**6) for t in (x * pr + y * pi, y * pr - x * pi))) for x, y in w]
-    (re,), (im,), _ = _gauss_ints([coeffs])
+    coeffs = [[Fraction(t, n).limit_denominator(10**6) for t in (x * pr + y * pi, y * pr - x * pi)] for x, y in w]
+    (re, im), c = clear_rows([[z[t].as_integer_ratio() for z in coeffs] for t in (0, 1)])  # coefficients u / c
     u, u_bar = tuple(zip(re, im)), tuple(zip(re, (-y for y in im)))
     A, H, _ = threespace.gram_ints
     if _gdot(u, [_gdot(row, u) for row in A]) != (0, 0):
@@ -522,8 +515,10 @@ def _try_exact_counterexample(threespace, w):
         raise InternalCheckError("Hermitian form of a conic point is not real")
     if h_re > 0:
         return None
-    zero = GaussRational.of(0)
-    return tuple(sum((coeffs[i] * threespace.basis[i][c] for i in range(3)), start=zero) for c in range(threespace.n))
+    # coordinate k is sum_i u_i (re_i[k] + i im_i[k]) / (c d)
+    b_re, b_im, d = threespace.ints
+    cols = zip(*(zip(r, i) for r, i in zip(b_re, b_im)))
+    return tuple(GaussRational(Fraction(x, c * d), Fraction(y, c * d)) for x, y in (_gdot(u, col) for col in cols))
 
 
 def intersect_hyperplane(threespace: ThreeSpace, delta, precision: int | None = None) -> HyperplaneIntersection:

@@ -9,7 +9,6 @@ precision used to compute it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 import mpmath
 
@@ -21,18 +20,11 @@ from .cyclespace import (
     TwistorStatus,
 )
 from .errors import InputError
-from .gaussrat import GaussRational, format_rational, parse_ratio, parse_rational
+from .gaussrat import GaussRational, format_rational, parse_ratio
+from .linalg import clear_rows
 from .quadspace import IntegralLattice, QuadraticSpace
 from .rootenum import RootList, Sublattice
 from .weyl import ChamberPartition, PartitionCheck
-
-
-def encode_rational(x) -> str:
-    return format_rational(x)
-
-
-def decode_rational(s):
-    return parse_rational(s)
 
 
 def encode_gauss(x) -> dict:
@@ -87,15 +79,9 @@ def _rows(obj) -> list:
     return obj
 
 
-def _clear(rows) -> tuple:
-    """(int rows, d): rows of (p, q) pairs in lowest terms, times their least common denominator d."""
-    d = lcm(*(q for row in rows for _, q in row))
-    return tuple(tuple(p * (d // q) for p, q in row) for row in rows), d
-
-
 def decode_rational_matrix(obj) -> tuple:
     """(rows, d): the rational rows as integer rows over their least common denominator d > 0."""
-    return _clear([_ratios(row) for row in _rows(obj)])
+    return clear_rows([_ratios(row) for row in _rows(obj)])
 
 
 def decode_int_vector(obj) -> tuple:
@@ -140,7 +126,7 @@ def threespace_from_json(obj) -> ThreeSpace:
     ambient = space_from_json(obj["ambient"])
     rows = [_gauss_row(row) for row in _rows(obj["basis"])]
     # The re rows and the im rows, cleared together to integers over one denominator.
-    parts, d = _clear([[z[t] for z in row] for t in (0, 1) for row in rows])
+    parts, d = clear_rows([[z[t] for z in row] for t in (0, 1) for row in rows])
     return ThreeSpace(ambient=ambient, ints=(parts[: len(rows)], parts[len(rows):], d))
 
 

@@ -198,6 +198,12 @@ def clear_denominators(v):
     return tuple(ints)
 
 
+def clear_rows(rows):
+    """(int rows, d): rows of (p, q) pairs in lowest terms, q > 0, times their least common denominator d."""
+    d = lcm(*(q for row in rows for _, q in row))
+    return tuple(tuple(p * (d // q) for p, q in row) for row in rows), d
+
+
 def _euclid_column(a, r, c):
     """Euclid on column c of the integer rows a[r:], by unimodular row operations.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     NotSymmetricError,
 )
 from .gaussrat import GaussRational
-from .linalg import _symmetric_bareiss, conj_vec, det, mat
+from .linalg import _symmetric_bareiss, clear_rows, conj_vec, det, mat
 
 # Chain basis of E8 in the D8+glue model: rows are
 #   (1/2,...,1/2), e1+e2, e2-e1, e3-e2, e4-e3, e5-e4, e6-e5, e7-e6
@@ -244,8 +244,8 @@ def _cleared(m, den=1):
     elif not all(isinstance(x, (int, Fraction)) for row in m for x in row):
         raise TypeError("entries must be exact rationals (int or Fraction)")
     else:
-        q = lcm(*(x.denominator for row in m for x in row))
-        g, den = tuple(tuple(x.numerator * (q // x.denominator) for x in row) for row in m), den * q
+        g, q = clear_rows([[x.as_integer_ratio() for x in row] for row in m])
+        den *= q
     if any(len(r) != n for r in g):
         raise DimensionMismatchError("matrix is not square")
     if g != tuple(zip(*g)):
@@ -295,13 +295,6 @@ def _gram_inertia(gram):
     return gram, _int_inertia(gram)
 
 
-def _gauss_ints(rows):
-    """(re, im, d): GaussRational rows = (re + i im) / d with integer re and im rows and d > 0."""
-    parts = [[(z.re, z.im) for z in row] for row in rows]
-    d = lcm(*(x.denominator for row in parts for z in row for x in z))
-    return tuple(tuple(tuple(z[t].numerator * (d // z[t].denominator) for z in row) for row in parts) for t in (0, 1)) + (d,)
-
-
 def _realify(pairs):
     """[[X, -Y], [Y, X]] for the Gaussian-integer matrix X + iY of (re, im) pairs."""
     return [[x for x, _ in r] + [-y for _, y in r] for r in pairs] + [[y for _, y in r] + [x for x, _ in r] for r in pairs]
@@ -321,8 +314,8 @@ def hermitian_signature(h):
         raise DimensionMismatchError("matrix is not square")
     if any(z[i][j] != z[j][i].conjugate() for i in range(n) for j in range(i, n)):
         raise NotHermitianError("matrix is not Hermitian")
-    re, im, _ = _gauss_ints(z)
-    return _hermitian_inertia([tuple(zip(r, i)) for r, i in zip(re, im)])
+    parts, _ = clear_rows([[getattr(x, t).as_integer_ratio() for x in row] for t in ("re", "im") for row in z])
+    return _hermitian_inertia([tuple(zip(r, i)) for r, i in zip(parts[:n], parts[n:])])
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately separate from the library: the coordinate
 bounds come from a locally computed inverse Gram, the scan is a plain product
-box evaluated with numpy, and block-diagonal forms with even blocks are
+box evaluated with numpy, except for the E8 chain Gram, whose norm-2 vectors
+are the 240 roots of the R^8 model solved to chain coordinates
+(`e8_chain_roots`), and block-diagonal forms with even blocks are
 handled by the orthogonal-sum argument (a norm -2 vector of a definite direct
 sum of even blocks has exactly one nonzero block component).  Bounded root searches in indefinite
 lattices have a literal box scan (`box_scan_roots`) and, for period points of
@@ -69,10 +71,48 @@ def _int_gram(gram):
     return tuple(tuple(int(x) for x in row) for row in gram)
 
 
-@lru_cache(maxsize=1024)  # large enough that the property tests do not evict the E8 scan
+# The README's chain basis of E8 in R^8: (1/2,...,1/2), e1+e2, e2-e1, e3-e2, ..., e7-e6.
+E8_CHAIN_BASIS = (
+    (Fraction(1, 2),) * 8,
+    (1, 1, 0, 0, 0, 0, 0, 0),
+    (-1, 1, 0, 0, 0, 0, 0, 0),
+    (0, -1, 1, 0, 0, 0, 0, 0),
+    (0, 0, -1, 1, 0, 0, 0, 0),
+    (0, 0, 0, -1, 1, 0, 0, 0),
+    (0, 0, 0, 0, -1, 1, 0, 0),
+    (0, 0, 0, 0, 0, -1, 1, 0),
+)
+E8_CHAIN_GRAM = tuple(tuple(int(sum(a * b for a, b in zip(u, v))) for v in E8_CHAIN_BASIS) for u in E8_CHAIN_BASIS)
+
+
+@lru_cache(maxsize=1)
+def e8_chain_roots():
+    """The 240 roots of E8 in chain coordinates, sorted: in R^8 they are
+    +-e_i +-e_j and (+-1/2)^8 with an even number of minus signs, and the
+    chain coordinates c of a root v solve c B = v for the chain basis B."""
+    vectors = []
+    for i, j in itertools.combinations(range(8), 2):
+        for si, sj in itertools.product((1, -1), repeat=2):
+            v = [0] * 8
+            v[i], v[j] = si, sj
+            vectors.append(v)
+    vectors += [[Fraction(s, 2) for s in signs] for signs in itertools.product((1, -1), repeat=8) if signs.count(-1) % 2 == 0]
+    binv = _inverse_fraction(E8_CHAIN_BASIS)
+    roots = [tuple(sum(v[k] * binv[k][j] for k in range(8)) for j in range(8)) for v in vectors]
+    if any(c.denominator != 1 for r in roots for c in r) or len(set(roots)) != 240:
+        raise ValueError("the R^8 model did not give 240 integral chain coordinates")
+    return tuple(sorted(tuple(int(c) for c in r) for r in roots))
+
+
+@lru_cache(maxsize=1024)
 def _naive_box_cached(gram, target):
     """Sorted (x, x^T gram x) pairs for the box points with norm <= target;
-    one scan serves both the exact-norm and the radius oracle."""
+    one scan serves both the exact-norm and the radius oracle.
+
+    E8 is even and positive definite, so for the E8 chain Gram at target 2
+    those points are 0 and the 240 roots, taken from the R^8 model."""
+    if gram == E8_CHAIN_GRAM and target == 2:
+        return tuple(sorted([((0,) * 8, 0)] + [(r, 2) for r in e8_chain_roots()]))
     n = len(gram)
     gi = _inverse_fraction(gram)
     bounds = [_floor_sqrt(Fraction(target) * gi[i][i]) for i in range(n)]
@@ -201,21 +241,32 @@ def k3_u3_box_roots(gram, re, im):
 
 
 def dense_bilinear(gram, x, y):
-    """x^T gram y over every Gram entry, accumulated from Fraction(0).
+    """x^T gram y over every Gram entry, accumulated in ints when the Gram and
+    both vectors are all ints, else from Fraction(0).
 
-    Entries may be int, Fraction or GaussRational; the value is Gaussian as
-    soon as a Gaussian entry takes part in a product.
+    Entries may be int, Fraction or GaussRational; the value is a Fraction,
+    Gaussian as soon as a Gaussian entry takes part in a product.
     """
-    total = Fraction(0)
+    exact = int if all(type(v) is int for row in (x, y, *gram) for v in row) else Fraction
+    total = exact(0)
     for i, xi in enumerate(x):
         if xi == 0:
             continue
-        acc = Fraction(0)
+        acc = exact(0)
         for j, yj in enumerate(y):
             if yj != 0:
-                acc = acc + Fraction(gram[i][j]) * yj
+                acc = acc + exact(gram[i][j]) * yj
         total = total + xi * acc
-    return total
+    return Fraction(total) if exact is int else total
+
+
+def dense_grams(threespace):
+    """(A, H): the symmetric and Hermitian Grams of the basis rows, by
+    `dense_bilinear` over the rational ambient Gram."""
+    gram, rows = threespace.ambient.gram, threespace.basis
+    A = tuple(tuple(dense_bilinear(gram, x, y) for y in rows) for x in rows)
+    H = tuple(tuple(dense_bilinear(gram, x, [z.conjugate() for z in y]) for y in rows) for x in rows)
+    return A, H
 
 
 def reference_partition_scan(gram, plus, depth):
@@ -384,9 +435,9 @@ def _reference_exact_point(threespace, A, H, w):
 def reference_conic_sweep(threespace, samples, bits, tolerance=1e-9):
     """(kind, samples, point, exact_point) of the mpmath sweep at `bits` bits.
 
-    Only the Gram matrices and the basis of the three-space are read from it.
+    Only the ambient Gram and the basis of the three-space are read from it.
     """
-    A, H = threespace.symmetric_gram(), threespace.hermitian_gram()
+    A, H = dense_grams(threespace)
     with mpmath.workprec(bits):
         An = [[_mpc_of(x) for x in row] for row in A]
         Hn = [[_mpc_of(x) for x in row] for row in H]

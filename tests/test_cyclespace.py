@@ -4,17 +4,18 @@ import pathlib
 import random
 import sys
 from fractions import Fraction as Q
+from unittest.mock import patch
 
 import mpmath
 import pytest
 
 import k3cycles as k
-from k3cycles import GaussRational, jsonio, quadspace
+from k3cycles import GaussRational, cyclespace, gaussrat, jsonio, quadspace
 from k3cycles.errors import AmbientMismatchError, DimensionMismatchError, InputError
-from k3cycles.linalg import rank
+from k3cycles.linalg import hnf, rank
 
 from conftest import gauss_rows, uvec
-from oracles import reference_conic_sweep
+from oracles import dense_grams, reference_conic_sweep
 
 
 def diag_space(n=22):
@@ -68,9 +69,9 @@ def test_family_trichotomy_sweep():
 
     allowed = {(3, 0, 0), (2, 1, 0), (2, 0, 1)}
     for num in range(0, 17):
-        v = k.example_family(Q(num, 5))
-        assert k.hermitian_signature(v.hermitian_gram()) in allowed
-        assert det(v.symmetric_gram()) != 0
+        A, H = dense_grams(k.example_family(Q(num, 5)))
+        assert k.hermitian_signature(H) in allowed
+        assert det(A) != 0
 
 
 def test_family_needs_rank_above_three():
@@ -81,7 +82,7 @@ def test_family_needs_rank_above_three():
 def test_family_parametric_rank():
     v = k.example_family(Q(1, 2), n=5)
     assert v.n == 5
-    assert k.hermitian_signature(v.hermitian_gram()) == (3, 0, 0)
+    assert k.hermitian_signature(dense_grams(v)[1]) == (3, 0, 0)
 
 
 def test_not_smooth_example():
@@ -196,7 +197,7 @@ def test_twistor_not_applicable_nonreal(k3):
     rows = gauss_rows([uvec(0), uvec(1), uvec(2)])
     tilted = (tuple(a + i * GaussRational.of(b) for a, b in zip(rows[0], e3f3)), rows[1], rows[2])
     v2 = k.ThreeSpace(ambient=k3.space, basis=tilted)
-    assert k.hermitian_signature(v2.hermitian_gram()) == (3, 0, 0)
+    assert k.hermitian_signature(dense_grams(v2)[1]) == (3, 0, 0)
     assert not v2.is_real()
     assert k.is_twistor(k3, v2).status == "not_applicable"
 
@@ -383,7 +384,7 @@ def test_fixed_cycle_law_both_directions(k3):
         if fixed < 10:
             rows = _project_frame_into_root_complement(k3, d)
             v = k.ThreeSpace(ambient=k3.space, basis=gauss_rows(rows))
-            assert k.hermitian_signature(v.hermitian_gram()) == (3, 0, 0)
+            assert k.hermitian_signature(dense_grams(v)[1]) == (3, 0, 0)
             assert all(k.bilinear(k3, r, [Q(x) for x in d]) == 0 for r in rows)
             assert spans_equal(k.apply_isometry(iso, v), v)
             fixed += 1
@@ -392,7 +393,7 @@ def test_fixed_cycle_law_both_directions(k3):
             rows[0] = tuple(a + Q(rng.randint(-1, 1), 3) * b for a, b in zip(rows[0], uvec(1)))
             v = k.ThreeSpace(ambient=k3.space, basis=gauss_rows(rows))
             pair = [k.bilinear(k3, r, [Q(x) for x in d]) for r in v.basis]
-            if all(p == 0 for p in pair) or k.hermitian_signature(v.hermitian_gram()) != (3, 0, 0):
+            if all(p == 0 for p in pair) or k.hermitian_signature(dense_grams(v)[1]) != (3, 0, 0):
                 continue
             assert not spans_equal(k.apply_isometry(iso, v), v)
             moved += 1
@@ -418,7 +419,7 @@ def test_domain_sampling_shortfall_is_reported():
     rows[0][0] = rows[0][3] = rows[1][1] = rows[1][4] = rows[2][2] = rows[2][6] = rows[2][7] = GaussRational.of(1)
     rows[2][8] = GaussRational(Q(0), Q(1))
     v = k.ThreeSpace(ambient=sp, basis=tuple(map(tuple, rows)))
-    assert all(x == 0 for row in v.symmetric_gram() for x in row)
+    assert all(x == 0 for row in dense_grams(v)[0] for x in row)
     c = k.classify_cycle(v, samples=50)
     assert c.hermitian_signature == (0, 1, 2)
     assert (c.domain_status.kind, c.domain_status.samples) == ("sampled_short", 0)
@@ -486,13 +487,13 @@ def test_resolve_precision_rejects_non_integer_bits(bits):
         k.classify_cycle(k.example_family(2, n=5), samples=4, precision=bits)
 
 
-def _fraction_calls(fn):
-    """Python-level calls into fractions.py while fn runs, counted by a profile hook."""
+def _calls_into(fn, module=fractions):
+    """Python-level calls into the module's file (fractions.py by default) while fn runs, counted by a profile hook."""
     calls = 0
 
     def hook(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+        if event == "call" and frame.f_code.co_filename == module.__file__:
             calls += 1
 
     sys.setprofile(hook)
@@ -506,13 +507,13 @@ def _fraction_calls(fn):
 def test_integer_inertia_paths_make_no_fraction_calls(u3_diagonal):
     # Inertia and smoothness run on integer Grams alone; the counter itself
     # sees the rational view, which builds its Fraction transform.
-    assert _fraction_calls(lambda: quadspace.congruence_diagonal(quadspace.K3_GRAM)) > 0
-    assert _fraction_calls(lambda: k.signature(quadspace.K3_GRAM)) == 0
+    assert _calls_into(lambda: quadspace.congruence_diagonal(quadspace.K3_GRAM)) > 0
+    assert _calls_into(lambda: k.signature(quadspace.K3_GRAM)) == 0
     for build in (lambda: k.example_family(Q(1, 2)), lambda: k.example_family(2), lambda: k.ThreeSpace(ambient=u3_diagonal.ambient, basis=u3_diagonal.basis)):
         v = build()
-        assert _fraction_calls(lambda: v.hermitian_inertia) == 0
+        assert _calls_into(lambda: v.hermitian_inertia) == 0
         w = build()
-        assert _fraction_calls(lambda: k.cyclespace.exact_classification(w)) == 0
+        assert _calls_into(lambda: k.cyclespace.exact_classification(w)) == 0
         assert k.cyclespace.exact_classification(w) == k.cyclespace.exact_classification(v)
 
 
@@ -520,11 +521,54 @@ def test_integer_decode_and_isometry_make_no_fraction_calls(k3):
     # An integer three-space document decodes to cleared rows, and an
     # isometry moves them, without a Fraction or a Gauss-rational basis.
     doc = json.loads((pathlib.Path(__file__).parent / "data" / "threespace_u3_diagonal.json").read_text())
-    assert _fraction_calls(lambda: jsonio.threespace_from_json(doc)) == 0
+    assert _calls_into(lambda: jsonio.threespace_from_json(doc)) == 0
     v = jsonio.threespace_from_json(doc)
     g = k.reflection_matrix(k3, tuple(int(i in (0, 3, 6)) for i in range(22)))
-    assert _fraction_calls(lambda: k.apply_isometry(g, v)) == 0
+    assert _calls_into(lambda: k.apply_isometry(g, v)) == 0
     assert "basis" not in vars(v) and "basis" not in vars(k.apply_isometry(g, v))
+
+
+def test_decoded_domain_input_samples_without_gauss_rationals():
+    # A Z[i] basis change of V_t with t in (1, 3], decoded from JSON: the conic
+    # lies in the domain, and the whole classification, base point and sweep
+    # included, runs on the integer rows and Grams.  No Fraction call is made
+    # per sample.
+    i = GaussRational(0, 1)
+    family = k.example_family(Q(77, 32)).basis
+    change = ((1, i, 0), (0, 1, 1 + i), (0, 0, 1))
+    rows = tuple(tuple(sum((m * row[c] for m, row in zip(coeffs, family)), start=GaussRational.of(0)) for c in range(22)) for coeffs in change)
+    doc = json.loads(json.dumps(jsonio.threespace_to_json(k.ThreeSpace(ambient=diag_space(22), basis=rows))))
+    v = jsonio.threespace_from_json(doc)
+    c = k.classify_cycle(v, samples=256, precision=128)
+    assert (c.domain_status.kind, c.domain_status.samples) == ("sampled_ok", 256)
+    assert _calls_into(lambda: k.classify_cycle(v, samples=256, precision=128), gaussrat) == 0
+    assert _calls_into(lambda: k.classify_cycle(v, samples=16, precision=128)) == _calls_into(lambda: k.classify_cycle(v, samples=256, precision=128))
+    assert "basis" not in vars(v)
+
+
+def test_each_threespace_construction_runs_one_echelon_form(k3, u3_diagonal):
+    # One HNF of the realification decides both independence and reality.
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return hnf(rows)
+
+    doc = jsonio.threespace_to_json(u3_diagonal)
+    g = k.reflection_matrix(k3, tuple(int(i in (0, 3, 6)) for i in range(22)))
+    builds = (
+        lambda: k.example_family(Q(1, 2)),
+        lambda: k.ThreeSpace(ambient=u3_diagonal.ambient, basis=u3_diagonal.basis),
+        lambda: k.ThreeSpace(ambient=u3_diagonal.ambient, ints=u3_diagonal.ints),
+        lambda: jsonio.threespace_from_json(doc),
+        lambda: k.apply_isometry(g, u3_diagonal),
+    )
+    for build in builds:
+        calls.clear()
+        with patch.object(cyclespace, "hnf", counted):
+            v = build()
+            v.is_real()
+        assert calls == [6]
 
 
 def test_precision_env_var_below_minimum(monkeypatch):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import k3cycles as k
 from k3cycles import cyclespace, jsonio
-from k3cycles.cyclespace import PENCIL_DEN, _herm_coeffs, _herm_products, _sample_domain, _second_intersection
+from k3cycles.cyclespace import PENCIL_DEN, _herm_coeffs, _herm_products, _sample_domain, _second_intersection, _try_exact_counterexample
 from k3cycles.errors import DimensionMismatchError, InputError, NonPositiveKappaError, NotARootError, WallError
 from k3cycles.gaussrat import GaussRational, parse_rational
 from k3cycles.linalg import conj_vec, det, hnf, int_kernel, mat_mul, rref
@@ -29,10 +29,12 @@ from k3cycles.rootenum import _coefficient_bounds, _enumerate_up_to, _ldl, _lll,
 from oracles import (
     _floor_sqrt,
     _inverse_fraction,
+    _reference_exact_point,
     box_scan_roots,
     cofactor_det,
     dense_bilinear,
     dense_congruence,
+    dense_grams,
     exact_rank,
     naive_box_norm_vectors,
     naive_box_radius_vectors,
@@ -732,6 +734,11 @@ def gauss_bases(draw):
     return ambient, tuple(mixed)
 
 
+def _over(pairs, den):
+    """The GaussRational matrix of Gaussian-integer (re, im) pairs over den."""
+    return tuple(tuple(GaussRational(Q(x, den), Q(y, den)) for x, y in row) for row in pairs)
+
+
 def _rref_rank_and_reality(rows):
     """Rank over Q(i), and whether the reduced basis is real: RREF(conj V) = conj RREF(V)."""
     red, pivots = rref(rows)
@@ -750,9 +757,10 @@ def test_integer_threespace_matches_dense_oracle(case, scale, which):
     v = k.ThreeSpace(ambient=ambient, basis=rows)
     assert v.basis == rows
     assert v.is_real() is real
-    assert v.symmetric_gram() == tuple(tuple(dense_bilinear(ambient.gram, x, y) for y in rows) for x in rows)
+    A, H, den = v.gram_ints
+    assert _over(A, den) == tuple(tuple(dense_bilinear(ambient.gram, x, y) for y in rows) for x in rows)
     hermitian = tuple(tuple(dense_bilinear(ambient.gram, x, conj_vec(y)) for y in rows) for x in rows)
-    assert v.hermitian_gram() == hermitian
+    assert _over(H, den) == hermitian
     assert v.hermitian_inertia == reference_inertia(hermitian)
     re, im, d = v.ints
     assert d > 0 and all(type(x) is int for row in re + im for x in row)
@@ -761,6 +769,56 @@ def test_integer_threespace_matches_dense_oracle(case, scale, which):
     scaled = tuple(tuple(x * scale for x in row) if j == which else row for j, row in enumerate(rows))
     w = k.ThreeSpace(ambient=ambient, basis=scaled)
     assert (w.is_real(), w.hermitian_inertia) == (v.is_real(), v.hermitian_inertia)
+
+
+def _greedy_real_basis(rows):
+    """The first of re(row_0), im(row_0), re(row_1), ... that raise the rank of
+    those picked before, by plain Fraction elimination."""
+    picked = []
+    for c in (tuple(getattr(x, part) for x in row) for row in rows for part in ("re", "im")):
+        if exact_rank(picked + [c]) > len(picked):
+            picked.append(c)
+    return tuple(picked)
+
+
+# span(e1 + e4, r2, r3): the base point e1 + e4 is exact, and the third sample
+# is a counterexample with an exact point.
+EXACT_WITNESS_ROWS = (tuple(GaussRational.of(int(c in (0, 3))) for c in range(6)),) + tuple(
+    tuple(GaussRational(x, y) for x, y in r)
+    for r in (((-1, -1), (1, -2), (0, 2), (1, 2), (0, -1), (2, 0)), ((-1, 0), (1, 1), (1, 2), (2, -1), (1, -1), (2, 1)))
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(gauss_bases(), nonreal_threespaces().map(lambda v: (v.ambient, v.basis))))
+@example((DIAG6, EXACT_WITNESS_ROWS))
+def test_threespace_decisions_match_the_rational_oracles(case):
+    # Reality is rank(re u im) = 3; the real basis is the greedy pick over the
+    # Gauss-rational basis; an exact counterexample is the reference
+    # reconstruction of the same sample W.
+    ambient, rows = case
+    try:
+        v = k.ThreeSpace(ambient=ambient, basis=rows)
+    except InputError:
+        assume(False)
+    real = exact_rank([tuple(getattr(x, part) for x in row) for row in rows for part in ("re", "im")]) == 3
+    assert v.is_real() is real
+    if real:
+        assert v.real_basis() == _greedy_real_basis(rows)
+        return
+    seen = []
+
+    def record(threespace, w):
+        seen.append((w, _try_exact_counterexample(threespace, w)))
+        return seen[-1][1]
+
+    with patch.object(cyclespace, "_try_exact_counterexample", record):
+        got = _sample_domain(v, False, 48, 128)
+    assert len(seen) == (got.kind == "counterexample")
+    A, H = dense_grams(v)
+    for w, exact in seen:
+        with mpmath.workprec(1024):
+            assert exact == got.exact_point == _reference_exact_point(v, A, H, [mpmath.mpc(x, y) for x, y in w])
 
 
 def _respelled(obj, rng):
