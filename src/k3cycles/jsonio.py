@@ -50,11 +50,11 @@ def encode_rational_vector(v) -> list:
     return [format_rational(x) for x in v]
 
 
-def _ratios(obj) -> list:
+def _ratios(obj, parse=parse_ratio) -> list:
     """The (p, q) pairs of a JSON rational vector."""
     if not isinstance(obj, list):
         raise InputError("expected a JSON array for a rational vector")
-    return [parse_ratio(x) for x in obj]
+    return [parse(x) for x in obj]
 
 
 def _gauss_row(obj) -> list:
@@ -80,8 +80,17 @@ def _rows(obj) -> list:
 
 
 def decode_rational_matrix(obj) -> tuple:
-    """(rows, d): the rational rows as integer rows over their least common denominator d > 0."""
-    return clear_rows([_ratios(row) for row in _rows(obj)])
+    """(rows, d): the rational rows as integer rows over their least common denominator
+    d > 0.  Each distinct literal is parsed once, keyed with its type: true, 1 and "1" differ."""
+    seen = {}
+
+    def parse(x):
+        key = (type(x), x) if isinstance(x, (int, str)) else None  # parse_ratio refuses any other x
+        if key not in seen:
+            seen[key] = parse_ratio(x)
+        return seen[key]
+
+    return clear_rows([_ratios(row, parse) for row in _rows(obj)])
 
 
 def decode_int_vector(obj) -> tuple:

@@ -1,13 +1,17 @@
 """Root enumeration: saturated orthogonal complements, integral LLL reduction,
-exact Fincke-Pohst branch-and-bound in definite lattices, and one block join.
+exact Fincke-Pohst branch-and-bound in definite lattices, and block joins.
 
 Both root searches end in `_block_roots`: the form on a lattice basis splits
-into orthogonal blocks, each block's ambient partials are tabulated by block
-norm (walked if LDL^T finds the block negative definite, else box-scanned),
-and the tables are joined to norm -2; in <-1> + <-1> the root (1, 1) takes
-norm -1 from each block.  The complete search joins the LLL-reduced
-complement of a positive three-space without a bound, `bounded_root_search`
-the constraint kernel over a coordinate box.
+into orthogonal blocks, each block's ambient partials are grouped by block
+norm, and the groups are joined to norm -2; in <-1> + <-1> the root (1, 1)
+takes norm -1 from each block.  One Fincke-Pohst walk carries each vector's
+ambient image and checks each leaf's norm against the block's Gram.  The
+complete search reduces the complement of a positive three-space by an LLL
+that tracks only its transform H, checks det H = +-1, and takes its blocks
+from the ambient Gram of the reduced rows; all are negative definite, so a
+root is a -2 vector of one block or the sum of -1 vectors of two blocks.  The
+bounded search walks or box-scans the blocks of the constraint kernel and
+joins them over a coordinate box.
 
 All enumeration output is lexicographically sorted and lists x and -x
 explicitly, so CLI output is reproducible byte for byte.
@@ -120,15 +124,19 @@ def orthogonal_complement_lattice(lattice: IntegralLattice, constraints) -> Subl
     """Saturated kernel {x in Z^n : <x, c> = 0 for all constraints c}."""
     rows = _constraint_rows(lattice, constraints)
     basis = int_kernel(rows) if rows else identity_int(lattice.n)
-    r = len(basis)
-    restricted = [[0] * r for _ in range(r)]
-    # One image G b_i per row, paired with b_j for j >= i and mirrored.
-    for i, bi in enumerate(basis):
+    return Sublattice(ambient=lattice, basis=basis, restricted_gram=_ambient_gram(lattice, basis))
+
+
+def _ambient_gram(lattice: IntegralLattice, rows):
+    """The Gram of integer rows under the lattice form: one image G b_i per
+    row, paired with b_j for j >= i and mirrored."""
+    r = len(rows)
+    out = [[0] * r for _ in range(r)]
+    for i, bi in enumerate(rows):
         image = gram_apply(lattice.space.sparse_rows, bi)
         for j in range(i, r):
-            restricted[i][j] = restricted[j][i] = sum(map(mul, image, basis[j]))
-    restricted = tuple(map(tuple, restricted))
-    return Sublattice(ambient=lattice, basis=basis, restricted_gram=restricted)
+            out[i][j] = out[j][i] = sum(map(mul, image, rows[j]))
+    return tuple(map(tuple, out))
 
 
 def _ldl(gram):
@@ -165,38 +173,55 @@ def _int_interval(s: int, lead: int, bound: int):
     return -((t + s) // lead), (t - s) // lead
 
 
-def _fincke_pohst(gram, bound, exact: bool):
-    """Sorted integer x with x^T gram x == bound (exact) or <= bound, posdef gram.
+def _fincke_pohst(gram, bound, exact: bool, rows):
+    """The images sum_k t_k rows[k] of the integer t with t^T gram t == bound
+    (exact) or <= bound, posdef gram, grouped by that norm.
 
     Coordinates run from the last to the first inside exact integer intervals;
     the remaining norm is kept as an integer over the common denominator of
-    the fraction-free LDL^T.  Rational grams and bounds are scaled to integers.
+    the fraction-free LDL^T, and each coordinate step adds one sparse row to
+    the image.  Each leaf's norm, summed from the gram's entries along the
+    path, is checked against the bound.  Rational input is scaled to integers,
+    and so are the norms that key the groups.
     """
     g, den_g = _cleared(gram)
     den = math.lcm(bound.denominator, den_g)
-    lead, low, weight, scale = _ldl([[x * (den // den_g) for x in row] for row in g])
-    x = [0] * len(g)
-    out = []
+    g = [[x * (den // den_g) for x in row] for row in g]
+    lead, low, weight, scale = _ldl(g)
+    top = bound.numerator * (den // bound.denominator)
+    # norm(x) from the gram: setting x_i = v adds v (g_ii v + 2 sum_{j > i} g_ij x_j)
+    above = [[(j, 2 * a) for j, a in row if j > i] for i, row in enumerate(sparse_rows(g))]
+    live = sparse_rows(rows)
+    x, image, out = [0] * len(g), [0] * max(map(len, rows), default=0), {}
 
-    def walk(i, rem):
+    def walk(i, rem, norm):
         if i < 0:
             if rem == 0 or not exact:
-                out.append(tuple(x))
+                if not (norm == top if exact else 0 <= norm <= top):
+                    raise InternalCheckError(f"block vector {tuple(x)} has norm {norm} outside the walk radius {top}")
+                out.setdefault(norm, []).append(tuple(image))
             return
-        s = 0
+        s = e = 0
         for j, a in low[i]:
             s += a * x[j]
-        p, w = lead[i], weight[i]
+        for j, a in above[i]:
+            e += a * x[j]
+        p, w, gii, row = lead[i], weight[i], g[i][i], live[i]
         lo, hi = _int_interval(s, p, rem // w)
+        for c, b in row:
+            image[c] += lo * b
         for v in range(lo, hi + 1):
             x[i] = v
             u = p * v + s
-            walk(i - 1, rem - w * u * u)
+            walk(i - 1, rem - w * u * u, norm + v * (gii * v + e))
+            for c, b in row:
+                image[c] += b
+        for c, b in row:
+            image[c] -= (hi + 1) * b
         x[i] = 0
 
-    walk(len(g) - 1, bound.numerator * (den // bound.denominator) * scale)
-    out.sort()
-    return tuple(out)
+    walk(len(g) - 1, top * scale, 0)
+    return out
 
 
 def enumerate_norm_vectors(gram, target):
@@ -209,7 +234,7 @@ def enumerate_norm_vectors(gram, target):
     if target <= 0:
         raise InputError("target norm must be positive")
     g = mat(gram)
-    out = _fincke_pohst(g, target, exact=True)
+    out = tuple(sorted(x for xs in _fincke_pohst(g, target, exact=True, rows=identity_int(len(g))).values() for x in xs))
     _check_norms(g, out, target)
     return out
 
@@ -217,15 +242,17 @@ def enumerate_norm_vectors(gram, target):
 def _lll(gram):
     """Integral LLL reduction (delta = 3/4) of a positive-definite integer Gram.
 
-    Returns (H, reduced) with H unimodular and reduced = H gram H^T.  This is
-    Cohen's all-integer Alg. 2.6.7 (A Course in Computational Algebraic
-    Number Theory) run on the Gram alone: d[i] is the Gram determinant of the
-    first i basis vectors and lam[k][j] = d[j + 1] mu[k][j], both integers,
-    updated in place by the size reductions and swaps; every division is
-    exact.  A Gram determinant <= 0 means the form is not positive definite.
+    Returns a unimodular H with H gram H^T reduced.  This is Cohen's
+    all-integer Alg. 2.6.7 (A Course in Computational Algebraic Number Theory)
+    carrying H, d and lam alone: d[i] is the Gram determinant of the first i
+    basis vectors and lam[k][j] = d[j + 1] mu[k][j], both integers, updated in
+    place by the size reductions and swaps; every division is exact.  Index k
+    is orthogonalised once, while b_k is still e_k, so b_k . b_j is
+    sum_c gram[k][c] H[j][c].  A Gram determinant <= 0 means the form is not
+    positive definite.
     """
     n = len(gram)
-    g = [list(row) for row in gram]
+    sparse = sparse_rows(gram)
     h = [[int(i == j) for j in range(n)] for i in range(n)]
     d = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]
@@ -233,7 +260,9 @@ def _lll(gram):
     def orthogonalize(k):
         lk = lam[k]
         for j in range(k + 1):
-            u, lj = g[k][j], lam[j]
+            u, lj, hj = 0, lam[j], h[j]
+            for c, a in sparse[k]:
+                u += a * hj[c]
             for i in range(j):
                 u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
             if j < k:
@@ -248,9 +277,6 @@ def _lll(gram):
         lk, dl = lam[k], d[l + 1]
         q = (2 * lk[l] + dl) // (2 * dl)
         h[k] = [a - q * b for a, b in zip(h[k], h[l])]
-        g[k] = [a - q * b for a, b in zip(g[k], g[l])]
-        for row in g:
-            row[k] -= q * row[l]
         lk[l] -= q * dl
         ll = lam[l]
         for i in range(l):
@@ -259,9 +285,6 @@ def _lll(gram):
     def swap(k, kmax):
         # exchange b_k and b_{k-1}
         h[k - 1], h[k] = h[k], h[k - 1]
-        g[k - 1], g[k] = g[k], g[k - 1]
-        for row in g:
-            row[k - 1], row[k] = row[k], row[k - 1]
         lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
         m, dk, dk1 = lam[k][k - 1], d[k], d[k + 1]
         b = (d[k - 1] * dk1 + m * m) // dk
@@ -290,30 +313,15 @@ def _lll(gram):
                 if 2 * abs(lk[l]) > d[l + 1]:
                     reduce(k, l)
             k += 1
-    return tuple(map(tuple, h)), tuple(map(tuple, g))
-
-
-def _check_reduction(g, H, rows, reduced):
-    """Certificate of an LLL step: H is unimodular and the ambient Gram of
-    the reduced rows is -reduced entrywise."""
-    if abs(det(H)) != 1:
-        raise InternalCheckError("LLL transform is not unimodular")
-    for i, ri in enumerate(rows):
-        gi = gram_apply(g, ri)
-        for j in range(i, len(rows)):
-            if sum(map(mul, gi, rows[j])) != -reduced[i][j]:
-                raise InternalCheckError(f"reduced Gram entry ({i}, {j}) differs from the ambient pairing")
+    return tuple(map(tuple, h))
 
 
 def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> RootList:
     """Complete list of roots of the lattice orthogonal to a positive three-space.
 
-    The negated form on the saturated complement is LLL-reduced and the
-    blocks of the reduced basis are joined without a bound.  One certificate
-    per call stands for a norm check per root: det H = +-1 (the reduced rows
-    span the complement), the ambient Gram of the reduced rows is -reduced
-    entrywise (so block norms add up to ambient norms), and every block
-    vector's norm is exact and within the walk's radius.
+    The negated form on the saturated complement is LLL-reduced; det H = +-1
+    certifies, once per call, that the reduced rows span it.  The blocks come
+    from the ambient Gram of those rows, so block norms are ambient norms.
     """
     if threespace.ambient != lattice.space:
         raise AmbientMismatchError("three-space ambient does not match lattice")
@@ -323,20 +331,20 @@ def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> Root
     sub = orthogonal_complement_lattice(lattice, [c for c in re + im if any(c)])
     if sub.rank == 0:
         return RootList(roots=(), complete=True)
-    H, reduced = _lll(tuple(tuple(-x for x in row) for row in sub.restricted_gram))
+    H = _lll(tuple(tuple(-x for x in row) for row in sub.restricted_gram))
+    if abs(det(H)) != 1:
+        raise InternalCheckError("LLL transform is not unimodular")
     rows = [sub.to_ambient(t) for t in H]
-    _check_reduction(lattice.space.sparse_rows, H, rows, reduced)
-    roots = _block_roots(lattice.n, rows, tuple(tuple(-x for x in row) for row in reduced), None)
+    roots = _block_roots(lattice.n, rows, _ambient_gram(lattice, rows), None)
     roots.sort()
     return RootList(roots=tuple(roots), complete=True)
 
 
-def _enumerate_up_to(gram, radius):
-    """All integer x (including 0) with x^T gram x <= radius, posdef gram."""
+def _enumerate_up_to(gram, radius, rows):
+    """The images sum_k t_k rows[k] of the integer t (0 included) with
+    t^T gram t <= radius, posdef gram, grouped by that norm."""
     radius = as_fraction(radius)
-    if radius < 0:
-        return ()
-    return _fincke_pohst(gram, radius, exact=False)
+    return _fincke_pohst(gram, radius, exact=False, rows=rows) if radius >= 0 else {}
 
 
 def _components(m):
@@ -376,11 +384,10 @@ def _coefficient_bounds(basis, bound):
     return [bound * sum(map(abs, row[r:])) // prev for row in a]
 
 
-def _block_table(block, rows, coeffs, limit, radius):
-    """The ambient partials sum_k t_k rows[k] of one block, grouped by the
-    exact block norm t^T block t, for the coefficient vectors t whose partial
-    lies inside the per-coordinate limit (every t when limit is None).  A
-    walked block's norms must lie in [-radius, 0]."""
+def _block_table(block, rows, coeffs, limit):
+    """The ambient partials sum_k t_k rows[k] of one scanned block, grouped by
+    the exact block norm t^T block t, for the coefficient vectors t whose
+    partial lies inside the per-coordinate limit."""
     n, live = len(rows[0]), sparse_rows(rows)
     # t^T block t over the upper triangle, with off-diagonal entries doubled
     upper = [[(j, g if j == k else 2 * g) for j, g in row if j >= k] for k, row in enumerate(sparse_rows(block))]
@@ -391,15 +398,13 @@ def _block_table(block, rows, coeffs, limit, radius):
             if tk:
                 for c, b in row:
                     x[c] += tk * b
-        if limit is not None and not all(map(le, map(abs, x), limit)):
+        if not all(map(le, map(abs, x), limit)):
             continue
         norm = 0
         for tk, row in zip(t, upper):
             if tk:
                 for j, g in row:
                     norm += tk * g * t[j]
-        if radius is not None and not -radius <= norm <= 0:
-            raise InternalCheckError(f"block vector {t} has norm {norm} outside the walk radius {radius}")
         table.setdefault(norm, []).append(tuple(x))
     return table
 
@@ -440,41 +445,46 @@ def _block_roots(n, rows, gram, coord_bound):
     """The vectors x = sum_k t_k rows[k] (length n) with t^T gram t = -2, and
     every coordinate in [-coord_bound, coord_bound] unless coord_bound is None.
 
-    Negative definite blocks are walked down to -2 minus the most the scanned
-    blocks can add.  With a bound, every coefficient is bounded over the box
-    by W, other blocks are scanned over their W-box (at most 2,000,000
-    points), a per-coordinate filter that allows for what the other blocks
-    can add drops partials that cannot reach the box, and the join tests the
-    box on the coordinates two blocks share.  Without a bound every block
-    must be negative definite and all are walked, unfiltered.
+    Without a bound every block must be negative definite, so a part of norm
+    0 is zero and each block is walked once, down to -2.  With a bound,
+    negative definite blocks are walked down to -2 minus the most the scanned
+    blocks can add, every coefficient is bounded over the box by W, other
+    blocks are scanned over their W-box (at most 2,000,000 points), a
+    per-coordinate filter that allows for what the other blocks can add drops
+    partials that cannot reach the box, and `_join` tests the box on the
+    coordinates two blocks share.
     """
     comps = _components(gram)
     blocks = [tuple(tuple(gram[i][j] for j in comp) for i in comp) for comp in comps]
     negs = [tuple(tuple(-x for x in row) for row in block) for block in blocks]
-    limits, shared = [None] * len(comps), []
-    if coord_bound is not None:
-        sparse, W = sparse_rows(rows), _coefficient_bounds(rows, coord_bound)
-        limits = [[coord_bound] * n for _ in comps]
-        for i, j in itertools.permutations(range(len(comps)), 2):  # block i's limit allows for what block j can add
-            for k in comps[j]:
-                for c, b in sparse[k]:
-                    limits[i][c] += abs(b) * W[k]
-        # A coordinate touched by the rows of one block only gets no slack, so its block's filter settles it.
-        touched = [{c for k in comp for c, _ in sparse[k]} for comp in comps]
-        shared = [c for c in range(n) if sum(c in t for t in touched) > 1]
+    if coord_bound is None:
+        shells = [_enumerate_up_to(negs[i], 2, [rows[k] for k in comp]) for i, comp in enumerate(comps)]
+        pairs = [tuple(map(add, x, y)) for a, b in itertools.combinations(shells, 2) for x in a.get(1, ()) for y in b.get(1, ())]
+        return [x for shell in shells for x in shell.get(2, ())] + pairs
+    sparse, W = sparse_rows(rows), _coefficient_bounds(rows, coord_bound)
+    limits = [[coord_bound] * n for _ in comps]
+    for i, j in itertools.permutations(range(len(comps)), 2):  # block i's limit allows for what block j can add
+        for k in comps[j]:
+            for c, b in sparse[k]:
+                limits[i][c] += abs(b) * W[k]
+    # A coordinate touched by the rows of one block only gets no slack, so its block's filter settles it.
+    touched = [{c for k in comp for c, _ in sparse[k]} for comp in comps]
+    shared = [c for c in range(n) if sum(c in t for t in touched) > 1]
     tables, walked = {}, []
     for i, comp in enumerate(comps):
-        if coord_bound is None or _positive_definite(negs[i]):
+        if _positive_definite(negs[i]):
             walked.append(i)
             continue
         boxsize = math.prod(2 * W[k] + 1 for k in comp)
         if boxsize > 2_000_000:
             raise BudgetExceededError(f"indefinite block box of {boxsize} points exceeds the 2,000,000-point budget")
         box = itertools.product(*[range(-W[k], W[k] + 1) for k in comp])
-        tables[i] = _block_table(blocks[i], [rows[k] for k in comp], box, limits[i], None)
+        tables[i] = _block_table(blocks[i], [rows[k] for k in comp], box, limits[i])
     radius = 2 + sum(max(table) for table in tables.values())
     for i in walked:
-        tables[i] = _block_table(blocks[i], [rows[k] for k in comps[i]], _enumerate_up_to(negs[i], radius), limits[i], radius)
+        walk = _enumerate_up_to(negs[i], radius, [rows[k] for k in comps[i]])
+        # partials in order leave the join's output nearly sorted
+        tables[i] = {-a: kept for a, xs in walk.items() if (kept := sorted(x for x in xs if all(map(le, map(abs, x), limits[i]))))}
     return _join([tables[i] for i in sorted(tables)], -2, coord_bound, n, shared)
 
 

@@ -6,7 +6,8 @@ import pytest
 import k3cycles as k
 from k3cycles import GaussRational, jsonio
 from k3cycles.errors import DegenerateGramError, DimensionMismatchError, InputError, NotSymmetricError
-from k3cycles.gaussrat import format_rational, parse_rational
+from k3cycles.gaussrat import format_rational, parse_rational, parse_ratio
+from k3cycles.linalg import clear_rows
 
 from conftest import gauss_rows
 
@@ -20,6 +21,18 @@ def test_rational_strings():
         parse_rational("1/0")
     with pytest.raises(InputError):
         parse_rational("x")
+
+
+def test_repeated_literals_decode_as_when_parsed_one_by_one():
+    # decode_rational_matrix parses each distinct literal once.  Its memo is
+    # keyed by type as well as value, so 1, "1", 1.0 and true stay apart: a
+    # bool or float after an equal int is still refused.
+    lits = ["1", 1, "-1/2", "2/4", " 3", "0", 0, "1/1", "-1/2"]
+    gram = [[lits[(3 * i + j) % len(lits)] for j in range(6)] for i in range(5)]
+    assert jsonio.decode_rational_matrix(gram) == clear_rows([[parse_ratio(x) for x in row] for row in gram])
+    for bad in (True, False, 1.0, [1], {"re": 1}):
+        with pytest.raises(InputError):
+            jsonio.decode_rational_matrix(gram + [[1, "1", 0, "0", bad, 1]])
 
 
 def test_gauss_roundtrip():

@@ -6,7 +6,7 @@ import pytest
 import k3cycles as k
 from k3cycles import rootenum
 from k3cycles.errors import BudgetExceededError, InputError, InternalCheckError, NotPositiveDefiniteError, NotPositiveError
-from k3cycles.linalg import hnf, int_kernel
+from k3cycles.linalg import hnf, identity_int, int_kernel
 from k3cycles.rootenum import _enumerate_up_to, _ldl, _positive_definite
 
 from conftest import gauss_rows, uvec, vprime_rows
@@ -75,6 +75,11 @@ def test_a_non_positive_diagonal_is_rejected_before_elimination(monkeypatch, sig
         _ldl(((1, 2), (2, 1)))
 
 
+def up_to(gram, radius):
+    """The walk's leaves with norm <= radius, sorted, from their images under identity rows."""
+    return sorted(x for xs in _enumerate_up_to(gram, radius, identity_int(len(gram))).values() for x in xs)
+
+
 def test_walk_matches_box_oracles_e8_and_vprime_complement(e8, k3):
     # Both entry points of the one Fincke-Pohst walk against the box scans.
     # E8 gives the full 240 roots.  The rank-19 vprime complement box has
@@ -83,7 +88,7 @@ def test_walk_matches_box_oracles_e8_and_vprime_complement(e8, k3):
     got = k.enumerate_norm_vectors(e8.gram_int, 2)
     assert len(got) == 240
     assert list(got) == naive_box_norm_vectors(e8.gram_int, 2)
-    assert list(_enumerate_up_to(e8.gram_int, 2)) == naive_box_radius_vectors(e8.gram_int, 2)
+    assert up_to(e8.gram_int, 2) == naive_box_radius_vectors(e8.gram_int, 2)
     sub = k.orthogonal_complement_lattice(k3, vprime_rows())
     neg = [[-x for x in row] for row in sub.restricted_gram]
     assert max(abs(x) for row in neg for x in row) == 1292
@@ -93,7 +98,7 @@ def test_walk_matches_box_oracles_e8_and_vprime_complement(e8, k3):
         for t in targets:
             got = k.enumerate_norm_vectors(block, t)
             assert list(got) == naive_box_norm_vectors(block, t)
-            assert list(_enumerate_up_to(block, t)) == naive_box_radius_vectors(block, t)
+            assert up_to(block, t) == naive_box_radius_vectors(block, t)
             found += len(got)
         assert found > 0
 
@@ -215,39 +220,74 @@ def test_lll_rejects_a_form_that_is_not_positive_definite(gram):
 
 def _patched_lll(monkeypatch, edit):
     lll = rootenum._lll
-    monkeypatch.setattr(rootenum, "_lll", lambda gram: edit(*map(lambda m: [list(r) for r in m], lll(gram))))
+    monkeypatch.setattr(rootenum, "_lll", lambda gram: edit([list(r) for r in lll(gram)]))
 
 
 def test_certificate_rejects_a_transform_that_is_not_unimodular(monkeypatch, k3, vprime):
-    def double_first_row(H, reduced):
+    def double_first_row(H):
         H[0] = [2 * x for x in H[0]]
-        return H, reduced
+        return H
 
     _patched_lll(monkeypatch, double_first_row)
     with pytest.raises(InternalCheckError, match="unimodular"):
         k.roots_orthogonal_to_threespace(k3, vprime)
 
 
-def test_certificate_rejects_a_reduced_gram_off_its_blocks(monkeypatch, k3, u3_diagonal):
-    # The reduced complement of the U^3 diagonal is A1^3 + E8 + E8; joining
-    # two of its blocks by a false entry must fail the ambient pairing check.
-    def join_two_blocks(H, reduced):
-        first, second = rootenum._components(reduced)[:2]
-        i, j = first[0], second[0]
-        assert reduced[i][j] == 0
-        reduced[i][j] = reduced[j][i] = 1
-        return H, reduced
+@pytest.mark.parametrize("edit", ["reverse", "negate", "rotate"])
+def test_certificate_takes_the_block_form_from_the_ambient_rows(monkeypatch, k3, u3_diagonal, edit):
+    # The LLL returns only its transform H; the blocks come from the ambient
+    # Gram of the rows of H, so no Gram the LLL could falsify reaches the walk.
+    # Any signed permutation of the rows of H is unimodular and spans the same
+    # complement, so it must give the same 486 roots.
+    def falsify(H):
+        if edit == "reverse":
+            return H[::-1]
+        if edit == "negate":
+            return [[-x for x in row] if i % 2 else row for i, row in enumerate(H)]
+        return H[3:] + H[:3]
 
-    _patched_lll(monkeypatch, join_two_blocks)
-    with pytest.raises(InternalCheckError, match="reduced Gram entry"):
-        k.roots_orthogonal_to_threespace(k3, u3_diagonal)
+    expect = k.roots_orthogonal_to_threespace(k3, u3_diagonal)
+    _patched_lll(monkeypatch, falsify)
+    got = k.roots_orthogonal_to_threespace(k3, u3_diagonal)
+    assert (got.complete, len(got)) == (True, 486)
+    assert got.roots == expect.roots
 
 
 def test_certificate_rejects_a_walk_beyond_its_radius(monkeypatch, k3, u3_diagonal):
-    walk = rootenum._enumerate_up_to
-    monkeypatch.setattr(rootenum, "_enumerate_up_to", lambda gram, radius: walk(gram, radius) + ((3,) * len(gram),))
+    # A walk that runs one step past both ends of every interval reaches leaves
+    # outside its radius; each leaf's norm, summed from the block Gram, must
+    # catch them.
+    interval = rootenum._int_interval
+
+    def widened(s, lead, bound):
+        lo, hi = interval(s, lead, bound)
+        return lo - 1, hi + 1
+
+    monkeypatch.setattr(rootenum, "_int_interval", widened)
     with pytest.raises(InternalCheckError, match="outside the walk radius"):
         k.roots_orthogonal_to_threespace(k3, u3_diagonal)
+
+
+def test_exact_walk_checks_each_leaf_norm(monkeypatch):
+    # In target mode a leaf is kept when its LDL^T remainder is 0; its norm
+    # from the Gram must then equal the target.  Walking A2 by the LDL^T of
+    # the identity keeps (1, -1), of A2-norm 6, at remainder 0.
+    ldl = rootenum._ldl
+    monkeypatch.setattr(rootenum, "_ldl", lambda gram: ldl(((1, 0), (0, 1))))
+    with pytest.raises(InternalCheckError, match="block vector \\(1, -1\\) has norm 6 outside the walk radius 2"):
+        k.enumerate_norm_vectors(((2, -1), (-1, 2)), 2)
+
+
+@pytest.mark.parametrize("fixture, nodes, count", [("u3_diagonal", 983, 486), ("vprime", 19, 0)])
+def test_complete_search_node_counts(monkeypatch, request, k3, fixture, nodes, count):
+    # Fincke-Pohst visits are machine-independent: one `_int_interval` call per
+    # interior node of the walk, the calls the benchmark's fp_nodes counts.
+    # A change to the reduction or to the walk that visits other nodes shows here.
+    calls = []
+    interval = rootenum._int_interval
+    monkeypatch.setattr(rootenum, "_int_interval", lambda *a: calls.append(a) or interval(*a))
+    rl = k.roots_orthogonal_to_threespace(k3, request.getfixturevalue(fixture))
+    assert (len(calls), len(rl)) == (nodes, count)
 
 
 @pytest.mark.parametrize("fixture, count", [("u3_diagonal", 486), ("vprime", 0)])

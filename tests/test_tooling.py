@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import os
 import pathlib
 import subprocess
 import sys
@@ -18,6 +19,20 @@ def test_no_assert_statements_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/k3cycles: {found}"
+
+
+def test_certificate_tests_pass_under_python_O():
+    # The certificates of the root search (unimodular transform, walk radius,
+    # block form) raise InternalCheckError, not AssertionError, so they must
+    # fire with asserts stripped.
+    root = SRC.parent.parent
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_rootenum.py", "-k", "certificate"],
+        cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("5 passed"), proc.stdout
 
 
 def _tracing_table(name):
