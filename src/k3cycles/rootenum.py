@@ -1,17 +1,17 @@
 """Root enumeration: saturated orthogonal complements, integral LLL reduction,
 exact Fincke-Pohst branch-and-bound in definite lattices, and block joins.
 
-Both root searches end in `_block_roots`: the form on a lattice basis splits
-into orthogonal blocks, each block's ambient partials are grouped by block
-norm, and the groups are joined to norm -2; in <-1> + <-1> the root (1, 1)
-takes norm -1 from each block.  One Fincke-Pohst walk carries each vector's
-ambient image and checks each leaf's norm against the block's Gram.  The
-complete search reduces the complement of a positive three-space by an LLL
-that tracks only its transform H, checks det H = +-1, and takes its blocks
-from the ambient Gram of the reduced rows; all are negative definite, so a
-root is a -2 vector of one block or the sum of -1 vectors of two blocks.  The
-bounded search walks or box-scans the blocks of the constraint kernel and
-joins them over a coordinate box.
+One Fincke-Pohst walk, `_enumerate_up_to`, lists the vectors of a positive
+definite integer Gram out to an integer radius by norm, carrying each
+vector's ambient image and checking each leaf's norm against the Gram.  Each
+root search splits the form on a lattice basis into orthogonal blocks and
+joins them to norm -2 itself.  The complete search reduces the complement of
+a positive three-space by an LLL that tracks only its transform H, checks
+det H = +-1, and takes its blocks from the ambient Gram of the reduced rows;
+all are negative definite, so a root is a -2 vector of one block or the sum
+of -1 vectors of two blocks (in <-1> + <-1>, the root (1, 1)).  The bounded
+search (`_block_roots`) walks or box-scans the blocks of the constraint
+kernel and joins them over a coordinate box.
 
 All enumeration output is lexicographically sorted and lists x and -x
 explicitly, so CLI output is reproducible byte for byte.
@@ -173,40 +173,37 @@ def _int_interval(s: int, lead: int, bound: int):
     return -((t + s) // lead), (t - s) // lead
 
 
-def _fincke_pohst(gram, bound, exact: bool, rows):
-    """The images sum_k t_k rows[k] of the integer t with t^T gram t == bound
-    (exact) or <= bound, posdef gram, grouped by that norm.
+def _enumerate_up_to(gram, radius, rows):
+    """The images sum_k t_k rows[k] of the integer t (0 included) with
+    t^T gram t <= radius, grouped by that norm, for a positive-definite
+    integer gram and an integer radius.
 
     Coordinates run from the last to the first inside exact integer intervals;
     the remaining norm is kept as an integer over the common denominator of
     the fraction-free LDL^T, and each coordinate step adds one sparse row to
     the image.  Each leaf's norm, summed from the gram's entries along the
-    path, is checked against the bound.  Rational input is scaled to integers,
-    and so are the norms that key the groups.
+    path, is checked against the radius.
     """
-    g, den_g = _cleared(gram)
-    den = math.lcm(bound.denominator, den_g)
-    g = [[x * (den // den_g) for x in row] for row in g]
-    lead, low, weight, scale = _ldl(g)
-    top = bound.numerator * (den // bound.denominator)
+    if radius < 0:
+        return {}
+    lead, low, weight, scale = _ldl(gram)
     # norm(x) from the gram: setting x_i = v adds v (g_ii v + 2 sum_{j > i} g_ij x_j)
-    above = [[(j, 2 * a) for j, a in row if j > i] for i, row in enumerate(sparse_rows(g))]
+    above = [[(j, 2 * a) for j, a in row if j > i] for i, row in enumerate(sparse_rows(gram))]
     live = sparse_rows(rows)
-    x, image, out = [0] * len(g), [0] * max(map(len, rows), default=0), {}
+    x, image, out = [0] * len(gram), [0] * max(map(len, rows), default=0), {}
 
     def walk(i, rem, norm):
         if i < 0:
-            if rem == 0 or not exact:
-                if not (norm == top if exact else 0 <= norm <= top):
-                    raise InternalCheckError(f"block vector {tuple(x)} has norm {norm} outside the walk radius {top}")
-                out.setdefault(norm, []).append(tuple(image))
+            if not 0 <= norm <= radius:
+                raise InternalCheckError(f"block vector {tuple(x)} has norm {norm} outside the walk radius {radius}")
+            out.setdefault(norm, []).append(tuple(image))
             return
         s = e = 0
         for j, a in low[i]:
             s += a * x[j]
         for j, a in above[i]:
             e += a * x[j]
-        p, w, gii, row = lead[i], weight[i], g[i][i], live[i]
+        p, w, gii, row = lead[i], weight[i], gram[i][i], live[i]
         lo, hi = _int_interval(s, p, rem // w)
         for c, b in row:
             image[c] += lo * b
@@ -220,22 +217,24 @@ def _fincke_pohst(gram, bound, exact: bool, rows):
             image[c] -= (hi + 1) * b
         x[i] = 0
 
-    walk(len(g) - 1, top * scale, 0)
+    walk(len(gram) - 1, radius * scale, 0)
     return out
 
 
 def enumerate_norm_vectors(gram, target):
     """All integer x with x^T gram x == target, for positive-definite gram.
 
-    Exact fraction-free Fincke-Pohst.  Output is lexicographically sorted and
-    contains x and -x explicitly.
+    One fraction-free Fincke-Pohst walk over the gram cleared to integers; a
+    target that clears to a non-integer has no vectors.  Output is
+    lexicographically sorted and contains x and -x explicitly.
     """
     target = as_fraction(target)
     if target <= 0:
         raise InputError("target norm must be positive")
-    g = mat(gram)
-    out = tuple(sorted(x for xs in _fincke_pohst(g, target, exact=True, rows=identity_int(len(g))).values() for x in xs))
-    _check_norms(g, out, target)
+    g, den = _cleared(mat(gram))
+    top = target * den
+    out = tuple(sorted(_enumerate_up_to(g, math.floor(top), identity_int(len(g))).get(top, ())))
+    _check_norms(g, out, top)
     return out
 
 
@@ -335,16 +334,13 @@ def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> Root
     if abs(det(H)) != 1:
         raise InternalCheckError("LLL transform is not unimodular")
     rows = [sub.to_ambient(t) for t in H]
-    roots = _block_roots(lattice.n, rows, _ambient_gram(lattice, rows), None)
+    gram = _ambient_gram(lattice, rows)
+    # a root is one block's -2 vector or the sum of -1 vectors of two blocks
+    shells = [_enumerate_up_to([[-gram[i][j] for j in comp] for i in comp], 2, [rows[k] for k in comp]) for comp in _components(gram)]
+    roots = [x for shell in shells for x in shell.get(2, ())]
+    roots += [tuple(map(add, x, y)) for a, b in itertools.combinations(shells, 2) for x in a.get(1, ()) for y in b.get(1, ())]
     roots.sort()
     return RootList(roots=tuple(roots), complete=True)
-
-
-def _enumerate_up_to(gram, radius, rows):
-    """The images sum_k t_k rows[k] of the integer t (0 included) with
-    t^T gram t <= radius, posdef gram, grouped by that norm."""
-    radius = as_fraction(radius)
-    return _fincke_pohst(gram, radius, exact=False, rows=rows) if radius >= 0 else {}
 
 
 def _components(m):
@@ -442,12 +438,10 @@ def _join(tables, target, bound, n, shared):
 
 
 def _block_roots(n, rows, gram, coord_bound):
-    """The vectors x = sum_k t_k rows[k] (length n) with t^T gram t = -2, and
-    every coordinate in [-coord_bound, coord_bound] unless coord_bound is None.
+    """The vectors x = sum_k t_k rows[k] (length n) with t^T gram t = -2 and
+    every coordinate in [-coord_bound, coord_bound].
 
-    Without a bound every block must be negative definite, so a part of norm
-    0 is zero and each block is walked once, down to -2.  With a bound,
-    negative definite blocks are walked down to -2 minus the most the scanned
+    Negative definite blocks are walked down to -2 minus the most the scanned
     blocks can add, every coefficient is bounded over the box by W, other
     blocks are scanned over their W-box (at most 2,000,000 points), a
     per-coordinate filter that allows for what the other blocks can add drops
@@ -457,10 +451,6 @@ def _block_roots(n, rows, gram, coord_bound):
     comps = _components(gram)
     blocks = [tuple(tuple(gram[i][j] for j in comp) for i in comp) for comp in comps]
     negs = [tuple(tuple(-x for x in row) for row in block) for block in blocks]
-    if coord_bound is None:
-        shells = [_enumerate_up_to(negs[i], 2, [rows[k] for k in comp]) for i, comp in enumerate(comps)]
-        pairs = [tuple(map(add, x, y)) for a, b in itertools.combinations(shells, 2) for x in a.get(1, ()) for y in b.get(1, ())]
-        return [x for shell in shells for x in shell.get(2, ())] + pairs
     sparse, W = sparse_rows(rows), _coefficient_bounds(rows, coord_bound)
     limits = [[coord_bound] * n for _ in comps]
     for i, j in itertools.permutations(range(len(comps)), 2):  # block i's limit allows for what block j can add

@@ -29,7 +29,7 @@ from .quadspace import (
     hermitian_pair,
     pair_rows,
 )
-from .rootenum import RootList, _positive_definite, bounded_root_search
+from .rootenum import RootList, _ambient_gram, _positive_definite, bounded_root_search
 
 
 @dataclass(frozen=True)
@@ -228,9 +228,7 @@ def check_partition_property(lattice: IntegralLattice, plus, depth: int = 4) -> 
                 return found
     if depth == 2:
         return PartitionCheck(ok=True)
-    basis = hnf(plus)
-    images = [gram_apply(sparse, v) for v in basis]
-    if _positive_definite([[-sum(map(mul, gv, w)) for w in basis] for gv in images]):
+    if _positive_definite([[-x for x in row] for row in _ambient_gram(lattice, hnf(plus))]):
         return PartitionCheck(ok=True)
     # Otherwise scan: the sum over a_1 <= ... <= a_t has norm
     # -2t + 2 sum_{i<j} P[a_i][a_j], a root iff that sum is t - 1.

@@ -101,6 +101,12 @@ def test_roots_count():
     assert doc_neg["count"] == 240
 
 
+def test_roots_fractional_norm_is_empty():
+    # An even lattice has no vector of norm 3/2: an empty complete list, not an error.
+    doc = json.loads(run_ok("roots", "--kind", "E8", "--norm", "3/2"))
+    assert (doc["count"], doc["complete"], doc["roots"]) == (0, True, [])
+
+
 def test_roots_indefinite_is_validation_error():
     res = run("roots", "--kind", "K3", "--norm", "-2")
     assert res.exit_code == 2

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 import k3cycles as k
-from k3cycles import rootenum
+from k3cycles import GaussRational, rootenum
 from k3cycles.errors import BudgetExceededError, InputError, InternalCheckError, NotPositiveDefiniteError, NotPositiveError
 from k3cycles.linalg import hnf, identity_int, int_kernel
 from k3cycles.rootenum import _enumerate_up_to, _ldl, _positive_definite
@@ -55,6 +55,20 @@ def test_enumerate_requires_positive_definite():
         k.enumerate_norm_vectors(((2,),), 0)
 
 
+def test_fractional_targets():
+    # An integer Gram has only integer norms, so 3/2 has no vectors; the walk
+    # out to floor(3/2) still decides definiteness.
+    assert k.enumerate_norm_vectors(k.quadspace.E8_GRAM, Q(3, 2)) == ()
+    with pytest.raises(NotPositiveDefiniteError):
+        k.enumerate_norm_vectors(((1, 0), (0, -1)), Q(3, 2))
+    # The target is checked before the Gram: a non-square, non-symmetric or
+    # non-rational Gram with target 0 is an InputError.
+    for gram in (((1, 2), (3, 4)), ((1, 2),), (("a",),)):
+        with pytest.raises(InputError) as err:
+            k.enumerate_norm_vectors(gram, 0)
+        assert err.type is InputError
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_a_non_positive_diagonal_is_rejected_before_elimination(monkeypatch, sign):
     # K3 and K3(-1) have zero diagonal entries (the U blocks): no form with
@@ -81,7 +95,7 @@ def up_to(gram, radius):
 
 
 def test_walk_matches_box_oracles_e8_and_vprime_complement(e8, k3):
-    # Both entry points of the one Fincke-Pohst walk against the box scans.
+    # The target search and the one Fincke-Pohst walk under it against the box scans.
     # E8 gives the full 240 roots.  The rank-19 vprime complement box has
     # about 4.7e14 points, so its principal sub-grams carrying the largest
     # entries (1292 and 990) stand in for it.
@@ -269,9 +283,9 @@ def test_certificate_rejects_a_walk_beyond_its_radius(monkeypatch, k3, u3_diagon
 
 
 def test_exact_walk_checks_each_leaf_norm(monkeypatch):
-    # In target mode a leaf is kept when its LDL^T remainder is 0; its norm
-    # from the Gram must then equal the target.  Walking A2 by the LDL^T of
-    # the identity keeps (1, -1), of A2-norm 6, at remainder 0.
+    # The target search walks out to its target and keeps that norm group;
+    # each leaf's norm from the Gram must lie within the walk radius.  Walking
+    # A2 by the LDL^T of the identity reaches (1, -1), of A2-norm 6.
     ldl = rootenum._ldl
     monkeypatch.setattr(rootenum, "_ldl", lambda gram: ldl(((1, 0), (0, 1))))
     with pytest.raises(InternalCheckError, match="block vector \\(1, -1\\) has norm 6 outside the walk radius 2"):
@@ -290,13 +304,36 @@ def test_complete_search_node_counts(monkeypatch, request, k3, fixture, nodes, c
     assert (len(calls), len(rl)) == (nodes, count)
 
 
+def _delta_p_e1f1_e2f2(k3):
+    """Delta_p at bound 1 for p = (e1 + f1) + i (e2 + f2): the chamber workload's point."""
+    x = tuple(GaussRational(a, b) for a, b in zip(uvec(0), uvec(1)))
+    return k.delta_p_bounded(k3, k.PeriodPoint(space=k3.space, x=x), 1)
+
+
+@pytest.mark.parametrize("search, nodes, count", [
+    (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 2), 500, 240),
+    (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 4), 3120, 2160),
+    (_delta_p_e1f1_e2f2, 6242, 19694),
+], ids=["e8_norm_2", "e8_norm_4", "delta_p_bound_1"])
+def test_target_and_bounded_walk_node_counts(monkeypatch, k3, search, nodes, count):
+    # The same `_int_interval` count as the complete search's, for the target
+    # search and for the walked blocks of the bounded search.
+    calls = []
+    interval = rootenum._int_interval
+    monkeypatch.setattr(rootenum, "_int_interval", lambda *a: calls.append(a) or interval(*a))
+    found = search(k3)
+    assert (len(calls), len(found)) == (nodes, count)
+
+
 @pytest.mark.parametrize("fixture, count", [("u3_diagonal", 486), ("vprime", 0)])
 def test_complete_search_walks_every_block_without_a_bound(monkeypatch, request, k3, fixture, count):
-    # The reduced complement is negative definite, so the unbounded join
-    # neither bounds coefficients nor tests a block for definiteness.
+    # The reduced complement is negative definite, so the complete search
+    # joins its shells itself: it neither bounds coefficients nor tests a
+    # block for definiteness, and never enters the bounded search's join.
     def refuse(*args):
         raise AssertionError("the complete search has no box")
 
+    monkeypatch.setattr(rootenum, "_block_roots", refuse)
     monkeypatch.setattr(rootenum, "_coefficient_bounds", refuse)
     monkeypatch.setattr(rootenum, "_positive_definite", refuse)
     rl = k.roots_orthogonal_to_threespace(k3, request.getfixturevalue(fixture))

@@ -179,3 +179,14 @@ def test_benchmark_smoke_run_passes():
     root = SRC.parent.parent
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"], cwd=root, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_checker_tests_pass():
+    # perfbench/test_checks.py (each checker accepts the program's real result
+    # and rejects a corrupted one) lies outside `testpaths`, so run it here.
+    root = SRC.parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/test_checks.py"],
+        cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
