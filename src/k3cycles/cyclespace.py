@@ -32,9 +32,8 @@ from .quadspace import (
     _realify,
     bilinear,
     congruence_diagonal,
-    gram_apply,
-    gram_of,
     make_standard_lattice,
+    row_gram,
 )
 from .rootenum import roots_orthogonal_to_threespace
 
@@ -124,13 +123,13 @@ class ThreeSpace:
         Gaussian-integer (re, im) pairs over one positive denominator.
 
         With qG the ambient's integer Gram (q its denominator), rr, jj and rj
-        pair re with re, im with im and re with im under qG, after one sparse
-        qG-apply per row; im_i qG re_j is rj[j][i], as G is symmetric.
+        pair re with re, im with im and re with im under qG: the 3x3 blocks of
+        the one 6x6 `row_gram` of the rows re + im.  im_i qG re_j is
+        rj[j][i], as G is symmetric.
         """
         re, im, d = self.ints
-        rows = self.ambient.sparse_rows
-        g_re, g_im = ([gram_apply(rows, x) for x in part] for part in (re, im))
-        rr, jj, rj = ([[sum(map(mul, x, y)) for y in gy] for x in xs] for xs, gy in ((re, g_re), (im, g_im), (re, g_im)))
+        g = row_gram(self.ambient.sparse_rows, re + im)
+        rr, jj, rj = ([row[b:b + 3] for row in g[a:a + 3]] for a, b in ((0, 0), (3, 3), (0, 3)))
         A = tuple(tuple((rr[i][j] - jj[i][j], rj[i][j] + rj[j][i]) for j in range(3)) for i in range(3))
         H = tuple(tuple((rr[i][j] + jj[i][j], rj[j][i] - rj[i][j]) for j in range(3)) for i in range(3))
         return A, H, self.ambient.den * d * d
@@ -301,7 +300,7 @@ def _real_isotropic_witness(threespace: ThreeSpace, bits: int):
     points are taken at the current mpmath precision."""
     found = partial(DomainStatus, kind="counterexample", samples=0, certified_exact=True, precision_bits=bits)
     rb = threespace.real_basis()
-    diag, S = congruence_diagonal(gram_of(threespace.ambient, rb))
+    diag, S = congruence_diagonal(row_gram(threespace.ambient.sparse_rows, rb))
     rows = [tuple(sum((S[i][k] * rb[k][c] for k in range(3)), start=Fraction(0)) for c in range(threespace.n)) for i in range(3)]
     point = next((rows[i] for i in range(3) if diag[i] == 0), None)  # radical vector: exactly isotropic
     if point is None:

@@ -66,6 +66,18 @@ def gram_apply(rows, x):
     return out
 
 
+def row_gram(rows, vectors):
+    """The Gram of the vectors under the symmetric G of the sparse rows: one
+    image G v_i per vector, paired with v_j for j >= i and mirrored."""
+    r = len(vectors)
+    out = [[0] * r for _ in range(r)]
+    for i, vi in enumerate(vectors):
+        image = gram_apply(rows, vi)
+        for j in range(i, r):
+            out[i][j] = out[j][i] = sum(map(mul, image, vectors[j]))
+    return tuple(map(tuple, out))
+
+
 def pair_rows(rows, x, y):
     """x^T G y over the sparse rows of G, visiting the nonzero x_i only."""
     total = 0
@@ -335,15 +347,12 @@ def lattice_invariants(lattice: IntegralLattice) -> LatticeInvariants:
 def is_isometry(ambient, g) -> bool:
     """True iff g^T * gram * g == gram, for int or Fraction g over any rational gram.
 
-    Tested as g^T qG g == qG for the integer Gram qG = den * gram: entry
-    (i, j) is column i of g paired with qG times column j, in ints when g is
-    integral.
+    Tested as g^T qG g == qG for the integer Gram qG = den * gram: the left
+    side is the `row_gram` of the columns of g, in ints when g is integral.
     """
     space = _space_of(ambient)
     m = mat(g)
     n = space.n
     if len(m) != n or any(len(r) != n for r in m):
         raise DimensionMismatchError("matrix size does not match space rank")
-    cols = tuple(zip(*m))
-    images = [gram_apply(space.sparse_rows, c) for c in cols]
-    return all(sum(map(mul, ci, image)) == gij for ci, row in zip(cols, space.gram_int) for image, gij in zip(images, row))
+    return row_gram(space.sparse_rows, tuple(zip(*m))) == space.gram_int

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, itemgetter, le, mul
+from operator import add, itemgetter, mul
 
 from .errors import (
     AmbientMismatchError,
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .gaussrat import as_fraction
 from .linalg import _symmetric_bareiss, clear_denominators, det, identity_int, int_kernel, mat
-from .quadspace import IntegralLattice, _cleared, gram_apply, pair_rows, sparse_rows
+from .quadspace import IntegralLattice, _cleared, gram_apply, pair_rows, row_gram, sparse_rows
 
 
 @dataclass(frozen=True)
@@ -124,19 +124,7 @@ def orthogonal_complement_lattice(lattice: IntegralLattice, constraints) -> Subl
     """Saturated kernel {x in Z^n : <x, c> = 0 for all constraints c}."""
     rows = _constraint_rows(lattice, constraints)
     basis = int_kernel(rows) if rows else identity_int(lattice.n)
-    return Sublattice(ambient=lattice, basis=basis, restricted_gram=_ambient_gram(lattice, basis))
-
-
-def _ambient_gram(lattice: IntegralLattice, rows):
-    """The Gram of integer rows under the lattice form: one image G b_i per
-    row, paired with b_j for j >= i and mirrored."""
-    r = len(rows)
-    out = [[0] * r for _ in range(r)]
-    for i, bi in enumerate(rows):
-        image = gram_apply(lattice.space.sparse_rows, bi)
-        for j in range(i, r):
-            out[i][j] = out[j][i] = sum(map(mul, image, rows[j]))
-    return tuple(map(tuple, out))
+    return Sublattice(ambient=lattice, basis=basis, restricted_gram=row_gram(lattice.space.sparse_rows, basis))
 
 
 def _ldl(gram):
@@ -225,15 +213,19 @@ def enumerate_norm_vectors(gram, target):
     """All integer x with x^T gram x == target, for positive-definite gram.
 
     One fraction-free Fincke-Pohst walk over the gram cleared to integers; a
-    target that clears to a non-integer has no vectors.  Output is
-    lexicographically sorted and contains x and -x explicitly.
+    target that clears to a non-integer has no vectors, so only `_ldl` runs,
+    to decide definiteness.  Output is lexicographically sorted and contains
+    x and -x explicitly.
     """
     target = as_fraction(target)
     if target <= 0:
         raise InputError("target norm must be positive")
     g, den = _cleared(mat(gram))
-    top = target * den
-    out = tuple(sorted(_enumerate_up_to(g, math.floor(top), identity_int(len(g))).get(top, ())))
+    top, rest = divmod(target * den, 1)
+    if rest:
+        _ldl(g)
+        return ()
+    out = tuple(sorted(_enumerate_up_to(g, top, identity_int(len(g))).get(top, ())))
     _check_norms(g, out, top)
     return out
 
@@ -334,7 +326,7 @@ def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> Root
     if abs(det(H)) != 1:
         raise InternalCheckError("LLL transform is not unimodular")
     rows = [sub.to_ambient(t) for t in H]
-    gram = _ambient_gram(lattice, rows)
+    gram = row_gram(lattice.space.sparse_rows, rows)
     # a root is one block's -2 vector or the sum of -1 vectors of two blocks
     shells = [_enumerate_up_to([[-gram[i][j] for j in comp] for i in comp], 2, [rows[k] for k in comp]) for comp in _components(gram)]
     roots = [x for shell in shells for x in shell.get(2, ())]
@@ -380,10 +372,11 @@ def _coefficient_bounds(basis, bound):
     return [bound * sum(map(abs, row[r:])) // prev for row in a]
 
 
-def _block_table(block, rows, coeffs, limit):
+def _block_table(block, rows, coeffs, own, bound):
     """The ambient partials sum_k t_k rows[k] of one scanned block, grouped by
     the exact block norm t^T block t, for the coefficient vectors t whose
-    partial lies inside the per-coordinate limit."""
+    partial lies in [-bound, bound] on the coordinates `own` that no other
+    block touches."""
     n, live = len(rows[0]), sparse_rows(rows)
     # t^T block t over the upper triangle, with off-diagonal entries doubled
     upper = [[(j, g if j == k else 2 * g) for j, g in row if j >= k] for k, row in enumerate(sparse_rows(block))]
@@ -394,7 +387,7 @@ def _block_table(block, rows, coeffs, limit):
             if tk:
                 for c, b in row:
                     x[c] += tk * b
-        if not all(map(le, map(abs, x), limit)):
+        if not all(-bound <= x[c] <= bound for c in own):
             continue
         norm = 0
         for tk, row in zip(t, upper):
@@ -442,24 +435,19 @@ def _block_roots(n, rows, gram, coord_bound):
     every coordinate in [-coord_bound, coord_bound].
 
     Negative definite blocks are walked down to -2 minus the most the scanned
-    blocks can add, every coefficient is bounded over the box by W, other
-    blocks are scanned over their W-box (at most 2,000,000 points), a
-    per-coordinate filter that allows for what the other blocks can add drops
-    partials that cannot reach the box, and `_join` tests the box on the
-    coordinates two blocks share.
+    blocks can add, every coefficient is bounded over the box by W, and other
+    blocks are scanned over their W-box (at most 2,000,000 points).  On a
+    coordinate that only block i touches a root equals block i's partial, so
+    each table keeps the partials in the box on their block's own coordinates,
+    and `_join` tests the box on the coordinates two blocks share.
     """
     comps = _components(gram)
     blocks = [tuple(tuple(gram[i][j] for j in comp) for i in comp) for comp in comps]
     negs = [tuple(tuple(-x for x in row) for row in block) for block in blocks]
     sparse, W = sparse_rows(rows), _coefficient_bounds(rows, coord_bound)
-    limits = [[coord_bound] * n for _ in comps]
-    for i, j in itertools.permutations(range(len(comps)), 2):  # block i's limit allows for what block j can add
-        for k in comps[j]:
-            for c, b in sparse[k]:
-                limits[i][c] += abs(b) * W[k]
-    # A coordinate touched by the rows of one block only gets no slack, so its block's filter settles it.
     touched = [{c for k in comp for c, _ in sparse[k]} for comp in comps]
     shared = [c for c in range(n) if sum(c in t for t in touched) > 1]
+    own = [sorted(t.difference(shared)) for t in touched]
     tables, walked = {}, []
     for i, comp in enumerate(comps):
         if _positive_definite(negs[i]):
@@ -469,12 +457,12 @@ def _block_roots(n, rows, gram, coord_bound):
         if boxsize > 2_000_000:
             raise BudgetExceededError(f"indefinite block box of {boxsize} points exceeds the 2,000,000-point budget")
         box = itertools.product(*[range(-W[k], W[k] + 1) for k in comp])
-        tables[i] = _block_table(blocks[i], [rows[k] for k in comp], box, limits[i])
+        tables[i] = _block_table(blocks[i], [rows[k] for k in comp], box, own[i], coord_bound)
     radius = 2 + sum(max(table) for table in tables.values())
     for i in walked:
         walk = _enumerate_up_to(negs[i], radius, [rows[k] for k in comps[i]])
         # partials in order leave the join's output nearly sorted
-        tables[i] = {-a: kept for a, xs in walk.items() if (kept := sorted(x for x in xs if all(map(le, map(abs, x), limits[i]))))}
+        tables[i] = {-a: kept for a, xs in walk.items() if (kept := sorted(x for x in xs if all(-coord_bound <= x[c] <= coord_bound for c in own[i])))}
     return _join([tables[i] for i in sorted(tables)], -2, coord_bound, n, shared)
 
 

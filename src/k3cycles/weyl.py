@@ -28,8 +28,9 @@ from .quadspace import (
     gram_apply,
     hermitian_pair,
     pair_rows,
+    row_gram,
 )
-from .rootenum import RootList, _ambient_gram, _positive_definite, bounded_root_search
+from .rootenum import RootList, _positive_definite, bounded_root_search
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ def check_partition_property(lattice: IntegralLattice, plus, depth: int = 4) -> 
                 return found
     if depth == 2:
         return PartitionCheck(ok=True)
-    if _positive_definite([[-x for x in row] for row in _ambient_gram(lattice, hnf(plus))]):
+    if _positive_definite([[-x for x in row] for row in row_gram(sparse, hnf(plus))]):
         return PartitionCheck(ok=True)
     # Otherwise scan: the sum over a_1 <= ... <= a_t has norm
     # -2t + 2 sum_{i<j} P[a_i][a_j], a root iff that sum is t - 1.

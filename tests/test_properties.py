@@ -131,7 +131,8 @@ def bounded_search_cases(draw):
 
     Without constraints the negative definite summands are enumerated and the
     others scanned; constraints mix the summands, so the kernel rows of one
-    block reach the coordinates of another and the box slack is nonzero."""
+    block reach the coordinates of another, which the join tests at its
+    leaves."""
     gram = _block_sum(draw(st.lists(st.one_of(st.sampled_from(SMALL_BLOCKS), indefinite_2x2), min_size=2, max_size=4)))
     constraints = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(gram)), max_size=2))
     return gram, constraints, draw(st.integers(1, 2))
@@ -139,9 +140,13 @@ def bounded_search_cases(draw):
 
 @SETTINGS
 @given(bounded_search_cases())
-# U + U + A1(-1): 8 of the 12 roots need the slack, a block partial outside
-# the box that the other block brings back into it.
+# U + U + A1(-1): 8 of the 12 roots are sums of block partials outside the box
+# on a shared coordinate, which the join brings back into it at its leaves.
 @example((_block_sum((U_GRAM, U_GRAM, ((-2,),))), [(-1, -1, 1, 2, 1)], 1))
+# U + A2(-1): kernel blocks of rank 1 and 2 that share coordinate 3, so the
+# walked block's table is boxed only on its own coordinates; 8 and 6 roots.
+@example((_block_sum((U_GRAM, ((-2, 1), (1, -2)))), [(-1, -2, 0, -1)], 2))
+@example((_block_sum((U_GRAM, ((-2, 1), (1, -2)))), [(2, 2, 0, -1)], 1))
 # A1(-1) + U: the kernel of (1, 1, 1) is one block [[-2, 2], [2, -2]] of
 # signature (0, 1, 1), which must be box-scanned, not walked; 2 roots.
 @example((_block_sum((((-2,),), U_GRAM)), [(1, 1, 1)], 1))
@@ -408,7 +413,8 @@ def test_is_isometry_matches_dense_congruence(case):
                     k.reflection_matrix(space, v)
 
 
-PARTITION_LATTICE = k.IntegralLattice(k.QuadraticSpace(_block_sum((U_GRAM, U_GRAM, ((-2, 1), (1, -2))))))
+PARTITION_GRAM = _block_sum((U_GRAM, U_GRAM, ((-2, 1), (1, -2))))
+PARTITION_LATTICE = k.IntegralLattice(k.QuadraticSpace(PARTITION_GRAM))
 PARTITION_ROOTS = k.bounded_root_search(PARTITION_LATTICE, [], 1)
 
 
@@ -418,14 +424,17 @@ PARTITION_ROOTS = k.bounded_root_search(PARTITION_LATTICE, [], 1)
 @example((Q(0),) * 6, 2)
 @example((Q(3), Q(5), Q(1, 3), Q(7, 2), Q(1, 5), Q(1, 7)), 5)  # off every wall
 def test_partition_by_chamber_is_scale_invariant(kappa, scale):
-    gram = PARTITION_LATTICE.space.gram
     scaled = tuple(x / scale for x in kappa)
+    # kappa times the positive integer lcm of its denominators: every sign and
+    # zero of the oracle pairings is kept, and they accumulate in ints.
+    m = lcm(*(x.denominator for x in kappa))
+    whole = tuple(int(x * m) for x in kappa)
     padded_root = PARTITION_ROOTS.roots[0] + (0,)
     for bad_length in (kappa[:-1], kappa + (Q(1),)):
         with pytest.raises(DimensionMismatchError):
             k.partition_by_chamber(PARTITION_LATTICE, PARTITION_ROOTS, bad_length)
-    pairings = [dense_bilinear(gram, kappa, r) for r in PARTITION_ROOTS.roots]
-    if dense_bilinear(gram, kappa, kappa) <= 0:
+    pairings = [dense_bilinear(PARTITION_GRAM, whole, r) for r in PARTITION_ROOTS.roots]
+    if dense_bilinear(PARTITION_GRAM, whole, whole) <= 0:
         for kap in (kappa, scaled):
             with pytest.raises(NonPositiveKappaError):
                 k.partition_by_chamber(PARTITION_LATTICE, PARTITION_ROOTS, kap)

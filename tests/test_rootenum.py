@@ -56,8 +56,8 @@ def test_enumerate_requires_positive_definite():
 
 
 def test_fractional_targets():
-    # An integer Gram has only integer norms, so 3/2 has no vectors; the walk
-    # out to floor(3/2) still decides definiteness.
+    # An integer Gram has only integer norms, so 3/2 has no vectors; `_ldl`
+    # still decides definiteness, with no walk.
     assert k.enumerate_norm_vectors(k.quadspace.E8_GRAM, Q(3, 2)) == ()
     with pytest.raises(NotPositiveDefiniteError):
         k.enumerate_norm_vectors(((1, 0), (0, -1)), Q(3, 2))
@@ -314,10 +314,13 @@ def _delta_p_e1f1_e2f2(k3):
     (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 2), 500, 240),
     (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 4), 3120, 2160),
     (_delta_p_e1f1_e2f2, 6242, 19694),
-], ids=["e8_norm_2", "e8_norm_4", "delta_p_bound_1"])
+    (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, Q(15, 2)), 0, 0),
+    (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, Q(3, 2)), 0, 0),
+], ids=["e8_norm_2", "e8_norm_4", "delta_p_bound_1", "e8_norm_15_2", "e8_norm_3_2"])
 def test_target_and_bounded_walk_node_counts(monkeypatch, k3, search, nodes, count):
     # The same `_int_interval` count as the complete search's, for the target
-    # search and for the walked blocks of the bounded search.
+    # search and for the walked blocks of the bounded search.  A target that
+    # clears to a non-integer has no vectors and is not walked.
     calls = []
     interval = rootenum._int_interval
     monkeypatch.setattr(rootenum, "_int_interval", lambda *a: calls.append(a) or interval(*a))

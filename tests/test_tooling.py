@@ -78,6 +78,31 @@ def test_no_unused_module_imports():
     assert not found, f"unused module-level imports in src/k3cycles: {found}"
 
 
+def _unused_parameters(tree):
+    """(line, function, parameter) for each parameter of a function or lambda
+    that its body, nested functions included, never reads."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            found += [(node.lineno, name, p.arg) for p in params if p.arg not in read]
+    return found
+
+
+def test_no_unused_function_parameters():
+    # A simplification that stops reading a parameter must drop it too.
+    found = [
+        f"{path.name}:{line} {name}({param})"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name, param in _unused_parameters(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"function parameters in src/k3cycles that their body never reads: {found}"
+
+
 def _defined_names(tree):
     """Module-level functions, classes and assigned names, without the click commands."""
     out = []
