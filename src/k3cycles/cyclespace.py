@@ -19,7 +19,8 @@ from math import gcd, isqrt
 from operator import floordiv, mul
 
 import mpmath
-from mpmath.libmp import from_rational, mpf_shift, to_int
+from mpmath.libmp import fone, from_int, from_rational, fzero, mpc_abs, mpc_add, mpc_div, mpc_div_mpf, mpc_mul, mpc_mul_int
+from mpmath.libmp import mpc_neg, mpc_sqrt, mpf_add, mpf_div, mpf_mul, mpf_pow_int, mpf_shift, mpf_sqrt, to_int
 
 from .errors import AmbientMismatchError, DimensionMismatchError, InputError, InternalCheckError
 from .gaussrat import GaussRational, as_fraction
@@ -32,6 +33,7 @@ from .quadspace import (
     _realify,
     bilinear,
     congruence_diagonal,
+    gram_apply,
     make_standard_lattice,
     row_gram,
 )
@@ -111,7 +113,7 @@ class ThreeSpace:
     def basis(self):
         """The 3 x n GaussRational rows (re + i im) / d."""
         re, im, d = self.ints
-        return tuple(tuple(GaussRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(r, i)) for r, i in zip(re, im))
+        return tuple(tuple(_gauss(z, d) for z in zip(r, i)) for r, i in zip(re, im))
 
     @property
     def n(self) -> int:
@@ -297,7 +299,7 @@ def _exact_sqrt(q: Fraction):
 def _real_isotropic_witness(threespace: ThreeSpace, bits: int):
     """For real V: the counterexample at a real conic point, where the hermitian
     value is the bilinear one, 0; None when the real form is definite.  Numeric
-    points are taken at the current mpmath precision."""
+    points are rounded to `bits` bits."""
     found = partial(DomainStatus, kind="counterexample", samples=0, certified_exact=True, precision_bits=bits)
     rb = threespace.real_basis()
     diag, S = congruence_diagonal(row_gram(threespace.ambient.sparse_rows, rb))
@@ -312,28 +314,47 @@ def _real_isotropic_witness(threespace: ThreeSpace, bits: int):
         q = -diag[j] / diag[i]  # the point s*u_i + u_j with s^2 = q is isotropic
         s = _exact_sqrt(q)
         if s is None:
-            s = mpmath.sqrt(_to_mpf(q))
+            s = mpf_sqrt(_mpf(*q.as_integer_ratio(), bits), bits, "n")
             # hermitian = bilinear on real vectors; s^2 d_i + d_j = 0 exactly.
-            return found(point=tuple(mpmath.mpc(s * _to_mpf(x) + _to_mpf(y)) for x, y in zip(rows[i], rows[j])))
+            coords = (mpf_add(mpf_mul(s, _mpf(*x.as_integer_ratio(), bits), bits, "n"), _mpf(*y.as_integer_ratio(), bits), bits, "n") for x, y in zip(rows[i], rows[j]))
+            return found(point=tuple(mpmath.mp.make_mpc((x, fzero)) for x in coords))
         point = tuple(s * x + y for x, y in zip(rows[i], rows[j]))
     if bilinear(threespace.ambient, point, point) != 0:
         raise InternalCheckError("real conic witness is not isotropic")
-    exact = tuple(GaussRational.of(x) for x in point)
-    return found(point=tuple(_to_mpc(x) for x in exact), exact_point=exact)
+    return found(point=tuple(mpmath.mp.make_mpc((_mpf(*x.as_integer_ratio(), bits), fzero)) for x in point), exact_point=tuple(map(GaussRational.of, point)))
 
 
-def _to_mpf(x: Fraction):
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+def _mpf(p: int, q: int, bits: int):
+    """p / q (q > 0) as a raw mpf at `bits` bits, rounded as mpmath rounds mpf(p) / mpf(q) for
+    the fraction in lowest terms: numerator and denominator each to nearest, then one division."""
+    g = gcd(p, q)
+    return mpf_div(from_int(p // g, bits, "n"), from_int(q // g, bits, "n"), bits, "n")
 
 
-def _to_mpc(x) -> mpmath.mpc:
-    g = GaussRational.of(x)
-    return mpmath.mpc(_to_mpf(g.re), _to_mpf(g.im))
+def _mpc(z, den: int, bits: int):
+    """The Gaussian integer z = (re, im) over den as a raw mpc at `bits` bits."""
+    return _mpf(z[0], den, bits), _mpf(z[1], den, bits)
 
 
-def _pair_mpc(z, den) -> mpmath.mpc:
-    """The Gaussian integer (re, im) over den, as _to_mpc rounds the same Gauss rational."""
-    return mpmath.mpc(_to_mpf(Fraction(z[0], den)), _to_mpf(Fraction(z[1], den)))
+def _gauss(z, den: int) -> GaussRational:
+    """The Gaussian integer z = (re, im) over den as a GaussRational."""
+    return GaussRational(Fraction(z[0], den), Fraction(z[1], den))
+
+
+def _binary_roots(a, b, c, den: int, bits: int):
+    """The two projective roots (s, t) of a s^2 + 2b st + c t^2, as raw mpc pairs at `bits` bits.
+
+    a, b and c are Gaussian-integer (re, im) pairs over den, not all 0.  The roots are
+    ((-b + r) / a, 1) and ((-b - r) / a, 1) with r the square root of b^2 - ac, taken in
+    integers, when a != 0; else (1, 0) and (c, -2b), or (0, 1) when c = 0 too.  Every step
+    rounds to nearest at `bits` bits.
+    """
+    one, zero = (fone, fzero), (fzero, fzero)
+    if a == (0, 0):
+        return (one, zero), ((_mpc(c, den, bits), mpc_mul_int(_mpc(b, den, bits), -2, bits, "n")) if c != (0, 0) else (zero, one))
+    r = mpc_sqrt(_mpc(_gdot((b, a), (b, (-c[0], -c[1]))), den * den, bits), bits, "n")
+    minus_b, divisor = mpc_neg(_mpc(b, den, bits)), _mpc(a, den, bits)
+    return tuple((mpc_div(mpc_add(minus_b, mpc_mul_int(r, sign, bits, "n"), bits, "n"), divisor, bits, "n"), one) for sign in (1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +398,11 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
     A sweep cut short by the cap of 4 * samples + 16 attempts reports "sampled_short".
     """
     a_rows, h_rows, a = threespace.gram_ints  # both Grams over the denominator a
-    with mpmath.workprec(bits):
-        witness = _real_isotropic_witness(threespace, bits) if real else None
-        if witness is not None:
-            return witness
-        # not real, or real with a definite real form: sample the conic
-        base = _conic_base_point(a_rows, a)
-    p = tuple((to_int(mpf_shift(z.real._mpf_, bits), "n"), to_int(mpf_shift(z.imag._mpf_, bits), "n")) for z in base)
+    witness = _real_isotropic_witness(threespace, bits) if real else None
+    if witness is not None:
+        return witness
+    # not real, or real with a definite real form: sample the conic
+    p = tuple((to_int(mpf_shift(x, bits), "n"), to_int(mpf_shift(y, bits), "n")) for x, y in _conic_base_point(a_rows, a, bits))
     re, im, b = threespace.ints
     b_rows = [tuple(zip(r, i)) for r, i in zip(re, im)]
     # Euclidean form of the embedding: ||w B||^2 = w E conj(w)^T with E = b_rows conj(b_rows)^T / e
@@ -435,22 +454,19 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
     return DomainStatus(kind="sampled_ok" if ok == samples else "sampled_short", samples=ok, precision_bits=bits)
 
 
-def _conic_base_point(pairs, den):
-    """One numeric point of {w : w A w^T = 0} in coefficient space, for A the
-    Gaussian-integer (re, im) pairs over den; b^2 - ac is taken in integers."""
+def _conic_base_point(pairs, den, bits):
+    """One point of {w : w A w^T = 0} in coefficient space as raw mpc pairs at `bits` bits, for
+    A the Gaussian-integer (re, im) pairs over den: the first root of the first coordinate
+    plane on which the form is not 0."""
     for i, j in ((0, 1), (0, 2), (1, 2)):
         a, b, c = pairs[i][i], pairs[i][j], pairs[j][j]
         if a == b == c == (0, 0):
             continue
-        w = [mpmath.mpc(0)] * 3
-        if a == (0, 0):
-            w[i] = mpmath.mpc(1)
-        else:
-            disc = _gdot((b, a), (b, (-c[0], -c[1])))
-            w[i], w[j] = (-_pair_mpc(b, den) + mpmath.sqrt(_pair_mpc(disc, den * den))) / _pair_mpc(a, den), mpmath.mpc(1)
+        w = [(fzero, fzero)] * 3
+        w[i], w[j] = _binary_roots(a, b, c, den, bits)[0]
         return tuple(w)
     # the form vanishes on every coordinate plane, so A = 0: every point is a conic point
-    return (mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0))
+    return (fone, fzero), (fzero, fzero), (fzero, fzero)
 
 
 def _pencil_parameter(k: int):
@@ -517,7 +533,7 @@ def _try_exact_counterexample(threespace, w):
     # coordinate k is sum_i u_i (re_i[k] + i im_i[k]) / (c d)
     b_re, b_im, d = threespace.ints
     cols = zip(*(zip(r, i) for r, i in zip(b_re, b_im)))
-    return tuple(GaussRational(Fraction(x, c * d), Fraction(y, c * d)) for x, y in (_gdot(u, col) for col in cols))
+    return tuple(_gauss(_gdot(u, col), c * d) for col in cols)
 
 
 def intersect_hyperplane(threespace: ThreeSpace, delta, precision: int | None = None) -> HyperplaneIntersection:
@@ -526,63 +542,46 @@ def intersect_hyperplane(threespace: ThreeSpace, delta, precision: int | None = 
     Either the whole plane P(V) is orthogonal to delta (containment) or the
     pencil V in delta-perp is a projective line meeting the quadric in the
     roots of an exact binary quadratic form; the two roots are returned with
-    exact coefficients and numeric point approximations.
+    exact coefficients and numeric point approximations.  The pairings and the
+    form are taken in integers from `ThreeSpace.ints`.
     """
     bits = resolve_precision(precision)
-    n = threespace.n
-    if len(delta) != n:
+    if len(delta) != threespace.n:
         raise DimensionMismatchError("delta length does not match ambient rank")
     delta = tuple(as_fraction(x) for x in delta)
     if is_zero_vec(delta):
         raise InputError("delta must be nonzero")
-    pairings = [bilinear(threespace.ambient, row, delta) for row in threespace.basis]
-    pairings = [GaussRational.of(p) for p in pairings]
-    if all(p == 0 for p in pairings):
+    ambient, (re, im, d) = threespace.ambient, threespace.ints
+    (x,), e = clear_rows([[z.as_integer_ratio() for z in delta]])
+    # <b_i, delta> = P_i / (d q e) for b_i = (re_i + i im_i) / d, delta = x / e and G = qG / q
+    image = gram_apply(ambient.sparse_rows, x)
+    pairings = [(sum(map(mul, r, image)), sum(map(mul, i, image))) for r, i in zip(re, im)]
+    if all(z == (0, 0) for z in pairings):
         return HyperplaneIntersection(kind="containment")
-    # Kernel of the functional (p1, p2, p3) on coefficients: dimension 2.
-    p = next(i for i in range(3) if pairings[i] != 0)
-    others = [i for i in range(3) if i != p]
-    coeff_rows = []
-    for q in others:
-        coeff = [GaussRational.of(0)] * 3
-        coeff[p] = -pairings[q]
-        coeff[q] = pairings[p]
-        coeff_rows.append(tuple(coeff))
-    w_rows = tuple(
-        tuple(sum((coeff[i] * threespace.basis[i][c] for i in range(3)), start=GaussRational.of(0)) for c in range(n))
-        for coeff in coeff_rows
-    )
-    a = GaussRational.of(bilinear(threespace.ambient, w_rows[0], w_rows[0]))
-    b = GaussRational.of(bilinear(threespace.ambient, w_rows[0], w_rows[1]))
-    c = GaussRational.of(bilinear(threespace.ambient, w_rows[1], w_rows[1]))
-    disc = b * b - a * c
-    with mpmath.workprec(bits):
-        w1 = tuple(_to_mpc(x) for x in w_rows[0])
-        w2 = tuple(_to_mpc(x) for x in w_rows[1])
-        points = []
-        if a != 0:
-            root = mpmath.sqrt(_to_mpc(disc))
-            for sgn in (1, -1):
-                s = (-_to_mpc(b) + sgn * root) / _to_mpc(a)
-                points.append(tuple(s * u + v for u, v in zip(w1, w2)))
-        elif c != 0:
-            # q(s,t) = 2b st + c t^2 = t (2b s + c t)
-            points.append(w1)
-            points.append(tuple(_to_mpc(c) * u - 2 * _to_mpc(b) * v for u, v in zip(w1, w2)))
-        elif b != 0:
-            points.append(w1)
-            points.append(w2)
-        else:
-            raise InputError("restricted form vanishes identically on the section")
-        normalized = []
-        for pt in points:
-            norm = mpmath.sqrt(sum(abs(x) ** 2 for x in pt))
-            normalized.append(tuple(x / norm for x in pt))
+    # Kernel of the functional on coefficients, dimension 2: w_k = P_p b_k - P_k b_p over D = d^2 q e.
+    p = next(i for i in range(3) if pairings[i] != (0, 0))
+    rows, D = [tuple(zip(r, i)) for r, i in zip(re, im)], d * d * ambient.den * e
+    w = [tuple(_gdot((pairings[p], pairings[k]), (u, (-v[0], -v[1]))) for u, v in zip(rows[k], rows[p])) for k in range(3) if k != p]
+    g = row_gram(ambient.sparse_rows, [tuple(z[t] for z in row) for row in w for t in (0, 1)])
+    # the Gaussian pairings of w_0 and w_1 over q D^2, from the real Gram of re w_0, im w_0, re w_1, im w_1
+    a, b, c = ((g[2 * i][2 * j] - g[2 * i + 1][2 * j + 1], g[2 * i][2 * j + 1] + g[2 * i + 1][2 * j]) for i, j in ((0, 0), (0, 1), (1, 1)))
+    if a == b == c == (0, 0):
+        raise InputError("restricted form vanishes identically on the section")
+    den = ambient.den * D * D
+    w1, w2 = ([_mpc(z, D, bits) for z in row] for row in w)
+    points = []
+    for s, t in _binary_roots(a, b, c, den, bits):
+        pt = [mpc_add(mpc_mul(s, u, bits, "n"), mpc_mul(t, v, bits, "n"), bits, "n") for u, v in zip(w1, w2)]
+        total = fzero
+        for z in pt:
+            total = mpf_add(total, mpf_pow_int(mpc_abs(z, bits, "n"), 2, bits, "n"), bits, "n")
+        norm = mpf_sqrt(total, bits, "n")
+        points.append(tuple(mpmath.mp.make_mpc(mpc_div_mpf(z, norm, bits, "n")) for z in pt))
     return HyperplaneIntersection(
         kind="two_points",
-        line_basis=w_rows,
-        quad_coeffs=(a, b, c),
-        discriminant=disc,
-        numeric_points=tuple(normalized),
+        line_basis=tuple(tuple(_gauss(z, D) for z in row) for row in w),
+        quad_coeffs=tuple(_gauss(z, den) for z in (a, b, c)),
+        discriminant=_gauss(_gdot((b, a), (b, (-c[0], -c[1]))), den * den),
+        numeric_points=tuple(points),
         precision_bits=bits,
     )

@@ -173,10 +173,9 @@ def _digits_for_bits(bits: int) -> int:
     return max(int(bits * 0.30103) - 2, 8)
 
 
-def encode_numeric_complex(x, bits: int) -> dict:
+def encode_numeric_complex(z: mpmath.mpc, bits: int) -> dict:
+    """An mpc printed as it is, at the decimal digits of `bits` bits."""
     digits = _digits_for_bits(bits)
-    # An mpc prints as it is: mpc(z) would round it to the global precision.
-    z = x if isinstance(x, mpmath.mpc) else mpmath.mpc(x)
     return {
         "re": mpmath.nstr(z.real, digits),
         "im": mpmath.nstr(z.imag, digits),
@@ -201,7 +200,7 @@ def domain_to_json(d: DomainStatus) -> dict:
         out["samples"] = d.samples
         out["precision_bits"] = d.precision_bits
     if d.kind == "counterexample":
-        out["point"] = encode_numeric_vector(d.point, d.precision_bits or 53)
+        out["point"] = encode_numeric_vector(d.point, d.precision_bits)
         out["exact_point"] = (
             [encode_gauss(x) for x in d.exact_point] if d.exact_point is not None else None
         )
@@ -229,7 +228,7 @@ def intersection_to_json(h: HyperplaneIntersection) -> dict:
         "line_basis": [encode_gauss_vector(row) for row in h.line_basis],
         "quad_coeffs": {"a": encode_gauss(a), "b": encode_gauss(b), "c": encode_gauss(c)},
         "discriminant": encode_gauss(h.discriminant),
-        "points": [encode_numeric_vector(p, h.precision_bits or 53) for p in h.numeric_points],
+        "points": [encode_numeric_vector(p, h.precision_bits) for p in h.numeric_points],
         "precision_bits": h.precision_bits,
     }
 

@@ -261,11 +261,33 @@ def dense_bilinear(gram, x, y):
 
 
 def dense_grams(threespace):
-    """(A, H): the symmetric and Hermitian Grams of the basis rows, by
-    `dense_bilinear` over the rational ambient Gram."""
+    """(A, H): the symmetric and Hermitian Grams of the basis rows over the
+    rational ambient Gram, as Gauss rationals.
+
+    The ambient Gram is scaled to integers by the lcm g of its denominators,
+    and the re and im parts of the basis by the lcm b of theirs.  The real and
+    imaginary parts of x^T G y and x^T G conj(y) are then sums of `dense_bilinear`
+    pairings of integer rows, each entry divided once by g b^2.
+    """
+    from k3cycles.gaussrat import GaussRational
+
     gram, rows = threespace.ambient.gram, threespace.basis
-    A = tuple(tuple(dense_bilinear(gram, x, y) for y in rows) for x in rows)
-    H = tuple(tuple(dense_bilinear(gram, x, [z.conjugate() for z in y]) for y in rows) for x in rows)
+    g = lcm(*(Fraction(x).denominator for row in gram for x in row))
+    b = lcm(*(part.denominator for row in rows for z in row for part in (z.re, z.im)))
+    G = [[int(x * g) for x in row] for row in gram]
+    re = [[int(z.re * b) for z in row] for row in rows]
+    im = [[int(z.im * b) for z in row] for row in rows]
+    den = g * b * b
+
+    def pair(u, v):
+        return int(dense_bilinear(G, u, v))
+
+    rr = [[pair(x, y) for y in re] for x in re]
+    ii = [[pair(x, y) for y in im] for x in im]
+    ri = [[pair(x, y) for y in im] for x in re]  # ri[i][j] = re_i G im_j, and im_i G re_j = ri[j][i]
+    n = range(len(rows))
+    A = tuple(tuple(GaussRational(Fraction(rr[i][j] - ii[i][j], den), Fraction(ri[i][j] + ri[j][i], den)) for j in n) for i in n)
+    H = tuple(tuple(GaussRational(Fraction(rr[i][j] + ii[i][j], den), Fraction(ri[j][i] - ri[i][j], den)) for j in n) for i in n)
     return A, H
 
 

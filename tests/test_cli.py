@@ -68,6 +68,20 @@ GOLDEN_CASES = [
         "classify_vprime.json",
         ("cycle-classify", "--input", os.path.join(DATA, "threespace_vprime.json"), "--kind", "K3", "--samples", "4"),
     ),
+    (
+        "intersect_u3_diagonal.json",
+        (
+            "cycle-intersect",
+            "--input",
+            os.path.join(DATA, "threespace_u3_diagonal.json"),
+            "--delta",
+            "[1,0,0,2,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,-1]",
+        ),
+    ),
+    (
+        "intersect_v0_diag4.json",
+        ("cycle-intersect", "--input", os.path.join(DATA, "threespace_v0_diag4.json"), "--delta", "[1,0,0,0]", "--precision", "64"),
+    ),
 ]
 
 

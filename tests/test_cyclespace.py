@@ -630,6 +630,58 @@ def test_sampled_counterexample_exact_witness(rows, done):
         assert all(abs(x - ratio * y) <= abs(ratio) * mpmath.mpf(2) ** -100 for x, y in zip(d.point, exact))
 
 
+def test_numeric_paths_neither_read_nor_write_the_global_precision(monkeypatch, u3_diagonal):
+    sp = diag_space(6)
+
+    def space(*rows):
+        return k.ThreeSpace(ambient=sp, basis=tuple(tuple(GaussRational(Q(x), Q(y)) for x, y in row) for row in rows))
+
+    def real(*rows):
+        return space(*(tuple((x, 0) for x in row) for row in rows))
+
+    cycles = [
+        (k.example_family(2, n=6), 16),  # sampled, no counterexample
+        # a sampled counterexample with an exact point
+        (space(((1, 0), (0, 0), (0, 0), (1, 0), (0, 0), (0, 0)), ((-1, -1), (1, -2), (0, 2), (1, 2), (0, -1), (2, 0)), ((-1, 0), (1, 1), (1, 2), (2, -1), (1, -1), (2, 1))), 48),
+        (real((1, 0, 0, 1, 0, 0), (1, 0, 0, -1, 0, 0), (0, 1, 0, 0, 0, 0)), 8),  # rational real witness
+        (real((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0)), 8),  # irrational real witness
+    ]
+    sections = [
+        (u3_diagonal, [Q(x) for x in (1, 0, 0, 2, 1, 1, 1) + (0,) * 14 + (-1,)]),
+        (real((1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0)), [Q(0), Q(1), Q(0), Q(0), Q(0), Q(0)]),  # a = 0, c != 0
+    ]
+
+    def outputs():
+        out = []
+        for bits in (53, 128):
+            for v, samples in cycles:
+                c = k.classify_cycle(v, samples=samples, precision=bits)
+                point = c.domain_status.point
+                out.append((None if point is None else [z._mpc_ for z in point], jsonio.classification_to_json(c)))
+            for v, delta in sections:
+                h = k.intersect_hyperplane(v, delta, precision=bits)
+                out.append(([z._mpc_ for pt in h.numeric_points for z in pt], jsonio.intersection_to_json(h)))
+        return out
+
+    expected = outputs()
+    assert [o[1]["domain"]["status"] for o in expected[:4]] == ["sampled_ok"] + ["counterexample"] * 3
+    writes = []
+    context = type(mpmath.mp)
+    with mpmath.workprec(24):
+        with monkeypatch.context() as patched:
+            for name in ("prec", "dps"):
+                prop = getattr(context, name)
+
+                def record(ctx, value, name=name, setter=prop.fset):
+                    writes.append((name, value))
+                    setter(ctx, value)
+
+                patched.setattr(context, name, property(prop.fget, record))
+            got = outputs()
+    assert writes == []
+    assert got == expected
+
+
 def test_tangent_pencil_line_is_skipped():
     # span(e1 + e4, (146+112i) e1 + e2, 119 e1 + e3): the base point is e1 + e4
     # exactly, and the first pencil line, lambda_0 = -(146+112i)/119, is tangent

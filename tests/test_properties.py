@@ -737,6 +737,52 @@ def test_real_witness_points_are_pinned(rows, witness):
     assert d.exact_point == tuple(GaussRational.of(x) for x in witness)
 
 
+# raw mpf tuples (sign, mantissa, exponent, bit count) of 0 and 1
+RAW_ZERO = (0, 0, 0, 0)
+RAW_ONE = (0, 1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "rows, bits, real_parts",
+    [
+        # real Gram diag(1, 1, -2): q = 2, so the witness sqrt(2) e1 + e4 + e5 has no rational point
+        (((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0)), 53, ((0, 6369051672525773, -52, 53), RAW_ZERO, RAW_ZERO, RAW_ONE, RAW_ONE, RAW_ZERO)),
+        (((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0)), 128, ((0, 240615969168004511545033772477625056927, -127, 128), RAW_ZERO, RAW_ZERO, RAW_ONE, RAW_ONE, RAW_ZERO)),
+        # q irrational again, and coordinates that are not dyadic, so that every one rounds
+        (
+            ((1, 1, 1, 2, 1, -1), (0, -2, -2, -1, 1, -1), (0, 1, 0, 1, 2, 1)),
+            53,
+            (
+                (0, 1268118142244301, -52, 51),
+                (1, 3585104085444993, -52, 52),
+                (1, 3585104085444993, -52, 52),
+                (0, 109625170643955, -52, 47),
+                (0, 3694729256088947, -52, 52),
+                (1, 3694729256088947, -52, 52),
+            ),
+        ),
+        (
+            ((1, 1, 1, 2, 1, -1), (0, -2, -2, -1, 1, -1), (0, 1, 0, 1, 2, 1)),
+            128,
+            (
+                (0, 47908148890027252846429447368977050939, -127, 126),
+                (1, 135441402965635715481457337151383531243, -127, 127),
+                (1, 135441402965635715481457337151383531243, -127, 127),
+                (0, 4141521852223021528915502477773810787, -127, 122),
+                (0, 139582924817858737010372839629157342031, -127, 127),
+                (1, 139582924817858737010372839629157342031, -127, 127),
+            ),
+        ),
+    ],
+)
+def test_irrational_real_witness_points_are_pinned(rows, bits, real_parts):
+    # s^2 = q is irrational here, so the witness is numeric only: each
+    # coordinate's raw mpc is pinned bit for bit.
+    d = k.classify_cycle(_real_space(rows), samples=8, precision=bits).domain_status
+    assert (d.kind, d.samples, d.certified_exact, d.exact_point, d.precision_bits) == ("counterexample", 0, True, None, bits)
+    assert tuple(z._mpc_ for z in d.point) == tuple((x, RAW_ZERO) for x in real_parts)
+
+
 # ---------------------------------------------------------------------------
 # Integer three-spaces, the orientation test and rational parsing
 
