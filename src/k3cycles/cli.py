@@ -255,8 +255,7 @@ def isometry_check(kind, lattice_file, matrix):
     """Gram preservation, determinant and O+ membership of an integer matrix."""
     lattice = _lattice_option(kind, lattice_file)
     m = jsonio.decode_int_matrix(_load_arg(matrix))
-    # An integer matrix has an integral determinant.
-    _emit({"isometry": is_isometry(lattice, m), "determinant": int(det(m)), "in_o_plus": _in_o_plus(lattice, m)})
+    _emit({"isometry": is_isometry(lattice, m), "determinant": det(m), "in_o_plus": _in_o_plus(lattice, m)})
 
 
 @main.command("chamber-partition")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
 from math import gcd, isqrt
-from operator import floordiv, mul
+from operator import mul
 
 import mpmath
 from mpmath.libmp import fone, from_int, from_rational, fzero, mpc_abs, mpc_add, mpc_div, mpc_div_mpf, mpc_mul, mpc_mul_int
@@ -24,13 +24,14 @@ from mpmath.libmp import mpc_neg, mpc_sqrt, mpf_add, mpf_div, mpf_mul, mpf_pow_i
 
 from .errors import AmbientMismatchError, DimensionMismatchError, InputError, InternalCheckError
 from .gaussrat import GaussRational, as_fraction
-from .linalg import _det_bareiss, clear_rows, hnf, is_zero_vec, mat
+from .linalg import clear_rows, det, hnf, is_zero_vec, mat
 from .quadspace import (
     IntegralLattice,
     Isometry,
     QuadraticSpace,
     _hermitian_inertia,
     _realify,
+    _space_of,
     bilinear,
     congruence_diagonal,
     gram_apply,
@@ -79,6 +80,7 @@ class ThreeSpace:
     def __init__(self, ambient: QuadraticSpace, basis=None, ints=None):
         if (basis is None) == (ints is None):
             raise TypeError("ThreeSpace takes exactly one of basis and ints")
+        ambient = _space_of(ambient)
         if basis is not None:
             rows = mat(tuple(tuple(GaussRational.of(x) for x in row) for row in basis))
             self.__dict__["basis"] = rows
@@ -275,7 +277,7 @@ def exact_classification(threespace: ThreeSpace) -> dict:
     realification of A has determinant |det A|^2), hermitian_signature, real and positive."""
     hsig = threespace.hermitian_inertia
     return {
-        "smooth": _det_bareiss(_realify(threespace.gram_ints[0]), floordiv) != 0,
+        "smooth": det(_realify(threespace.gram_ints[0])) != 0,
         "hermitian_signature": hsig,
         "real": threespace.is_real(),
         "positive": hsig == (3, 0, 0),

@@ -1,15 +1,16 @@
-"""Exact dense linear algebra over Q and Q(i), plus integer HNF machinery.
+"""Exact dense linear algebra by integer elimination, plus HNF machinery.
 
 Everything here works on tuples (vectors) and tuples of tuples (matrices,
-row-major).  Field routines are generic: entries only need +,-,*,/ and
-comparison with 0, which both Fraction and GaussRational provide.
+row-major).  Elimination is fraction-free over Z: Bareiss for det, one
+Gauss-Jordan for inverse and the box bounds, congruence elimination for
+inertia, and unimodular Euclid steps for hnf, rank and int_kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import floordiv, mul, truediv
+from operator import mul
 
 from .errors import DimensionMismatchError
 from .gaussrat import GaussRational
@@ -52,32 +53,22 @@ def is_zero_vec(v) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Elimination (int, Fraction or GaussRational entries)
+# Fraction-free elimination (int entries)
 
 
-def _field(x):
-    return Fraction(x) if isinstance(x, int) else x
+def _int_matrix(m):
+    """mat(m), after checking that every entry is an int (bools excluded)."""
+    m = mat(m)
+    if any(type(x) is not int for r in m for x in r):
+        raise TypeError("integer matrix expected")
+    return m
 
 
-def _det_bareiss(m, div):
-    """Fraction-free (Bareiss) determinant; every div(x, prev) is an exact division."""
-    n = len(m)
-    a = [list(r) for r in m]
-    sign = 1
-    prev = 1
-    for c in range(n):
-        p = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if p is None:
-            return 0
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            for k in range(c + 1, n):
-                a[r][k] = div(a[r][k] * a[c][c] - a[r][c] * a[c][k], prev)
-            a[r][c] = 0
-        prev = a[c][c]
-    return sign * a[n - 1][n - 1]
+def _square_int_matrix(m):
+    m = _int_matrix(m)
+    if any(len(r) != len(m) for r in m):
+        raise DimensionMismatchError("square matrix expected")
+    return m
 
 
 def _symmetric_bareiss(m):
@@ -122,64 +113,56 @@ def _symmetric_bareiss(m):
     return order, lead, low, splits
 
 
-def det(m):
-    """Determinant: a Fraction, a GaussRational when an entry is one, Fraction(0) when singular.
-
-    One Bareiss loop for every entry type: ints divide with floordiv, field
-    entries with truediv.  Every entry takes part in a product, so one
-    Gaussian entry makes the result Gaussian.
-    """
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    if any(len(r) != n for r in m):
-        raise DimensionMismatchError("determinant of non-square matrix")
-    if all(isinstance(x, int) for r in m for x in r):
-        return Fraction(_det_bareiss(m, floordiv))
-    return _det_bareiss([[_field(x) for x in r] for r in m], truediv) or Fraction(0)
-
-
-def rref(m):
-    """Reduced row echelon form; returns (rows as lists, pivot columns)."""
-    a = [[_field(x) for x in r] for r in m]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+def det(m) -> int:
+    """Determinant of a square integer matrix by Bareiss, every // exact; 1 when empty."""
+    a = [list(r) for r in _square_int_matrix(m)]
+    n, sign, prev = len(a), 1, 1
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c] != 0), None)
         if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        piv = a[r][c]
-        # Only nonzero entries are scaled and eliminated with; zeros stay as they are.
-        a[r] = [x / piv if x != 0 else x for x in a[r]]
-        live = [(k, y) for k, y in enumerate(a[r]) if y != 0]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f, row = a[i][c], a[i]
-                for k, y in live:
-                    row[k] = row[k] - f * y
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
+            return 0
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            sign = -sign
+        for r in range(c + 1, n):
+            for k in range(c + 1, n):
+                a[r][k] = (a[r][k] * a[c][c] - a[r][c] * a[c][k]) // prev
+        prev = a[c][c]
+    return sign * prev
+
+
+def _gauss_jordan(a, r):
+    """Fraction-free Gauss-Jordan, in place, on the integer rows a = [M | B] with M r x r:
+    ends at [d I | d M^-1 B] and returns d = +-det M, or returns 0 when M is singular.
+    A zero pivot swaps with the first row below it that is nonzero in its column."""
+    prev = 1
+    for k in range(r):
+        p = next((i for i in range(k, r) if a[i][k] != 0), None)
+        if p is None:
+            return 0
+        a[k], a[p] = a[p], a[k]
+        pivot_row, piv = a[k], a[k][k]
+        for i in range(len(a)):
+            f = a[i][k]
+            if i != k:
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = piv
+    return prev
 
 
 def rank(m) -> int:
-    if not m:
-        return 0
-    return len(rref(m)[1])
+    return len(hnf(_int_matrix(m)))
 
 
 def inverse(m):
+    """Inverse of a square integer matrix, with Fraction entries."""
+    m = _square_int_matrix(m)
     n = len(m)
-    aug = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, r in enumerate(m)]
-    red, piv = rref(aug)
-    if piv[:n] != list(range(n)):
+    a = [list(r + e) for r, e in zip(m, identity_int(n))]
+    d = _gauss_jordan(a, n)
+    if d == 0:
         raise ZeroDivisionError("singular matrix")
-    return tuple(tuple(row[n:]) for row in red)
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in a)
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ class Isometry:
         m = mat(self.matrix)
         if len(m) != self.space.n or any(len(r) != self.space.n for r in m):
             raise DimensionMismatchError("isometry matrix size does not match space")
-        if any(not isinstance(x, int) for row in m for x in row):
+        if any(type(x) is not int for row in m for x in row):
             raise NotIntegralError("isometry matrix must have integer entries")
         if not is_isometry(self.space, m):
             raise NotIsometryError("matrix does not preserve the gram matrix")
@@ -169,7 +169,7 @@ class Isometry:
     @cached_property
     def determinant(self) -> int:
         """det g, which is +-1: g^T G g = G with det G != 0 forces (det g)^2 = 1."""
-        return int(det(self.matrix))
+        return det(self.matrix)
 
 
 def _block_diag(*blocks):
@@ -340,7 +340,7 @@ class LatticeInvariants:
 def lattice_invariants(lattice: IntegralLattice) -> LatticeInvariants:
     g = lattice.gram_int
     even = all(g[i][i] % 2 == 0 for i in range(len(g)))
-    d = int(det(g))
+    d = det(g)
     return LatticeInvariants(even=even, determinant=d, unimodular=abs(d) == 1)
 
 

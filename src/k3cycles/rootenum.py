@@ -35,7 +35,7 @@ from .errors import (
     NotPositiveError,
 )
 from .gaussrat import as_fraction
-from .linalg import _symmetric_bareiss, clear_denominators, det, identity_int, int_kernel, mat
+from .linalg import _gauss_jordan, _symmetric_bareiss, clear_denominators, det, identity_int, int_kernel, mat
 from .quadspace import IntegralLattice, _cleared, gram_apply, pair_rows, row_gram, sparse_rows
 
 
@@ -355,21 +355,13 @@ def _coefficient_bounds(basis, bound):
     """W_j = floor(bound * sum_i |(M^-1 B)_{j,i}|) for B = basis, M = B B^T.
 
     A kernel vector x = t B has t = x B^T M^-1, so |t_j| <= W_j over the box.
-    Fraction-free Gauss-Jordan (Bareiss) on [M | B] ends at [d I | d M^-1 B]
-    with d = det M > 0; M is positive definite, so no pivot is zero and every
-    division is exact.
+    Gauss-Jordan on [M | B] ends at [d I | d M^-1 B] with d = det M > 0: M is
+    positive definite, so no pivot is zero and no row moves.
     """
     r = len(basis)
     a = [[sum(map(mul, bi, bj)) for bj in basis] + list(bi) for bi in basis]
-    prev = 1
-    for k in range(r):
-        pivot_row, p = a[k], a[k][k]
-        for i in range(r):
-            f = a[i][k]
-            if i != k:
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = p
-    return [bound * sum(map(abs, row[r:])) // prev for row in a]
+    d = _gauss_jordan(a, r)
+    return [bound * sum(map(abs, row[r:])) // d for row in a]
 
 
 def _block_table(block, rows, coeffs, own, bound):

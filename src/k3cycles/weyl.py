@@ -41,6 +41,7 @@ class PeriodPoint:
     x: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "space", _space_of(self.space))
         rows = tuple(GaussRational.of(v) for v in self.x)
         if len(rows) != self.space.n:
             raise DimensionMismatchError("period point length does not match space")

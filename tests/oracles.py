@@ -350,6 +350,13 @@ def exact_rank(rows):
     return rank
 
 
+def gauss_rank(rows):
+    """Rank over Q(i): half the exact rank of the real form [[A, -B], [B, A]] of rows = A + iB."""
+    re = [[Fraction(getattr(x, "re", x)) for x in row] for row in rows]
+    im = [[Fraction(getattr(x, "im", 0)) for x in row] for row in rows]
+    return exact_rank([r + [-x for x in i] for r, i in zip(re, im)] + [i + r for r, i in zip(re, im)]) // 2
+
+
 def cofactor_det(m):
     """Determinant by cofactor expansion along the first row, no elimination."""
     if not m:
@@ -361,16 +368,14 @@ def cofactor_det(m):
 def reference_inertia(m):
     """(pos, neg, null) of a symmetric rational or Hermitian Gauss-rational matrix.
 
-    The rank is exact: that of the real form [[A, -B], [B, A]] of m = A + iB,
-    which is twice the rank of m.  The signs are those of the `rank` numpy
+    The rank is exact (`gauss_rank`).  The signs are those of the `rank` numpy
     eigenvalues of largest modulus.
     """
     n = len(m)
-    re = [[Fraction(getattr(x, "re", x)) for x in row] for row in m]
-    im = [[Fraction(getattr(x, "im", 0)) for x in row] for row in m]
-    real_form = [r + [-x for x in i] for r, i in zip(re, im)] + [i + r for r, i in zip(re, im)]
-    rank = exact_rank(real_form) // 2
-    values = np.linalg.eigvalsh(np.array(re, dtype=float) + 1j * np.array(im, dtype=float))
+    rank = gauss_rank(m)
+    re = [[float(getattr(x, "re", x)) for x in row] for row in m]
+    im = [[float(getattr(x, "im", 0)) for x in row] for row in m]
+    values = np.linalg.eigvalsh(np.array(re) + 1j * np.array(im))
     top = sorted(values, key=abs)[n - rank:]
     pos = sum(1 for x in top if x > 0)
     return (pos, rank - pos, n - rank)

@@ -12,10 +12,10 @@ import pytest
 import k3cycles as k
 from k3cycles import GaussRational, cyclespace, gaussrat, jsonio, quadspace
 from k3cycles.errors import AmbientMismatchError, DimensionMismatchError, InputError
-from k3cycles.linalg import hnf, rank
+from k3cycles.linalg import hnf
 
 from conftest import gauss_rows, uvec
-from oracles import dense_grams, reference_conic_sweep
+from oracles import cofactor_det, dense_grams, gauss_rank, reference_conic_sweep
 
 
 def diag_space(n=22):
@@ -33,7 +33,7 @@ def unit_rows(space, idxs):
 
 
 def spans_equal(a, b):
-    return rank(a.basis + b.basis) == 3
+    return gauss_rank(a.basis + b.basis) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +65,11 @@ def test_family_at_and_above_threshold():
 
 
 def test_family_trichotomy_sweep():
-    from k3cycles.linalg import det
-
     allowed = {(3, 0, 0), (2, 1, 0), (2, 0, 1)}
     for num in range(0, 17):
         A, H = dense_grams(k.example_family(Q(num, 5)))
         assert k.hermitian_signature(H) in allowed
-        assert det(A) != 0
+        assert cofactor_det(A) != 0
 
 
 def test_family_needs_rank_above_three():
@@ -107,6 +105,11 @@ def test_threespace_validation():
             ambient=k.make_standard_lattice("diag", signs=[1, 1, -1, -1]),
             basis=gauss_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
         )
+
+
+def test_threespace_accepts_the_lattice_for_its_space(k3, u3_diagonal):
+    v = k.ThreeSpace(ambient=k3, basis=u3_diagonal.basis)
+    assert v == u3_diagonal and v.ambient == k3.space
 
 
 def test_threespace_from_ints_builds_its_basis_when_read():
@@ -315,14 +318,12 @@ def _classification_key(c):
 
 
 def _random_gl3(rng):
-    from k3cycles.linalg import det
-
     while True:
         m = tuple(
             tuple(GaussRational(Q(rng.randint(-2, 2)), Q(rng.randint(-2, 2))) for _ in range(3))
             for _ in range(3)
         )
-        if det(m) != 0:
+        if cofactor_det(m) != 0:
             return m
 
 

@@ -197,6 +197,16 @@ def test_only_quadspace_and_jsonio_read_the_rational_gram():
     assert not found, f"modules other than quadspace and jsonio read .gram: {found}"
 
 
+def test_linalg_is_integer_only():
+    # linalg eliminates over Z (Bareiss, fraction-free Gauss-Jordan, Euclid);
+    # a field division would bring a Fraction path back.
+    tree = ast.parse((SRC / "linalg.py").read_text(), filename="linalg.py")
+    divisions = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert not divisions, f"true division in linalg.py at lines {divisions}"
+    assert "truediv" not in imported
+
+
 def test_benchmark_smoke_run_passes():
     # Each workload on its first two inputs, every result checked against
     # values computed apart from k3cycles (perfbench/checks.py): the twistor

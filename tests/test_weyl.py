@@ -138,6 +138,13 @@ def test_period_point_validation(k3):
         k.PeriodPoint(space=k3.space, x=tuple(GaussRational.of(0) for _ in range(22)))
 
 
+def test_period_point_accepts_the_lattice_for_its_space(k3):
+    x = tuple(GaussRational(Q(a), Q(b)) for a, b in zip(uvec(0), uvec(1)))
+    p = k.PeriodPoint(space=k3, x=x)
+    assert p == k.PeriodPoint(space=k3.space, x=x)
+    assert k.delta_p_bounded(k3, p, 1) == k.delta_p_bounded(k3, k.PeriodPoint(space=k3.space, x=x), 1)
+
+
 def test_delta_p_bounded_contains_root(k3):
     x = tuple(
         GaussRational(a, b)
