@@ -24,7 +24,7 @@ from mpmath.libmp import mpc_neg, mpc_sqrt, mpf_add, mpf_div, mpf_mul, mpf_pow_i
 
 from .errors import AmbientMismatchError, DimensionMismatchError, InputError, InternalCheckError
 from .gaussrat import GaussRational, as_fraction
-from .linalg import clear_rows, det, hnf, is_zero_vec, mat
+from .linalg import clear_gauss_rows, clear_rows, det, hnf, is_zero_vec, mat
 from .quadspace import (
     IntegralLattice,
     Isometry,
@@ -34,6 +34,7 @@ from .quadspace import (
     _space_of,
     bilinear,
     congruence_diagonal,
+    gauss_grams,
     gram_apply,
     make_standard_lattice,
     row_gram,
@@ -84,8 +85,7 @@ class ThreeSpace:
         if basis is not None:
             rows = mat(tuple(tuple(GaussRational.of(x) for x in row) for row in basis))
             self.__dict__["basis"] = rows
-            parts, d = clear_rows([[getattr(z, t).as_integer_ratio() for z in row] for t in ("re", "im") for row in rows])
-            ints = parts[: len(rows)], parts[len(rows):], d
+            ints = clear_gauss_rows([[z.ratios() for z in row] for row in rows])
         re, im, d = ints
         re, im = mat(re), mat(im)
         if len(re) != 3 or len(im) != 3:
@@ -124,19 +124,10 @@ class ThreeSpace:
     @cached_property
     def gram_ints(self):
         """(A, H, den): the symmetric and Hermitian Grams as 3x3 tables of
-        Gaussian-integer (re, im) pairs over one positive denominator.
-
-        With qG the ambient's integer Gram (q its denominator), rr, jj and rj
-        pair re with re, im with im and re with im under qG: the 3x3 blocks of
-        the one 6x6 `row_gram` of the rows re + im.  im_i qG re_j is
-        rj[j][i], as G is symmetric.
-        """
+        Gaussian-integer (re, im) pairs over one positive denominator, the
+        `gauss_grams` of the rows under the ambient's integer Gram."""
         re, im, d = self.ints
-        g = row_gram(self.ambient.sparse_rows, re + im)
-        rr, jj, rj = ([row[b:b + 3] for row in g[a:a + 3]] for a, b in ((0, 0), (3, 3), (0, 3)))
-        A = tuple(tuple((rr[i][j] - jj[i][j], rj[i][j] + rj[j][i]) for j in range(3)) for i in range(3))
-        H = tuple(tuple((rr[i][j] + jj[i][j], rj[j][i] - rj[i][j]) for j in range(3)) for i in range(3))
-        return A, H, self.ambient.den * d * d
+        return (*gauss_grams(self.ambient.sparse_rows, re, im), self.ambient.den * d * d)
 
     @cached_property
     def hermitian_inertia(self):
@@ -521,8 +512,8 @@ def _try_exact_counterexample(threespace, w):
     norms = [x * x + y * y for x, y in w]
     n = max(norms)
     pr, pi = w[norms.index(n)]
-    coeffs = [[Fraction(t, n).limit_denominator(10**6) for t in (x * pr + y * pi, y * pr - x * pi)] for x, y in w]
-    (re, im), c = clear_rows([[z[t].as_integer_ratio() for z in coeffs] for t in (0, 1)])  # coefficients u / c
+    coeffs = [tuple(Fraction(t, n).limit_denominator(10**6).as_integer_ratio() for t in (x * pr + y * pi, y * pr - x * pi)) for x, y in w]
+    (re,), (im,), c = clear_gauss_rows([coeffs])  # coefficients u / c
     u, u_bar = tuple(zip(re, im)), tuple(zip(re, (-y for y in im)))
     A, H, _ = threespace.gram_ints
     if _gdot(u, [_gdot(row, u) for row in A]) != (0, 0):
@@ -564,9 +555,9 @@ def intersect_hyperplane(threespace: ThreeSpace, delta, precision: int | None = 
     p = next(i for i in range(3) if pairings[i] != (0, 0))
     rows, D = [tuple(zip(r, i)) for r, i in zip(re, im)], d * d * ambient.den * e
     w = [tuple(_gdot((pairings[p], pairings[k]), (u, (-v[0], -v[1]))) for u, v in zip(rows[k], rows[p])) for k in range(3) if k != p]
-    g = row_gram(ambient.sparse_rows, [tuple(z[t] for z in row) for row in w for t in (0, 1)])
-    # the Gaussian pairings of w_0 and w_1 over q D^2, from the real Gram of re w_0, im w_0, re w_1, im w_1
-    a, b, c = ((g[2 * i][2 * j] - g[2 * i + 1][2 * j + 1], g[2 * i][2 * j + 1] + g[2 * i + 1][2 * j]) for i, j in ((0, 0), (0, 1), (1, 1)))
+    # the Gaussian pairings of w_0 and w_1 over q D^2
+    w_re, w_im = ([tuple(z[t] for z in row) for row in w] for t in (0, 1))
+    ((a, b), (_, c)), _ = gauss_grams(ambient.sparse_rows, w_re, w_im)
     if a == b == c == (0, 0):
         raise InputError("restricted form vanishes identically on the section")
     den = ambient.den * D * D

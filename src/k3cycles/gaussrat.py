@@ -13,10 +13,10 @@ from .errors import InputError
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce an int or Fraction to Fraction; reject floats (exactness)."""
+    """Coerce an int or Fraction to Fraction; reject floats (exactness) and bools."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
@@ -65,16 +65,16 @@ class GaussRational:
             return x
         return GaussRational(as_fraction(x), Fraction(0))
 
+    def ratios(self) -> tuple:
+        """The (p, q) pairs of the real and imaginary parts, in lowest terms with q > 0."""
+        return self.re.as_integer_ratio(), self.im.as_integer_ratio()
+
     def conjugate(self) -> "GaussRational":
         return GaussRational(self.re, -self.im)
 
     def norm_sq(self) -> Fraction:
         """|z|^2 = re^2 + im^2, exact."""
         return self.re * self.re + self.im * self.im
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0

@@ -21,7 +21,7 @@ from .cyclespace import (
 )
 from .errors import InputError
 from .gaussrat import GaussRational, format_rational, parse_ratio
-from .linalg import clear_rows
+from .linalg import clear_gauss_rows, clear_rows
 from .quadspace import IntegralLattice, QuadraticSpace
 from .rootenum import RootList, Sublattice
 from .weyl import ChamberPartition, PartitionCheck
@@ -133,10 +133,7 @@ def threespace_from_json(obj) -> ThreeSpace:
     if not isinstance(obj, dict) or "ambient" not in obj or "basis" not in obj:
         raise InputError("three-space JSON needs 'ambient' and 'basis'")
     ambient = space_from_json(obj["ambient"])
-    rows = [_gauss_row(row) for row in _rows(obj["basis"])]
-    # The re rows and the im rows, cleared together to integers over one denominator.
-    parts, d = clear_rows([[z[t] for z in row] for t in (0, 1) for row in rows])
-    return ThreeSpace(ambient=ambient, ints=(parts[: len(rows)], parts[len(rows):], d))
+    return ThreeSpace(ambient=ambient, ints=clear_gauss_rows([_gauss_row(row) for row in _rows(obj["basis"])]))
 
 
 def rootlist_to_json(r: RootList) -> dict:

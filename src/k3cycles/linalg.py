@@ -9,7 +9,7 @@ inertia, and unimodular Euclid steps for hnf, rank and int_kernel.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .errors import DimensionMismatchError
@@ -169,22 +169,17 @@ def inverse(m):
 # Integer lattice machinery
 
 
-def clear_denominators(v):
-    """Scale a rational vector to a primitive integer vector (sign preserved)."""
-    if any(isinstance(x, GaussRational) for x in v):
-        raise TypeError("clear_denominators expects a rational vector")
-    den = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (den // x.denominator) for x in v]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
 def clear_rows(rows):
     """(int rows, d): rows of (p, q) pairs in lowest terms, q > 0, times their least common denominator d."""
     d = lcm(*(q for row in rows for _, q in row))
     return tuple(tuple(p * (d // q) for p, q in row) for row in rows), d
+
+
+def clear_gauss_rows(rows):
+    """(re, im, d): rows of ((p, q), (p', q')) Gauss-rational entries, each pair as in
+    `clear_rows`, as integer re and im rows over their least common denominator d."""
+    parts, d = clear_rows([[z[t] for z in row] for t in (0, 1) for row in rows])
+    return parts[: len(rows)], parts[len(rows):], d
 
 
 def _euclid_column(a, r, c):

@@ -28,7 +28,7 @@ from .errors import (
     NotSymmetricError,
 )
 from .gaussrat import GaussRational
-from .linalg import _symmetric_bareiss, clear_rows, conj_vec, det, mat
+from .linalg import _symmetric_bareiss, clear_gauss_rows, clear_rows, conj_vec, det, mat
 
 # Chain basis of E8 in the D8+glue model: rows are
 #   (1/2,...,1/2), e1+e2, e2-e1, e3-e2, e4-e3, e5-e4, e6-e5, e7-e6
@@ -76,6 +76,21 @@ def row_gram(rows, vectors):
         for j in range(i, r):
             out[i][j] = out[j][i] = sum(map(mul, image, vectors[j]))
     return tuple(map(tuple, out))
+
+
+def gauss_grams(rows, re, im):
+    """(A, H): A[i][j] = x_i^T G x_j and H[i][j] = x_i^T G conj(x_j) as Gaussian-integer
+    (re, im) pairs, for x = re + i im over the symmetric G of the sparse rows.
+
+    Both come from one `row_gram` of the re rows then the im rows: with a, b the
+    re and im parts, A = (a G a - b G b, a_i G b_j + b_i G a_j) and
+    H = (a G a + b G b, b_i G a_j - a_i G b_j).
+    """
+    r = len(re)
+    g = row_gram(rows, (*re, *im))
+    A = tuple(tuple((g[i][j] - g[r + i][r + j], g[i][r + j] + g[r + i][j]) for j in range(r)) for i in range(r))
+    H = tuple(tuple((g[i][j] + g[r + i][r + j], g[r + i][j] - g[i][r + j]) for j in range(r)) for i in range(r))
+    return A, H
 
 
 def pair_rows(rows, x, y):
@@ -253,7 +268,7 @@ def _cleared(m, den=1):
     n = len(m)
     if all(type(x) is int for row in m for x in row):
         g = tuple(map(tuple, m))
-    elif not all(isinstance(x, (int, Fraction)) for row in m for x in row):
+    elif not all(type(x) is int or isinstance(x, Fraction) for row in m for x in row):
         raise TypeError("entries must be exact rationals (int or Fraction)")
     else:
         g, q = clear_rows([[x.as_integer_ratio() for x in row] for row in m])
@@ -326,8 +341,8 @@ def hermitian_signature(h):
         raise DimensionMismatchError("matrix is not square")
     if any(z[i][j] != z[j][i].conjugate() for i in range(n) for j in range(i, n)):
         raise NotHermitianError("matrix is not Hermitian")
-    parts, _ = clear_rows([[getattr(x, t).as_integer_ratio() for x in row] for t in ("re", "im") for row in z])
-    return _hermitian_inertia([tuple(zip(r, i)) for r, i in zip(parts[:n], parts[n:])])
+    re, im, _ = clear_gauss_rows([[x.ratios() for x in row] for row in z])
+    return _hermitian_inertia([tuple(zip(r, i)) for r, i in zip(re, im)])
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .errors import (
     NotPositiveError,
 )
 from .gaussrat import as_fraction
-from .linalg import _gauss_jordan, _symmetric_bareiss, clear_denominators, det, identity_int, int_kernel, mat
+from .linalg import _gauss_jordan, _symmetric_bareiss, clear_rows, det, identity_int, int_kernel, mat
 from .quadspace import IntegralLattice, _cleared, gram_apply, pair_rows, row_gram, sparse_rows
 
 
@@ -105,19 +105,14 @@ def _check_norms(gram, vectors, norm, bound=None):
 
 
 def _constraint_rows(lattice: IntegralLattice, constraints):
-    """Primitive integer rows whose kernel is {x : <x, c> = 0 for all c}.
-
-    Each constraint is scaled to integers first; scaling by k > 0 leaves the
-    primitive row of G c unchanged.
-    """
-    rows = []
-    for c in constraints:
-        if len(c) != lattice.n:
-            raise DimensionMismatchError("constraint length does not match lattice rank")
-        pairing = gram_apply(lattice.space.sparse_rows, clear_denominators(c))
-        if any(pairing):
-            rows.append(clear_denominators(pairing))
-    return rows
+    """Integer rows whose kernel is {x : <x, c> = 0 for all c}: the nonzero images
+    G c of the constraints, all scaled to integers by one k > 0, which keeps the kernel."""
+    ratios = [[(x, 1) if type(x) is int else as_fraction(x).as_integer_ratio() for x in c] for c in constraints]
+    if any(len(c) != lattice.n for c in ratios):
+        raise DimensionMismatchError("constraint length does not match lattice rank")
+    ints, _ = clear_rows(ratios)
+    images = (gram_apply(lattice.space.sparse_rows, c) for c in ints)
+    return [row for row in images if any(row)]
 
 
 def orthogonal_complement_lattice(lattice: IntegralLattice, constraints) -> Sublattice:

@@ -17,7 +17,7 @@ from .errors import (
     WallError,
 )
 from .gaussrat import GaussRational, as_fraction
-from .linalg import clear_denominators, det, hnf, is_zero_vec
+from .linalg import clear_gauss_rows, clear_rows, det, hnf, is_zero_vec
 from .quadspace import (
     K3_GRAM,
     IntegralLattice,
@@ -25,8 +25,8 @@ from .quadspace import (
     QuadraticSpace,
     _space_of,
     bilinear,
+    gauss_grams,
     gram_apply,
-    hermitian_pair,
     pair_rows,
     row_gram,
 )
@@ -45,13 +45,14 @@ class PeriodPoint:
         rows = tuple(GaussRational.of(v) for v in self.x)
         if len(rows) != self.space.n:
             raise DimensionMismatchError("period point length does not match space")
-        if all(v == 0 for v in rows):
+        if not any(rows):
             raise InputError("period point must be nonzero")
-        if bilinear(self.space, rows, rows) != 0:
+        # (x, x) and (x, conj x) in Gaussian integers: positive multiples of the form's values
+        re, im, _ = clear_gauss_rows([[v.ratios() for v in rows]])
+        ((a,),), ((h,),) = gauss_grams(self.space.sparse_rows, re, im)
+        if a != (0, 0):
             raise InputError("period point must be isotropic: <x,x> = 0")
-        h = hermitian_pair(self.space, rows, rows)
-        h = GaussRational.of(h)
-        if not (h.is_real and h.re > 0):
+        if h[0] <= 0:
             raise InputError("period point must satisfy <x, conj x> > 0")
         object.__setattr__(self, "x", rows)
 
@@ -80,7 +81,7 @@ class PartitionCheck:
 
 def _require_root(ambient, delta):
     delta = tuple(delta)
-    if any(not isinstance(x, int) for x in delta):
+    if any(type(x) is not int for x in delta):
         raise NotARootError("roots must be integer vectors")
     space = _space_of(ambient)
     if len(delta) != space.n:
@@ -155,14 +156,14 @@ def partition_by_chamber(lattice: IntegralLattice, roots, kappa) -> ChamberParti
 
     kappa must be a positive-norm vector off every wall: a zero pairing is a
     WallError, never a tie-break.  The pairings are taken in ints with kappa
-    scaled to a primitive integer vector, a positive multiple, which keeps
+    scaled by its least common denominator, a positive multiple, which keeps
     every sign.
     """
     kappa = tuple(as_fraction(x) for x in kappa)
     rows = _space_of(lattice).sparse_rows
     if len(kappa) != len(rows):
         raise DimensionMismatchError("vector length does not match space rank")
-    scaled = clear_denominators(kappa)
+    (scaled,), _ = clear_rows([[x.as_integer_ratio() for x in kappa]])
     if pair_rows(rows, scaled, scaled) <= 0:
         raise NonPositiveKappaError("chamber representative must have positive norm")
     image = gram_apply(rows, scaled)

@@ -21,9 +21,9 @@ import k3cycles as k
 from k3cycles import cyclespace, jsonio
 from k3cycles.cyclespace import PENCIL_DEN, _herm_coeffs, _herm_products, _sample_domain, _second_intersection, _try_exact_counterexample
 from k3cycles.errors import DimensionMismatchError, InputError, NonPositiveKappaError, NotARootError, WallError
-from k3cycles.gaussrat import GaussRational, parse_rational
-from k3cycles.linalg import conj_vec, det, hnf, int_kernel, inverse, mat_mul, rank
-from k3cycles.quadspace import congruence_diagonal, gram_apply, pair_rows, sparse_rows
+from k3cycles.gaussrat import GaussRational, as_fraction, parse_rational
+from k3cycles.linalg import clear_gauss_rows, conj_vec, det, hnf, int_kernel, inverse, mat_mul, rank
+from k3cycles.quadspace import E8_GRAM, congruence_diagonal, gauss_grams, gram_apply, pair_rows, sparse_rows
 from k3cycles.rootenum import _coefficient_bounds, _enumerate_up_to, _ldl, _lll, _positive_definite
 
 from oracles import (
@@ -680,6 +680,26 @@ def test_integer_routines_reject_other_entries(entry):
             f(m)
 
 
+# Entry points that read a number, each given a bool where an int is taken,
+# and the error it must raise: True is no number, so none may read it as 1.
+BOOL_INPUTS = {
+    "as_fraction": (lambda: as_fraction(True), TypeError),
+    "GaussRational": (lambda: GaussRational(True, 0), TypeError),
+    "enumerate_norm_vectors": (lambda: k.enumerate_norm_vectors(E8_GRAM, True), TypeError),
+    "QuadraticSpace": (lambda: k.QuadraticSpace(((True, 0), (0, -1))), TypeError),
+    "example_family": (lambda: k.example_family(True), TypeError),
+    "reflect": (lambda: k.reflect(K3_SPACE, (True, -1) + (0,) * 20, (1,) + (0,) * 21), NotARootError),  # e1 - f1 as ints
+    "reflection_matrix": (lambda: k.reflection_matrix(K3_SPACE, (True, -1) + (0,) * 20), NotARootError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOL_INPUTS))
+def test_bools_are_not_numbers(name):
+    call, error = BOOL_INPUTS[name]
+    with pytest.raises(error):
+        call()
+
+
 def test_inverse_rejects_non_square_and_ragged_matrices():
     for m in (((1, 2, 3), (4, 5, 6)), ((1, 2), (3,))):
         with pytest.raises(DimensionMismatchError):
@@ -819,6 +839,80 @@ def gauss_bases(draw):
 def _over(pairs, den):
     """The GaussRational matrix of Gaussian-integer (re, im) pairs over den."""
     return tuple(tuple(GaussRational(Q(x, den), Q(y, den)) for x, y in row) for row in pairs)
+
+
+PERIOD_BLOCKS = (U_GRAM, ((1,),), ((-1,),), ((2, 1), (1, -2)))
+I_ = GaussRational(0, 1)
+small_gauss = st.sampled_from((0, 1, -1, Q(1, 2), I_, -I_, GaussRational(1, 1), GaussRational(Q(1, 3), Q(-1, 2))))
+# (blocks, x): x is a period point of the sum of the blocks
+PERIOD_POINTS = (
+    ((U_GRAM, U_GRAM), (1, 1, I_, I_)),
+    ((((1,),), ((1,),)), (1, I_)),
+    ((((1,),), U_GRAM), (1, I_, Q(1, 2) * I_)),
+)
+
+
+@st.composite
+def gauss_row_cases(draw):
+    """(gram, rows): 1-3 rows of int, Fraction or Gauss-rational entries over
+    an orthogonal sum of small forms or a random symmetric Gram with rational
+    entries, times a scale of GRAM_SCALES.  Small entries over sums of +-1
+    and U blocks often give an isotropic first row; a third of the cases
+    start with a Gauss-rational multiple of a known period point."""
+    kind = draw(st.sampled_from(("blocks", "random", "period")))
+    point = ()
+    if kind == "random":
+        n = draw(st.integers(1, 4))
+        upper = {(i, j): draw(st.one_of(st.just(0), st.integers(-3, 3), rationals)) for i in range(n) for j in range(i, n)}
+        gram = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+    else:
+        blocks, point = draw(st.sampled_from(PERIOD_POINTS)) if kind == "period" else ((), ())
+        gram = _block_sum(blocks + tuple(draw(st.lists(st.sampled_from(PERIOD_BLOCKS), min_size=0 if blocks else 1, max_size=2))))
+    scale = draw(st.sampled_from(GRAM_SCALES))
+    entries = draw(st.sampled_from((small_gauss, scalars)))
+    rows = [tuple(draw(entries) for _ in gram) for _ in range(draw(st.integers(1, 3)))]
+    if point:
+        scalar = draw(gauss_rationals.filter(bool))
+        rows[0] = tuple(scalar * z for z in point) + (0,) * (len(gram) - len(point))
+    return tuple(tuple(scale * g for g in row) for row in gram), tuple(rows)
+
+
+DIAG_PLUS = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
+DIAG_MINUS = ((1, 0, 0), (0, -1, 0), (0, 0, -1))
+
+
+@SETTINGS
+@given(gauss_row_cases())
+@example((tuple(tuple(Q(g, 2) for g in row) for row in DIAG_PLUS), ((1, I_, 0), (0, 1, Q(1, 3)))))  # a period point
+@example((DIAG_PLUS, ((0, 0, 0),)))  # zero
+@example((DIAG_PLUS, ((1, 0, I_),)))  # <x,x> = 2
+@example((DIAG_PLUS, ((1, 0, 1),)))  # isotropic, <x, conj x> = 0
+@example((tuple(tuple(3 * g for g in row) for row in DIAG_MINUS), ((0, 1, I_),)))  # isotropic, <x, conj x> = -6
+def test_gauss_grams_and_period_points_match_dense_pairings(case):
+    gram, rows = case
+    assume(cofactor_det(gram) != 0)
+    space = k.QuadraticSpace(gram)
+    re, im, d = clear_gauss_rows([[GaussRational.of(z).ratios() for z in row] for row in rows])
+    assert all(GaussRational(Q(a, d), Q(b, d)) == z for r, i, row in zip(re, im, rows) for a, b, z in zip(r, i, row))
+    A, H = gauss_grams(space.sparse_rows, re, im)
+    den = space.den * d * d
+    assert _over(A, den) == tuple(tuple(dense_bilinear(gram, x, y) for y in rows) for x in rows)
+    assert _over(H, den) == tuple(tuple(dense_bilinear(gram, x, conj_vec(y)) for y in rows) for x in rows)
+    # PeriodPoint decides length, then zero, then isotropy, then positivity.
+    x = rows[0]
+    with pytest.raises(DimensionMismatchError):
+        k.PeriodPoint(space, x + (0,))
+    if not any(x):
+        with pytest.raises(InputError, match="nonzero"):
+            k.PeriodPoint(space, x)
+    elif dense_bilinear(gram, x, x) != 0:
+        with pytest.raises(InputError, match="isotropic"):
+            k.PeriodPoint(space, x)
+    elif GaussRational.of(dense_bilinear(gram, x, conj_vec(x))).re <= 0:
+        with pytest.raises(InputError, match="conj x"):
+            k.PeriodPoint(space, x)
+    else:
+        assert k.PeriodPoint(space, x).x == tuple(map(GaussRational.of, x))
 
 
 def _rank_and_reality(rows):

@@ -412,6 +412,15 @@ def test_bounded_search_rejects_a_bound_that_is_not_an_int(kind, bound):
         k.bounded_root_search(k.make_standard_lattice(kind), [], bound)
 
 
+def test_float_constraints_are_refused_as_inexact(k3):
+    # Inexact input is refused with the TypeError of every other rational entry point.
+    constraint = [0.5] + [0] * 21
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        k.orthogonal_complement_lattice(k3, [constraint])
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        k.bounded_root_search(k3, [uvec(0), constraint], 1)
+
+
 def test_bounded_search_trivial_cases(k3):
     rng = random.Random(5)
     full = [tuple(Q(rng.randint(1, 60), rng.randint(1, 7)) for _ in range(22)) for _ in range(22)]

@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -168,6 +169,21 @@ def test_every_module_level_name_is_referenced():
         if not ({(path.stem, name), (None, name)} & pairs or name in strings or name == "__version__")
     ]
     assert not dead, f"module-level names in src/k3cycles that nothing references: {dead}"
+
+
+def test_readme_library_overview_names_resolve():
+    # Each backticked name in the README's module table must still exist in
+    # that module, so a rename updates the docs too.
+    text = (SRC.parent.parent / "README.md").read_text()
+    section = text.split("## Library overview", 1)[1].split("\n## ", 1)[0]
+    named = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.split("|")]
+        if len(cells) > 2 and cells[1].startswith("`k3cycles."):
+            named += [(cells[1].strip("`"), name) for name in re.findall(r"`([^`]+)`", cells[2])]
+    assert len(named) >= 31
+    gone = [f"{mod}.{name}" for mod, name in named if not hasattr(importlib.import_module(mod), name)]
+    assert not gone, f"README library overview names missing from their modules: {gone}"
 
 
 def test_every_cli_command_is_guarded():
