@@ -94,6 +94,10 @@ class ThreeSpace:
             raise InputError(f"basis denominator must be a positive integer, got {d!r}")
         if any(len(r) != ambient.n for r in re + im):
             raise DimensionMismatchError("basis row length does not match ambient rank")
+        for x in chain(*re, *im):
+            if type(x) is not int:
+                as_fraction(x)  # a bool or float is refused as by every exact entry point
+                raise InputError(f"basis row entries must be integers, got {x!r}")
         c = gcd(d, *chain(*re, *im))
         if c > 1:
             re, im, d = tuple(tuple(x // c for x in r) for r in re), tuple(tuple(x // c for x in r) for r in im), d // c

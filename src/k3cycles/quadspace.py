@@ -244,6 +244,8 @@ def bilinear(ambient, x, y):
         raise DimensionMismatchError("vector length does not match space rank")
     if all(type(v) is int for v in x) and all(type(v) is int for v in y):
         return Fraction(pair_rows(space.sparse_rows, x, y), space.den)
+    if any(type(v) is bool for v in (*x, *y)):
+        raise TypeError("expected an exact rational, got bool")
     total = GaussRational.of(pair_rows(space.sparse_rows, x, y))
     re = Fraction(total.re, space.den)
     # Gaussian as soon as a nonzero Gaussian entry meets a nonzero x, as with dense pairing.

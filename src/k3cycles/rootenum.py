@@ -10,8 +10,8 @@ a positive three-space by an LLL that tracks only its transform H, checks
 det H = +-1, and takes its blocks from the ambient Gram of the reduced rows;
 all are negative definite, so a root is a -2 vector of one block or the sum
 of -1 vectors of two blocks (in <-1> + <-1>, the root (1, 1)).  The bounded
-search (`_block_roots`) walks or box-scans the blocks of the constraint
-kernel and joins them over a coordinate box.
+search (`_block_roots`) joins one walked or box-scanned table per kernel
+block over a coordinate box, certified per table entry, not per root.
 
 All enumeration output is lexicographically sorted and lists x and -x
 explicitly, so CLI output is reproducible byte for byte.
@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, itemgetter, mul
+from operator import add, mul
 
 from .errors import (
     AmbientMismatchError,
@@ -80,30 +80,6 @@ class RootList:
         return iter(self.roots)
 
 
-def _check_norms(gram, vectors, norm, bound=None):
-    """Re-verify enumerated vectors exactly: every norm, and the box when bound is given.
-
-    A vector's norm is the sum of the norms of its parts on the connected
-    blocks of the Gram, and it lies in the box iff every part does.  Both are
-    decided once per distinct part, over the block's sparse rows.
-    """
-    totals = [0] * len(vectors)
-    boxed = True
-    for comp in _components(gram):
-        rows = sparse_rows([[gram[i][j] for j in comp] for i in comp])
-
-        def parts():
-            return zip(*(map(itemgetter(i), vectors) for i in comp))
-
-        seen = {x: pair_rows(rows, x, x) for x in set(parts())}
-        if bound is not None:
-            boxed = boxed and all(max(x) <= bound and min(x) >= -bound for x in seen)
-        totals = list(map(add, totals, map(seen.__getitem__, parts())))
-    if not boxed or totals.count(norm) != len(totals):
-        bad = next(v for v, t in zip(vectors, totals) if t != norm or bound is not None and (max(v) > bound or min(v) < -bound))
-        raise InternalCheckError(f"enumerated vector {bad} fails its norm {norm} or box {bound} check")
-
-
 def _constraint_rows(lattice: IntegralLattice, constraints):
     """Integer rows whose kernel is {x : <x, c> = 0 for all c}: the nonzero images
     G c of the constraints, all scaled to integers by one k > 0, which keeps the kernel."""
@@ -156,20 +132,23 @@ def _int_interval(s: int, lead: int, bound: int):
     return -((t + s) // lead), (t - s) // lead
 
 
-def _enumerate_up_to(gram, radius, rows):
+def _enumerate_up_to(gram, radius, rows=None):
     """The images sum_k t_k rows[k] of the integer t (0 included) with
     t^T gram t <= radius, grouped by that norm, for a positive-definite
-    integer gram and an integer radius.
+    integer gram and an integer radius; with no rows, over the identity rows.
 
     Coordinates run from the last to the first inside exact integer intervals;
     the remaining norm is kept as an integer over the common denominator of
     the fraction-free LDL^T, and each coordinate step adds one sparse row to
     the image.  Each leaf's norm, summed from the gram's entries along the
-    path, is checked against the radius.
+    path, is checked against the radius, and over the identity rows its image
+    against its coefficient vector, so the images are the vectors checked.
     """
     if radius < 0:
         return {}
     lead, low, weight, scale = _ldl(gram)
+    checked = rows is None  # identity rows: each image must equal its t
+    rows = identity_int(len(gram)) if checked else rows
     # norm(x) from the gram: setting x_i = v adds v (g_ii v + 2 sum_{j > i} g_ij x_j)
     above = [[(j, 2 * a) for j, a in row if j > i] for i, row in enumerate(sparse_rows(gram))]
     live = sparse_rows(rows)
@@ -179,6 +158,8 @@ def _enumerate_up_to(gram, radius, rows):
         if i < 0:
             if not 0 <= norm <= radius:
                 raise InternalCheckError(f"block vector {tuple(x)} has norm {norm} outside the walk radius {radius}")
+            if checked and image != x:
+                raise InternalCheckError(f"walk image {tuple(image)} differs from its coefficient vector {tuple(x)}")
             out.setdefault(norm, []).append(tuple(image))
             return
         s = e = 0
@@ -220,9 +201,7 @@ def enumerate_norm_vectors(gram, target):
     if rest:
         _ldl(g)
         return ()
-    out = tuple(sorted(_enumerate_up_to(g, top, identity_int(len(g))).get(top, ())))
-    _check_norms(g, out, top)
-    return out
+    return tuple(sorted(_enumerate_up_to(g, top).get(top, ())))
 
 
 def _lll(gram):
@@ -360,10 +339,10 @@ def _coefficient_bounds(basis, bound):
 
 
 def _block_table(block, rows, coeffs, own, bound):
-    """The ambient partials sum_k t_k rows[k] of one scanned block, grouped by
-    the exact block norm t^T block t, for the coefficient vectors t whose
-    partial lies in [-bound, bound] on the coordinates `own` that no other
-    block touches."""
+    """The ambient partials sum_k t_k rows[k] of one block, grouped by the
+    exact block norm t^T block t and sorted (so the join's output is nearly
+    sorted), for the coefficient vectors t whose partial lies in
+    [-bound, bound] on the coordinates `own` that no other block touches."""
     n, live = len(rows[0]), sparse_rows(rows)
     # t^T block t over the upper triangle, with off-diagonal entries doubled
     upper = [[(j, g if j == k else 2 * g) for j, g in row if j >= k] for k, row in enumerate(sparse_rows(block))]
@@ -382,7 +361,7 @@ def _block_table(block, rows, coeffs, own, bound):
                 for j, g in row:
                     norm += tk * g * t[j]
         table.setdefault(norm, []).append(tuple(x))
-    return table
+    return {a: sorted(xs) for a, xs in table.items()}
 
 
 def _join(tables, target, bound, n, shared):
@@ -391,9 +370,9 @@ def _join(tables, target, bound, n, shared):
 
     Depth-first over the tables in order; a norm group is entered only if the
     tables after it can still make up the rest, and the last table is looked
-    up by the exact rest.  Each table's partials are already in the box on the
-    coordinates no other table touches, so the leaves are tested on the
-    `shared` coordinates only.
+    up by the exact rest, checked to add up to target with the path's keys.
+    Each table's partials are already in the box on the coordinates no other
+    table touches, so the leaves are tested on the `shared` coordinates only.
     """
     # lo[i], hi[i]: the least and greatest norm sums of the tables after i
     lo = list(itertools.accumulate(map(min, reversed(tables[1:])), initial=0))[::-1]
@@ -403,7 +382,10 @@ def _join(tables, target, bound, n, shared):
 
     def walk(i, acc, norm):
         if i == last:
-            leaves = [tuple(map(add, acc, p)) for p in tables[i].get(target - norm, ())]
+            rest = target - norm
+            if norm + rest != target:
+                raise InternalCheckError(f"joined norm {norm + rest} differs from the target {target}")
+            leaves = [tuple(map(add, acc, p)) for p in tables[i].get(rest, ())]
             if shared:
                 leaves = [v for v in leaves if all(-bound <= v[c] <= bound for c in shared)]
             out.extend(leaves)
@@ -417,40 +399,50 @@ def _join(tables, target, bound, n, shared):
     return out
 
 
-def _block_roots(n, rows, gram, coord_bound):
-    """The vectors x = sum_k t_k rows[k] (length n) with t^T gram t = -2 and
-    every coordinate in [-coord_bound, coord_bound].
+def _block_roots(ambient, rows, gram, coord_bound):
+    """The x = sum_k t_k rows[k] in [-coord_bound, coord_bound]^n with
+    t^T gram t = -2, for rows whose Gram under the sparse rows `ambient` is `gram`.
 
-    Negative definite blocks are walked down to -2 minus the most the scanned
-    blocks can add, every coefficient is bounded over the box by W, and other
-    blocks are scanned over their W-box (at most 2,000,000 points).  On a
-    coordinate that only block i touches a root equals block i's partial, so
-    each table keeps the partials in the box on their block's own coordinates,
-    and `_join` tests the box on the coordinates two blocks share.
+    Every coefficient is bounded over the box by W.  Blocks that are not
+    negative definite are scanned over their W-box (at most 2,000,000
+    points), the others walked down to -2 minus the most the scanned blocks
+    can add.  On a coordinate that only block i touches a root equals block
+    i's partial, so each table keeps the partials in the box on their block's
+    own coordinates, and `_join` tests the box on the coordinates two blocks
+    share.  Each table entry that can be part of a root, not each root, is
+    certified: its key is its partial's ambient norm and it lies in the box
+    on its own coordinates.
     """
-    comps = _components(gram)
+    n, comps = len(ambient), _components(gram)
     blocks = [tuple(tuple(gram[i][j] for j in comp) for i in comp) for comp in comps]
     negs = [tuple(tuple(-x for x in row) for row in block) for block in blocks]
     sparse, W = sparse_rows(rows), _coefficient_bounds(rows, coord_bound)
     touched = [{c for k in comp for c, _ in sparse[k]} for comp in comps]
     shared = [c for c in range(n) if sum(c in t for t in touched) > 1]
     own = [sorted(t.difference(shared)) for t in touched]
-    tables, walked = {}, []
+    tables = {}
     for i, comp in enumerate(comps):
-        if _positive_definite(negs[i]):
-            walked.append(i)
-            continue
-        boxsize = math.prod(2 * W[k] + 1 for k in comp)
-        if boxsize > 2_000_000:
-            raise BudgetExceededError(f"indefinite block box of {boxsize} points exceeds the 2,000,000-point budget")
-        box = itertools.product(*[range(-W[k], W[k] + 1) for k in comp])
-        tables[i] = _block_table(blocks[i], [rows[k] for k in comp], box, own[i], coord_bound)
+        if not _positive_definite(negs[i]):
+            boxsize = math.prod(2 * W[k] + 1 for k in comp)
+            if boxsize > 2_000_000:
+                raise BudgetExceededError(f"indefinite block box of {boxsize} points exceeds the 2,000,000-point budget")
+            box = itertools.product(*[range(-W[k], W[k] + 1) for k in comp])
+            tables[i] = _block_table(blocks[i], [rows[k] for k in comp], box, own[i], coord_bound)
     radius = 2 + sum(max(table) for table in tables.values())
-    for i in walked:
-        walk = _enumerate_up_to(negs[i], radius, [rows[k] for k in comps[i]])
-        # partials in order leave the join's output nearly sorted
-        tables[i] = {-a: kept for a, xs in walk.items() if (kept := sorted(x for x in xs if all(-coord_bound <= x[c] <= coord_bound for c in own[i])))}
-    return _join([tables[i] for i in sorted(tables)], -2, coord_bound, n, shared)
+    for i, comp in enumerate(comps):
+        if i not in tables:
+            walk = _enumerate_up_to(negs[i], radius)
+            tables[i] = _block_table(blocks[i], [rows[k] for k in comp], itertools.chain(*walk.values()), own[i], coord_bound)
+    lo, hi = sum(map(min, tables.values())), sum(map(max, tables.values()))
+    for i, table in tables.items():
+        usable = range(-2 - hi + max(table), -1 - lo + min(table))  # keys that can add up to -2 with the other tables' keys
+        for a, xs in table.items():
+            if a in usable and any(pair_rows(ambient, x, x) != a or not all(-coord_bound <= x[c] <= coord_bound for c in own[i]) for x in xs):
+                raise InternalCheckError(f"a partial of block {i} fails its norm {a} or box {coord_bound} check")
+    roots = _join([tables[i] for i in sorted(tables)], -2, coord_bound, n, shared)
+    if shared and not all(-coord_bound <= v[c] <= coord_bound for v in roots for c in shared):
+        raise InternalCheckError(f"a joined root leaves the box {coord_bound} on a shared coordinate")
+    return roots
 
 
 def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int) -> RootList:
@@ -459,7 +451,8 @@ def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int)
 
     The roots lie in the saturated constraint kernel, whose blocks
     `_block_roots` joins over the box, so the output equals the exhaustive
-    filtered scan; every root is then re-checked in ambient coordinates.
+    filtered scan.  The restricted Gram must equal the ambient Gram of the
+    kernel rows, zeros between blocks included.
     """
     if isinstance(coord_bound, bool) or not isinstance(coord_bound, int):
         raise InputError(f"coordinate bound must be an integer, got {coord_bound!r}")
@@ -468,7 +461,8 @@ def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int)
     sub = orthogonal_complement_lattice(lattice, constraints)
     if sub.rank == 0 or coord_bound == 0:
         return RootList(roots=(), complete=False, bound_used=coord_bound)
-    roots = _block_roots(lattice.n, sub.basis, sub.restricted_gram, coord_bound)
+    if any(pair_rows(lattice.space.sparse_rows, x, y) != a for x, row in zip(sub.basis, sub.restricted_gram) for y, a in zip(sub.basis, row)):
+        raise InternalCheckError("the restricted Gram differs from the ambient Gram of the kernel rows")
+    roots = _block_roots(lattice.space.sparse_rows, sub.basis, sub.restricted_gram, coord_bound)
     roots.sort()
-    _check_norms(lattice.gram_int, roots, -2, coord_bound)
     return RootList(roots=tuple(roots), complete=False, bound_used=coord_bound)

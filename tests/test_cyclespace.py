@@ -134,6 +134,20 @@ def test_threespace_from_ints_builds_its_basis_when_read():
         k.ThreeSpace(ambient=sp, ints=(re[:2], im[:2], 2))
 
 
+@pytest.mark.parametrize("entry, error, message", [
+    (True, TypeError, "expected an exact rational, got bool"),
+    (1.5, TypeError, "expected an exact rational, got float"),
+    (Q(1, 2), InputError, "basis row entries must be integers"),
+])
+def test_threespace_from_ints_refuses_entries_that_are_not_ints(entry, error, message):
+    # True was read as 1, giving Hermitian signature (3, 0, 0), and 1.5 raised
+    # a bare TypeError from gcd; both are refused as every exact entry point does.
+    re, im = ((entry, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), ((0, 0, 0, 0),) * 3
+    for rows in ((re, im), (im, re)):
+        with pytest.raises(error, match=message):
+            k.ThreeSpace(ambient=diag_space(4), ints=(*rows, 1))
+
+
 def test_k3_decode_and_classify_pair_in_ints_and_reuse_the_inertia(monkeypatch, k3):
     # The integer three-space takes no Gauss-rational bilinear pairing, and
     # the K3 Gram is diagonalised at most once (if the inertia cache lost it).

@@ -90,6 +90,17 @@ def test_bilinear_first_block(k3):
     assert bilinear(k3, e1, e1) == 0
 
 
+def test_bilinear_refuses_bool_entries(k3):
+    # True is no number: the pairing refuses it as `as_fraction` does, also
+    # through hermitian_pair and the x of reflect (True once read as 1).
+    one, true = (1,) + (0,) * 21, (True,) + (0,) * 21
+    e1_minus_f1 = (1, -1) + (0,) * 20
+    for pair in (lambda: bilinear(k3, true, true), lambda: bilinear(k3, one, true),
+                 lambda: hermitian_pair(k3, true, one), lambda: k.reflect(k3, e1_minus_f1, true)):
+        with pytest.raises(TypeError, match="expected an exact rational, got bool"):
+            pair()
+
+
 def test_bilinear_isotropic_in_diag():
     sp = k.make_standard_lattice("diag", signs=[1, 1, 1, -1])
     i = GaussRational(Q(0), Q(1))

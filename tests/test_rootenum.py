@@ -292,6 +292,67 @@ def test_exact_walk_checks_each_leaf_norm(monkeypatch):
         k.enumerate_norm_vectors(((2, -1), (-1, 2)), 2)
 
 
+# U + U + A1(-1) under the pinned constraint of test_properties: a kernel of
+# rank 4 in two blocks, of ranks 3 (scanned) and 1 (walked), sharing a
+# coordinate on which the join drops leaves outside the box; 12 roots.
+SHARED_GRAM = ((0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, -2))
+SHARED_CONSTRAINT = (Q(-1), Q(-1), Q(1), Q(2), Q(1))
+
+
+def _shared_search():
+    return k.bounded_root_search(k.IntegralLattice(k.QuadraticSpace(SHARED_GRAM)), [SHARED_CONSTRAINT], 1)
+
+
+@pytest.mark.parametrize("search, count", [
+    (lambda: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 2), 240),
+    (_shared_search, 12),
+], ids=["target", "bounded"])
+def test_certificate_rejects_a_walk_image_that_is_not_its_coefficient_vector(monkeypatch, search, count):
+    # Over identity rows each walk image must be its coefficient vector, whose
+    # norm the walk checked; a first identity row of 2 e_1 breaks that.
+    assert len(search()) == count
+    monkeypatch.setattr(rootenum, "identity_int", lambda n: ((2,) + (0,) * (n - 1),) + identity_int(n)[1:])
+    with pytest.raises(InternalCheckError, match="differs from its coefficient vector"):
+        search()
+
+
+def test_certificate_rejects_a_table_key_off_by_one(monkeypatch):
+    block_table = rootenum._block_table
+
+    def off_by_one(*args):
+        table = block_table(*args)
+        low = min(table)
+        table[low - 1] = table.pop(low)
+        return table
+
+    monkeypatch.setattr(rootenum, "_block_table", off_by_one)
+    with pytest.raises(InternalCheckError, match="fails its norm"):
+        _shared_search()
+
+
+def test_certificate_rejects_a_restricted_gram_coupling_two_blocks(monkeypatch):
+    # Block keys add up to a root's norm only if the kernel rows of two blocks
+    # are orthogonal in the ambient Gram, which the restricted Gram must show.
+    row_gram = rootenum.row_gram
+
+    def coupled(rows, vectors):
+        g = [list(r) for r in row_gram(rows, vectors)]
+        assert rootenum._components(g) == [[0, 1, 2], [3]]
+        g[0][3] = g[3][0] = 1
+        return tuple(map(tuple, g))
+
+    monkeypatch.setattr(rootenum, "row_gram", coupled)
+    with pytest.raises(InternalCheckError, match="restricted Gram differs"):
+        _shared_search()
+
+
+def test_certificate_rejects_a_leaf_outside_the_box_on_a_shared_coordinate(monkeypatch):
+    join = rootenum._join
+    monkeypatch.setattr(rootenum, "_join", lambda tables, target, bound, n, shared: join(tables, target, bound, n, []))
+    with pytest.raises(InternalCheckError, match="shared coordinate"):
+        _shared_search()
+
+
 @pytest.mark.parametrize("fixture, nodes, count", [("u3_diagonal", 983, 486), ("vprime", 19, 0)])
 def test_complete_search_node_counts(monkeypatch, request, k3, fixture, nodes, count):
     # Fincke-Pohst visits are machine-independent: one `_int_interval` call per

@@ -24,8 +24,9 @@ def test_no_assert_statements_in_library():
 
 def test_certificate_tests_pass_under_python_O():
     # The certificates of the root search (unimodular transform, walk radius,
-    # block form) raise InternalCheckError, not AssertionError, so they must
-    # fire with asserts stripped.
+    # block form, walk images, table keys, restricted Gram, shared-coordinate
+    # box) raise InternalCheckError, not AssertionError, so they must fire
+    # with asserts stripped.
     root = SRC.parent.parent
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -33,7 +34,7 @@ def test_certificate_tests_pass_under_python_O():
         cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("5 passed"), proc.stdout
+    assert proc.stdout.splitlines()[-1].startswith("10 passed"), proc.stdout
 
 
 def _tracing_table(name):
