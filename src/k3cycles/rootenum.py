@@ -3,7 +3,7 @@ exact Fincke-Pohst branch-and-bound in definite lattices, and block joins.
 
 One Fincke-Pohst walk, `_enumerate_up_to`, lists the vectors of a positive
 definite integer Gram out to an integer radius by norm, carrying each
-vector's ambient image and checking each leaf's norm against the Gram.  Each
+vector's ambient image if given rows and checking each leaf's norm.  Each
 root search splits the form on a lattice basis into orthogonal blocks and
 joins them to norm -2 itself.  The complete search reduces the complement of
 a positive three-space by an LLL that tracks only its transform H, checks
@@ -11,7 +11,7 @@ det H = +-1, and takes its blocks from the ambient Gram of the reduced rows;
 all are negative definite, so a root is a -2 vector of one block or the sum
 of -1 vectors of two blocks (in <-1> + <-1>, the root (1, 1)).  The bounded
 search (`_block_roots`) joins one walked or box-scanned table per kernel
-block over a coordinate box, certified per table entry, not per root.
+block over a coordinate box, certified per table entry and join leaf group.
 
 All enumeration output is lexicographically sorted and lists x and -x
 explicitly, so CLI output is reproducible byte for byte.
@@ -135,31 +135,28 @@ def _int_interval(s: int, lead: int, bound: int):
 def _enumerate_up_to(gram, radius, rows=None):
     """The images sum_k t_k rows[k] of the integer t (0 included) with
     t^T gram t <= radius, grouped by that norm, for a positive-definite
-    integer gram and an integer radius; with no rows, over the identity rows.
+    integer gram and an integer radius; with no rows, the t themselves.
 
     Coordinates run from the last to the first inside exact integer intervals;
     the remaining norm is kept as an integer over the common denominator of
     the fraction-free LDL^T, and each coordinate step adds one sparse row to
     the image.  Each leaf's norm, summed from the gram's entries along the
-    path, is checked against the radius, and over the identity rows its image
-    against its coefficient vector, so the images are the vectors checked.
+    path, is checked against the radius; with no rows the leaf is emitted as
+    its coefficient vector itself, the vector whose norm was checked.
     """
     if radius < 0:
         return {}
     lead, low, weight, scale = _ldl(gram)
-    checked = rows is None  # identity rows: each image must equal its t
-    rows = identity_int(len(gram)) if checked else rows
     # norm(x) from the gram: setting x_i = v adds v (g_ii v + 2 sum_{j > i} g_ij x_j)
     above = [[(j, 2 * a) for j, a in row if j > i] for i, row in enumerate(sparse_rows(gram))]
-    live = sparse_rows(rows)
-    x, image, out = [0] * len(gram), [0] * max(map(len, rows), default=0), {}
+    x, out = [0] * len(gram), {}
+    # with no rows there is no image to build: each leaf is x itself
+    live, image = ([()] * len(gram), x) if rows is None else (sparse_rows(rows), [0] * len(rows[0]))
 
     def walk(i, rem, norm):
         if i < 0:
             if not 0 <= norm <= radius:
                 raise InternalCheckError(f"block vector {tuple(x)} has norm {norm} outside the walk radius {radius}")
-            if checked and image != x:
-                raise InternalCheckError(f"walk image {tuple(image)} differs from its coefficient vector {tuple(x)}")
             out.setdefault(norm, []).append(tuple(image))
             return
         s = e = 0
@@ -342,7 +339,8 @@ def _block_table(block, rows, coeffs, own, bound):
     """The ambient partials sum_k t_k rows[k] of one block, grouped by the
     exact block norm t^T block t and sorted (so the join's output is nearly
     sorted), for the coefficient vectors t whose partial lies in
-    [-bound, bound] on the coordinates `own` that no other block touches."""
+    [-bound, bound] on the coordinates `own` that no other block touches;
+    each group holds its own key, a -> (a, partials)."""
     n, live = len(rows[0]), sparse_rows(rows)
     # t^T block t over the upper triangle, with off-diagonal entries doubled
     upper = [[(j, g if j == k else 2 * g) for j, g in row if j >= k] for k, row in enumerate(sparse_rows(block))]
@@ -361,7 +359,7 @@ def _block_table(block, rows, coeffs, own, bound):
                 for j, g in row:
                     norm += tk * g * t[j]
         table.setdefault(norm, []).append(tuple(x))
-    return {a: sorted(xs) for a, xs in table.items()}
+    return {a: (a, sorted(xs)) for a, xs in table.items()}
 
 
 def _join(tables, target, bound, n, shared):
@@ -370,9 +368,11 @@ def _join(tables, target, bound, n, shared):
 
     Depth-first over the tables in order; a norm group is entered only if the
     tables after it can still make up the rest, and the last table is looked
-    up by the exact rest, checked to add up to target with the path's keys.
-    Each table's partials are already in the box on the coordinates no other
-    table touches, so the leaves are tested on the `shared` coordinates only.
+    up by the exact rest.  The walk carries the keys of the groups it entered
+    apart from the norm it steers by, and at each leaf group those keys and
+    the group's own key must add up to target.  Each table's partials are
+    already in the box on the coordinates no other table touches, so the
+    leaves are tested on the `shared` coordinates only.
     """
     # lo[i], hi[i]: the least and greatest norm sums of the tables after i
     lo = list(itertools.accumulate(map(min, reversed(tables[1:])), initial=0))[::-1]
@@ -380,22 +380,22 @@ def _join(tables, target, bound, n, shared):
     out = []
     last = len(tables) - 1
 
-    def walk(i, acc, norm):
+    def walk(i, acc, norm, keys):
         if i == last:
-            rest = target - norm
-            if norm + rest != target:
-                raise InternalCheckError(f"joined norm {norm + rest} differs from the target {target}")
-            leaves = [tuple(map(add, acc, p)) for p in tables[i].get(rest, ())]
+            key, partials = tables[i].get(target - norm, (None, ()))
+            if partials and sum(keys) + key != target:
+                raise InternalCheckError(f"joined keys {keys + (key,)} add up to {sum(keys) + key}, not the target {target}")
+            leaves = [tuple(map(add, acc, p)) for p in partials]
             if shared:
                 leaves = [v for v in leaves if all(-bound <= v[c] <= bound for c in shared)]
             out.extend(leaves)
             return
-        for a, partials in tables[i].items():
-            if lo[i] <= target - norm - a <= hi[i]:
+        for key, partials in tables[i].values():
+            if lo[i] <= target - norm - key <= hi[i]:
                 for p in partials:
-                    walk(i + 1, tuple(map(add, acc, p)), norm + a)
+                    walk(i + 1, tuple(map(add, acc, p)), norm + key, keys + (key,))
 
-    walk(0, (0,) * n, 0)
+    walk(0, (0,) * n, 0, ())
     return out
 
 
@@ -436,7 +436,7 @@ def _block_roots(ambient, rows, gram, coord_bound):
     lo, hi = sum(map(min, tables.values())), sum(map(max, tables.values()))
     for i, table in tables.items():
         usable = range(-2 - hi + max(table), -1 - lo + min(table))  # keys that can add up to -2 with the other tables' keys
-        for a, xs in table.items():
+        for a, xs in table.values():
             if a in usable and any(pair_rows(ambient, x, x) != a or not all(-coord_bound <= x[c] <= coord_bound for c in own[i]) for x in xs):
                 raise InternalCheckError(f"a partial of block {i} fails its norm {a} or box {coord_bound} check")
     roots = _join([tables[i] for i in sorted(tables)], -2, coord_bound, n, shared)

@@ -303,17 +303,21 @@ def _shared_search():
     return k.bounded_root_search(k.IntegralLattice(k.QuadraticSpace(SHARED_GRAM)), [SHARED_CONSTRAINT], 1)
 
 
-@pytest.mark.parametrize("search, count", [
-    (lambda: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 2), 240),
-    (_shared_search, 12),
-], ids=["target", "bounded"])
-def test_certificate_rejects_a_walk_image_that_is_not_its_coefficient_vector(monkeypatch, search, count):
-    # Over identity rows each walk image must be its coefficient vector, whose
-    # norm the walk checked; a first identity row of 2 e_1 breaks that.
-    assert len(search()) == count
-    monkeypatch.setattr(rootenum, "identity_int", lambda n: ((2,) + (0,) * (n - 1),) + identity_int(n)[1:])
-    with pytest.raises(InternalCheckError, match="differs from its coefficient vector"):
-        search()
+def test_certificate_rejects_a_walked_partial_that_is_not_its_coefficients_image(monkeypatch):
+    # The walked block is the rank-1 one, row (0, 0, 0, 2, 1); its table must
+    # hold the images t rows[0] of the walk's t, whose ambient norm is the key
+    # t^T B t.  Doubling the row makes each partial's norm four times its key.
+    assert len(_shared_search()) == 12
+    block_table = rootenum._block_table
+
+    def doubled(block, rows, coeffs, own, bound):
+        if len(rows) == 1:
+            rows = [tuple(2 * c for c in rows[0])]
+        return block_table(block, rows, coeffs, own, bound)
+
+    monkeypatch.setattr(rootenum, "_block_table", doubled)
+    with pytest.raises(InternalCheckError, match="fails its norm -2"):
+        _shared_search()
 
 
 def test_certificate_rejects_a_table_key_off_by_one(monkeypatch):
@@ -322,11 +326,24 @@ def test_certificate_rejects_a_table_key_off_by_one(monkeypatch):
     def off_by_one(*args):
         table = block_table(*args)
         low = min(table)
-        table[low - 1] = table.pop(low)
+        table[low - 1] = (low - 1, table.pop(low)[1])
         return table
 
     monkeypatch.setattr(rootenum, "_block_table", off_by_one)
     with pytest.raises(InternalCheckError, match="fails its norm"):
+        _shared_search()
+
+
+def test_certificate_rejects_a_leaf_group_found_under_another_key(monkeypatch):
+    # The join looks the last table up by the rest of the target; the group it
+    # finds must carry the key that makes up that rest with the keys entered.
+    join = rootenum._join
+
+    def shifted(tables, *args):
+        return join(tables[:-1] + [{a + 2: group for a, group in tables[-1].items()}], *args)
+
+    monkeypatch.setattr(rootenum, "_join", shifted)
+    with pytest.raises(InternalCheckError, match="add up to -4, not the target -2"):
         _shared_search()
 
 

@@ -24,8 +24,8 @@ def test_no_assert_statements_in_library():
 
 def test_certificate_tests_pass_under_python_O():
     # The certificates of the root search (unimodular transform, walk radius,
-    # block form, walk images, table keys, restricted Gram, shared-coordinate
-    # box) raise InternalCheckError, not AssertionError, so they must fire
+    # block form, walked partials, table keys, joined keys, restricted Gram,
+    # shared-coordinate box) raise InternalCheckError, not AssertionError, so they must fire
     # with asserts stripped.
     root = SRC.parent.parent
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
