@@ -2,16 +2,17 @@
 exact Fincke-Pohst branch-and-bound in definite lattices, and block joins.
 
 One Fincke-Pohst walk, `_enumerate_up_to`, lists the vectors of a positive
-definite integer Gram out to an integer radius by norm, carrying each
-vector's ambient image if given rows and checking each leaf's norm.  Each
-root search splits the form on a lattice basis into orthogonal blocks and
-joins them to norm -2 itself.  The complete search reduces the complement of
-a positive three-space by an LLL that tracks only its transform H, checks
-det H = +-1, and takes its blocks from the ambient Gram of the reduced rows;
-all are negative definite, so a root is a -2 vector of one block or the sum
-of -1 vectors of two blocks (in <-1> + <-1>, the root (1, 1)).  The bounded
-search (`_block_roots`) joins one walked or box-scanned table per kernel
-block over a coordinate box, certified per table entry and join leaf group.
+definite integer Gram out to an integer radius by norm, walking one of each
++-x, carrying each vector's ambient image if given rows and checking each
+leaf's norm.  Each root search splits the form on a lattice basis into
+orthogonal blocks and joins them to norm -2 itself.  The complete search
+reduces the complement of a positive three-space by an LLL that tracks only its
+transform H, checks det H = +-1, and takes its blocks from the ambient Gram of
+the reduced rows; all are negative definite, so a root is a -2 vector of one
+block or the sum of -1 vectors of two blocks (in <-1> + <-1>, the root (1, 1)).
+The bounded search (`_block_roots`) joins one walked or box-scanned table per
+kernel block over a coordinate box into roots, each one concatenation of block
+parts, certified per table entry and join leaf group.
 
 All enumeration output is lexicographically sorted and lists x and -x
 explicitly, so CLI output is reproducible byte for byte.
@@ -23,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, mul
+from operator import add, itemgetter, mul, neg
 
 from .errors import (
     AmbientMismatchError,
@@ -138,11 +139,13 @@ def _enumerate_up_to(gram, radius, rows=None):
     integer gram and an integer radius; with no rows, the t themselves.
 
     Coordinates run from the last to the first inside exact integer intervals;
-    the remaining norm is kept as an integer over the common denominator of
-    the fraction-free LDL^T, and each coordinate step adds one sparse row to
-    the image.  Each leaf's norm, summed from the gram's entries along the
-    path, is checked against the radius; with no rows the leaf is emitted as
-    its coefficient vector itself, the vector whose norm was checked.
+    the remaining norm is kept as an integer over the common denominator of the
+    fraction-free LDL^T, and each coordinate step adds one sparse row to the
+    image.  Each leaf's norm, summed from the gram's entries along the path, is
+    checked against the radius; with no rows the leaf is emitted as its
+    coefficient vector itself, the vector whose norm was checked.  While all
+    coordinates walked are 0 the interval is symmetric (checked): only x_i >= 0
+    is walked, and each nonzero leaf is emitted with its negation.
     """
     if radius < 0:
         return {}
@@ -153,11 +156,12 @@ def _enumerate_up_to(gram, radius, rows=None):
     # with no rows there is no image to build: each leaf is x itself
     live, image = ([()] * len(gram), x) if rows is None else (sparse_rows(rows), [0] * len(rows[0]))
 
-    def walk(i, rem, norm):
+    def walk(i, rem, norm, zero):
         if i < 0:
             if not 0 <= norm <= radius:
                 raise InternalCheckError(f"block vector {tuple(x)} has norm {norm} outside the walk radius {radius}")
-            out.setdefault(norm, []).append(tuple(image))
+            leaf = tuple(image)
+            out.setdefault(norm, []).extend((leaf,) if zero else (leaf, tuple(map(neg, leaf))))
             return
         s = e = 0
         for j, a in low[i]:
@@ -166,19 +170,22 @@ def _enumerate_up_to(gram, radius, rows=None):
             e += a * x[j]
         p, w, gii, row = lead[i], weight[i], gram[i][i], live[i]
         lo, hi = _int_interval(s, p, rem // w)
+        if zero and lo != -hi:  # x_j = 0 for j > i, so s = 0: walk x_i >= 0 and mirror the leaves
+            raise InternalCheckError(f"the zero path's interval ({lo}, {hi}) is not symmetric")
+        lo = max(lo, 0) if zero else lo
         for c, b in row:
             image[c] += lo * b
         for v in range(lo, hi + 1):
             x[i] = v
             u = p * v + s
-            walk(i - 1, rem - w * u * u, norm + v * (gii * v + e))
+            walk(i - 1, rem - w * u * u, norm + v * (gii * v + e), zero and not v)
             for c, b in row:
                 image[c] += b
         for c, b in row:
             image[c] -= (hi + 1) * b
         x[i] = 0
 
-    walk(len(gram) - 1, radius * scale, 0)
+    walk(len(gram) - 1, radius * scale, 0, True)
     return out
 
 
@@ -362,40 +369,46 @@ def _block_table(block, rows, coeffs, own, bound):
     return {a: (a, sorted(xs)) for a, xs in table.items()}
 
 
-def _join(tables, target, bound, n, shared):
-    """Every sum of one length-n partial per table whose norms add up to
-    target and whose coordinates lie in [-bound, bound].
+def _join(tables, target, bound, free, own, shared):
+    """Every sum of one partial per table whose norms add up to target and
+    whose coordinates lie in [-bound, bound].
 
-    Depth-first over the tables in order; a norm group is entered only if the
-    tables after it can still make up the rest, and the last table is looked
-    up by the exact rest.  The walk carries the keys of the groups it entered
-    apart from the norm it steers by, and at each leaf group those keys and
-    the group's own key must add up to target.  Each table's partials are
-    already in the box on the coordinates no other table touches, so the
-    leaves are tested on the `shared` coordinates only.
+    Each partial comes as its parts on `own[i]` and on `shared`, zero
+    elsewhere, so a leaf is one concatenation (zeros on the `free` coordinates,
+    each table's own part, the summed shared parts) put back in coordinate
+    order, which must be a permutation.  Depth first, a norm group is entered
+    only if the tables after it can make up the rest, and the last table is
+    looked up by the exact rest; the keys entered, carried apart from the norm,
+    and the leaf group's key must add up to target.  Own parts are in the box
+    already, so only the summed shared parts are tested.
     """
+    order = free + [c for o in own for c in o] + shared
+    identity = list(range(len(order)))
+    if sorted(order) != identity:
+        raise InternalCheckError(f"the join's coordinate order {order} is not a permutation of {len(order)} coordinates")
+    # an order in place (every rank-1 one: an itemgetter of one index returns a scalar) is kept
+    arrange = tuple if order == identity else itemgetter(*sorted(identity, key=order.__getitem__))
     # lo[i], hi[i]: the least and greatest norm sums of the tables after i
     lo = list(itertools.accumulate(map(min, reversed(tables[1:])), initial=0))[::-1]
     hi = list(itertools.accumulate(map(max, reversed(tables[1:])), initial=0))[::-1]
     out = []
     last = len(tables) - 1
 
-    def walk(i, acc, norm, keys):
+    def walk(i, acc, sh, norm, keys):
         if i == last:
-            key, partials = tables[i].get(target - norm, (None, ()))
-            if partials and sum(keys) + key != target:
+            key, parts = tables[i].get(target - norm, (None, ()))
+            if parts and sum(keys) + key != target:
                 raise InternalCheckError(f"joined keys {keys + (key,)} add up to {sum(keys) + key}, not the target {target}")
-            leaves = [tuple(map(add, acc, p)) for p in partials]
-            if shared:
-                leaves = [v for v in leaves if all(-bound <= v[c] <= bound for c in shared)]
-            out.extend(leaves)
+            if sh:
+                parts = [(o, v) for o, s in parts for v in [tuple(map(add, sh, s))] if all(-bound <= c <= bound for c in v)]
+            out.extend([arrange(acc + o + s) for o, s in parts])
             return
-        for key, partials in tables[i].values():
+        for key, parts in tables[i].values():
             if lo[i] <= target - norm - key <= hi[i]:
-                for p in partials:
-                    walk(i + 1, tuple(map(add, acc, p)), norm + key, keys + (key,))
+                for o, s in parts:
+                    walk(i + 1, acc + o, sh and tuple(map(add, sh, s)), norm + key, keys + (key,))
 
-    walk(0, (0,) * n, 0, ())
+    walk(0, (0,) * len(free), (0,) * len(shared), 0, ())
     return out
 
 
@@ -404,14 +417,14 @@ def _block_roots(ambient, rows, gram, coord_bound):
     t^T gram t = -2, for rows whose Gram under the sparse rows `ambient` is `gram`.
 
     Every coefficient is bounded over the box by W.  Blocks that are not
-    negative definite are scanned over their W-box (at most 2,000,000
-    points), the others walked down to -2 minus the most the scanned blocks
-    can add.  On a coordinate that only block i touches a root equals block
-    i's partial, so each table keeps the partials in the box on their block's
-    own coordinates, and `_join` tests the box on the coordinates two blocks
-    share.  Each table entry that can be part of a root, not each root, is
-    certified: its key is its partial's ambient norm and it lies in the box
-    on its own coordinates.
+    negative definite are scanned over their W-box (at most 2,000,000 points),
+    the others walked down to -2 minus the most the scanned blocks can add.  On
+    a coordinate that only block i touches a root equals block i's partial, so
+    each table keeps the partials in the box on their block's own coordinates,
+    and `_join` tests the box on the coordinates two blocks share.  Each table
+    entry that can be part of a root, not each root, is certified: its key is
+    its partial's ambient norm, and it lies in the box on its own coordinates
+    and is zero off them and the shared ones.
     """
     n, comps = len(ambient), _components(gram)
     blocks = [tuple(tuple(gram[i][j] for j in comp) for i in comp) for comp in comps]
@@ -419,6 +432,7 @@ def _block_roots(ambient, rows, gram, coord_bound):
     sparse, W = sparse_rows(rows), _coefficient_bounds(rows, coord_bound)
     touched = [{c for k in comp for c, _ in sparse[k]} for comp in comps]
     shared = [c for c in range(n) if sum(c in t for t in touched) > 1]
+    free = [c for c in range(n) if not any(c in t for t in touched)]
     own = [sorted(t.difference(shared)) for t in touched]
     tables = {}
     for i, comp in enumerate(comps):
@@ -434,12 +448,18 @@ def _block_roots(ambient, rows, gram, coord_bound):
             walk = _enumerate_up_to(negs[i], radius)
             tables[i] = _block_table(blocks[i], [rows[k] for k in comp], itertools.chain(*walk.values()), own[i], coord_bound)
     lo, hi = sum(map(min, tables.values())), sum(map(max, tables.values()))
+    parts = [{} for _ in comps]  # per table, its groups with each usable partial split into own and shared parts
     for i, table in tables.items():
         usable = range(-2 - hi + max(table), -1 - lo + min(table))  # keys that can add up to -2 with the other tables' keys
+        split = lambda x: (tuple(map(x.__getitem__, own[i])), tuple(map(x.__getitem__, shared)))
         for a, xs in table.values():
-            if a in usable and any(pair_rows(ambient, x, x) != a or not all(-coord_bound <= x[c] <= coord_bound for c in own[i]) for x in xs):
-                raise InternalCheckError(f"a partial of block {i} fails its norm {a} or box {coord_bound} check")
-    roots = _join([tables[i] for i in sorted(tables)], -2, coord_bound, n, shared)
+            parts[i][a] = (a, list(map(split, xs)) if a in usable else [])  # no other group can be part of a root
+            for x, (o, s) in zip(xs, parts[i][a][1]):
+                if pair_rows(ambient, x, x) != a or not all(-coord_bound <= v <= coord_bound for v in o):
+                    raise InternalCheckError(f"a partial of block {i} fails its norm {a} or box {coord_bound} check")
+                if x.count(0) - o.count(0) - s.count(0) != n - len(o) - len(s):  # a zero on each coordinate the parts leave out
+                    raise InternalCheckError(f"a partial of block {i} is nonzero off its own and shared coordinates")
+    roots = _join(parts, -2, coord_bound, free, own, shared)
     if shared and not all(-coord_bound <= v[c] <= coord_bound for v in roots for c in shared):
         raise InternalCheckError(f"a joined root leaves the box {coord_bound} on a shared coordinate")
     return roots

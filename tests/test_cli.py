@@ -307,6 +307,14 @@ def test_custom_lattice_file(tmp_path):
     assert res.exit_code == 2  # exactly one lattice source allowed
 
 
+def test_bounded_roots_of_a_rank_one_lattice(tmp_path):
+    # One block, one coordinate: the join's leaf is a 1-tuple, not a scalar.
+    path = tmp_path / "a1neg.json"
+    path.write_text(json.dumps({"gram": [[-2]]}))
+    doc = json.loads(run_ok("roots", "--lattice-file", str(path), "--norm", "-2", "--bound", "1"))
+    assert (doc["count"], doc["complete"], doc["bound"], doc["roots"]) == (2, False, 1, [[-1], [1]])
+
+
 def test_at_file_argument(tmp_path):
     path = tmp_path / "delta.json"
     path.write_text("[1,0,0,0]")

@@ -127,15 +127,20 @@ def _block_sum(blocks):
 
 @st.composite
 def bounded_search_cases(draw):
-    """An orthogonal sum of 2-4 blocks (U, A1(-1), A2(-1) or a random
-    nondegenerate indefinite 2x2), 0-2 integer constraints and a bound of 1 or 2.
+    """An orthogonal sum of 1-4 blocks (U, A1(-1), A2(-1) or a random
+    nondegenerate indefinite 2x2), 0-2 integer constraints and a bound of 1 or 2,
+    the Gram and the constraints conjugated by one coordinate permutation.
 
     Without constraints the negative definite summands are enumerated and the
     others scanned; constraints mix the summands, so the kernel rows of one
     block reach the coordinates of another, which the join tests at its
-    leaves."""
-    gram = _block_sum(draw(st.lists(st.one_of(st.sampled_from(SMALL_BLOCKS), indefinite_2x2), min_size=2, max_size=4)))
+    leaves.  The permutation interleaves the blocks' own coordinates, so the
+    join's concatenated leaves are not in coordinate order."""
+    gram = _block_sum(draw(st.lists(st.one_of(st.sampled_from(SMALL_BLOCKS), indefinite_2x2), min_size=1, max_size=4)))
     constraints = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(gram)), max_size=2))
+    perm = draw(st.permutations(range(len(gram))))
+    gram = tuple(tuple(gram[i][j] for j in perm) for i in perm)
+    constraints = [tuple(c[i] for i in perm) for c in constraints]
     return gram, constraints, draw(st.integers(1, 2))
 
 

@@ -285,10 +285,11 @@ def test_certificate_rejects_a_walk_beyond_its_radius(monkeypatch, k3, u3_diagon
 def test_exact_walk_checks_each_leaf_norm(monkeypatch):
     # The target search walks out to its target and keeps that norm group;
     # each leaf's norm from the Gram must lie within the walk radius.  Walking
-    # A2 by the LDL^T of the identity reaches (1, -1), of A2-norm 6.
+    # A2 by the LDL^T of the identity reaches (-1, 1), of A2-norm 6 (its
+    # mirror (1, -1) is not walked).
     ldl = rootenum._ldl
     monkeypatch.setattr(rootenum, "_ldl", lambda gram: ldl(((1, 0), (0, 1))))
-    with pytest.raises(InternalCheckError, match="block vector \\(1, -1\\) has norm 6 outside the walk radius 2"):
+    with pytest.raises(InternalCheckError, match="block vector \\(-1, 1\\) has norm 6 outside the walk radius 2"):
         k.enumerate_norm_vectors(((2, -1), (-1, 2)), 2)
 
 
@@ -365,12 +366,58 @@ def test_certificate_rejects_a_restricted_gram_coupling_two_blocks(monkeypatch):
 
 def test_certificate_rejects_a_leaf_outside_the_box_on_a_shared_coordinate(monkeypatch):
     join = rootenum._join
-    monkeypatch.setattr(rootenum, "_join", lambda tables, target, bound, n, shared: join(tables, target, bound, n, []))
+    # An unbounded box on the summed shared parts drops the join's leaf test there.
+    monkeypatch.setattr(rootenum, "_join", lambda tables, target, bound, *layout: join(tables, target, 10**9, *layout))
     with pytest.raises(InternalCheckError, match="shared coordinate"):
         _shared_search()
 
 
-@pytest.mark.parametrize("fixture, nodes, count", [("u3_diagonal", 983, 486), ("vprime", 19, 0)])
+def test_certificate_rejects_a_join_order_that_repeats_a_coordinate(monkeypatch):
+    # A leaf is put back in coordinate order from the concatenated parts; the
+    # order must be a permutation, or a coordinate would be read twice.
+    join = rootenum._join
+
+    def repeated(tables, target, bound, free, own, shared):
+        return join(tables, target, bound, free + own[0][:1], own, shared)
+
+    monkeypatch.setattr(rootenum, "_join", repeated)
+    with pytest.raises(InternalCheckError, match="not a permutation"):
+        _shared_search()
+
+
+def test_certificate_rejects_a_partial_off_its_own_and_shared_coordinates(monkeypatch):
+    # The walked block touches only the shared coordinates 3 and 4.  Adding
+    # e1, isotropic and orthogonal to its partials, keeps each key and own box,
+    # but the concatenation would drop coordinate 0 of that block.
+    block_table = rootenum._block_table
+
+    def leaked(block, rows, coeffs, own, bound):
+        table = block_table(block, rows, coeffs, own, bound)
+        if len(rows) == 1:
+            table = {a: (a, [(x[0] + 1,) + x[1:] for x in xs]) for a, (_, xs) in table.items()}
+        return table
+
+    monkeypatch.setattr(rootenum, "_block_table", leaked)
+    with pytest.raises(InternalCheckError, match="nonzero off its own and shared coordinates"):
+        _shared_search()
+
+
+def test_certificate_rejects_an_asymmetric_interval_on_the_zero_path(monkeypatch):
+    # While every coordinate walked so far is 0 the walk takes x_i >= 0 only
+    # and mirrors each leaf; that gives back the skipped half only if the
+    # interval is symmetric.
+    interval = rootenum._int_interval
+
+    def shifted(s, lead, bound):
+        lo, hi = interval(s, lead, bound)
+        return (lo, hi + 1) if s == 0 else (lo, hi)
+
+    monkeypatch.setattr(rootenum, "_int_interval", shifted)
+    with pytest.raises(InternalCheckError, match="not symmetric"):
+        k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 2)
+
+
+@pytest.mark.parametrize("fixture, nodes, count", [("u3_diagonal", 501, 486), ("vprime", 19, 0)])
 def test_complete_search_node_counts(monkeypatch, request, k3, fixture, nodes, count):
     # Fincke-Pohst visits are machine-independent: one `_int_interval` call per
     # interior node of the walk, the calls the benchmark's fp_nodes counts.
@@ -389,9 +436,9 @@ def _delta_p_e1f1_e2f2(k3):
 
 
 @pytest.mark.parametrize("search, nodes, count", [
-    (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 2), 500, 240),
-    (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 4), 3120, 2160),
-    (_delta_p_e1f1_e2f2, 6242, 19694),
+    (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 2), 254, 240),
+    (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 4), 1564, 2160),
+    (_delta_p_e1f1_e2f2, 3130, 19694),
     (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, Q(15, 2)), 0, 0),
     (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, Q(3, 2)), 0, 0),
 ], ids=["e8_norm_2", "e8_norm_4", "delta_p_bound_1", "e8_norm_15_2", "e8_norm_3_2"])
@@ -504,6 +551,14 @@ def test_bounded_search_trivial_cases(k3):
     full = [tuple(Q(rng.randint(1, 60), rng.randint(1, 7)) for _ in range(22)) for _ in range(22)]
     assert len(k.bounded_root_search(k3, full, 3)) == 0
     assert len(k.bounded_root_search(k3, [uvec(0)], 0)) == 0
+
+
+def test_bounded_search_of_a_rank_one_lattice():
+    # One table on one coordinate: the join's leaf is a 1-tuple, not a scalar.
+    # In <2> no key can add up to -2, so no partial is joined.
+    a1 = k.IntegralLattice(k.QuadraticSpace(((-2,),)))
+    assert k.bounded_root_search(a1, [], 1).roots == ((-1,), (1,))
+    assert k.bounded_root_search(k.IntegralLattice(k.QuadraticSpace(((2,),))), [], 1).roots == ()
 
 
 def test_bounded_search_vprime_empty(k3):
