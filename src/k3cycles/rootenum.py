@@ -12,7 +12,8 @@ the reduced rows; all are negative definite, so a root is a -2 vector of one
 block or the sum of -1 vectors of two blocks (in <-1> + <-1>, the root (1, 1)).
 The bounded search (`_block_roots`) joins one walked or box-scanned table per
 kernel block over a coordinate box into roots, each one concatenation of block
-parts, certified per table entry and join leaf group.
+parts, certified per table entry and join leaf group; its walks are clipped to
+the box's coefficient bounds, the box-constrained Fincke-Pohst search.
 
 All enumeration output is lexicographically sorted and lists x and -x
 explicitly, so CLI output is reproducible byte for byte.
@@ -133,10 +134,11 @@ def _int_interval(s: int, lead: int, bound: int):
     return -((t + s) // lead), (t - s) // lead
 
 
-def _enumerate_up_to(gram, radius, rows=None):
+def _enumerate_up_to(gram, radius, rows=None, clip=None):
     """The images sum_k t_k rows[k] of the integer t (0 included) with
-    t^T gram t <= radius, grouped by that norm, for a positive-definite
-    integer gram and an integer radius; with no rows, the t themselves.
+    t^T gram t <= radius and, given a clip, |t_k| <= clip[k], grouped by that
+    norm, for a positive-definite integer gram and an integer radius; with no
+    rows, the t themselves.
 
     Coordinates run from the last to the first inside exact integer intervals;
     the remaining norm is kept as an integer over the common denominator of the
@@ -145,7 +147,10 @@ def _enumerate_up_to(gram, radius, rows=None):
     checked against the radius; with no rows the leaf is emitted as its
     coefficient vector itself, the vector whose norm was checked.  While all
     coordinates walked are 0 the interval is symmetric (checked): only x_i >= 0
-    is walked, and each nonzero leaf is emitted with its negation.
+    is walked, and each nonzero leaf is emitted with its negation.  A clip
+    (each clip[k] >= 0) intersects each interval with [-clip[k], clip[k]]
+    before that check, and a level whose clipped interval is empty is skipped,
+    so its image steps, which would not cancel, are never taken.
     """
     if radius < 0:
         return {}
@@ -170,6 +175,10 @@ def _enumerate_up_to(gram, radius, rows=None):
             e += a * x[j]
         p, w, gii, row = lead[i], weight[i], gram[i][i], live[i]
         lo, hi = _int_interval(s, p, rem // w)
+        if clip is not None:
+            lo, hi = max(lo, -clip[i]), min(hi, clip[i])
+            if lo > hi:
+                return
         if zero and lo != -hi:  # x_j = 0 for j > i, so s = 0: walk x_i >= 0 and mirror the leaves
             raise InternalCheckError(f"the zero path's interval ({lo}, {hi}) is not symmetric")
         lo = max(lo, 0) if zero else lo
@@ -418,7 +427,9 @@ def _block_roots(ambient, rows, gram, coord_bound):
 
     Every coefficient is bounded over the box by W.  Blocks that are not
     negative definite are scanned over their W-box (at most 2,000,000 points),
-    the others walked down to -2 minus the most the scanned blocks can add.  On
+    the others walked down to -2 minus the most the scanned blocks can add,
+    each coefficient clipped to [-W_k, W_k]: a root's block partial has the
+    root's own t_k, so the clip drops only vectors that join no root.  On
     a coordinate that only block i touches a root equals block i's partial, so
     each table keeps the partials in the box on their block's own coordinates,
     and `_join` tests the box on the coordinates two blocks share.  Each table
@@ -445,7 +456,7 @@ def _block_roots(ambient, rows, gram, coord_bound):
     radius = 2 + sum(max(table) for table in tables.values())
     for i, comp in enumerate(comps):
         if i not in tables:
-            walk = _enumerate_up_to(negs[i], radius)
+            walk = _enumerate_up_to(negs[i], radius, clip=[W[k] for k in comp])
             tables[i] = _block_table(blocks[i], [rows[k] for k in comp], itertools.chain(*walk.values()), own[i], coord_bound)
     lo, hi = sum(map(min, tables.values())), sum(map(max, tables.values()))
     parts = [{} for _ in comps]  # per table, its groups with each usable partial split into own and shared parts

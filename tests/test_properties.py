@@ -99,6 +99,34 @@ def test_radius_mode_matches_box_scan(case, data):
     assert {a: sorted(xs) for a, xs in got.items()} == {a: sorted(xs) for a, xs in expect.items()}
 
 
+@st.composite
+def clipped_walk_cases(draw):
+    """A gram and radius, 3-column integer rows and a clip of 0-2 per coordinate."""
+    gram, radius = draw(grams_and_bounds(slack=3))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=len(gram), max_size=len(gram)))
+    return gram, radius, rows, draw(st.lists(st.integers(0, 2), min_size=len(gram), max_size=len(gram)))
+
+
+@SETTINGS
+@given(clipped_walk_cases())
+# Under (x_1, x_2, x_3) = (-2, 1, 0) the interval of x_0 is (-2, -2), which the
+# clip [0, 0] empties to (0, -2): a walk that still took that level's image
+# steps would shift every later image by rows[0].
+@example(([[6, -6, 0, 0], [-6, 10, 4, -1], [0, 4, 10, -2], [0, -1, -2, 6]], 12, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], [0, 2, 1, 1]))
+def test_clipped_walk_is_the_filtered_walk(case):
+    # A clip keeps exactly the walked t with |t_k| <= clip[k], with or without rows.
+    gram, radius, rows, clip = case
+    expect = {}
+    for a, ts in _enumerate_up_to(gram, radius).items():
+        for t in ts:
+            if all(abs(tk) <= c for tk, c in zip(t, clip)):
+                expect.setdefault(a, []).append(t)
+    for image in (None, rows):
+        mapped = {a: sorted(ts if image is None else [tuple(sum(tk * row[c] for tk, row in zip(t, image)) for c in range(3)) for t in ts]) for a, ts in expect.items()}
+        got = _enumerate_up_to(gram, radius, image, clip)
+        assert {a: sorted(xs) for a, xs in got.items()} == mapped
+
+
 @SETTINGS
 @given(grams_and_bounds(), st.integers(2, 9))
 def test_rational_gram_and_target_scale_out(case, m):

@@ -438,7 +438,7 @@ def _delta_p_e1f1_e2f2(k3):
 @pytest.mark.parametrize("search, nodes, count", [
     (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 2), 254, 240),
     (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 4), 1564, 2160),
-    (_delta_p_e1f1_e2f2, 3130, 19694),
+    (_delta_p_e1f1_e2f2, 682, 19694),
     (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, Q(15, 2)), 0, 0),
     (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, Q(3, 2)), 0, 0),
 ], ids=["e8_norm_2", "e8_norm_4", "delta_p_bound_1", "e8_norm_15_2", "e8_norm_3_2"])
@@ -451,6 +451,36 @@ def test_target_and_bounded_walk_node_counts(monkeypatch, k3, search, nodes, cou
     monkeypatch.setattr(rootenum, "_int_interval", lambda *a: calls.append(a) or interval(*a))
     found = search(k3)
     assert (len(calls), len(found)) == (nodes, count)
+
+
+@pytest.mark.parametrize("clip, nodes, leaves", [(None, 1564, 2401), ([1] * 8, 340, 561)], ids=["unclipped", "clipped_1"])
+def test_clipped_walk_node_counts(monkeypatch, clip, nodes, leaves):
+    # One E8 block of Delta_p, walked out to radius 4: the bounded search
+    # clips it to its coefficient box [-1, 1]^8, which keeps 561 of the 2,401
+    # vectors and skips the nodes that lead only to the others.
+    calls = []
+    interval = rootenum._int_interval
+    monkeypatch.setattr(rootenum, "_int_interval", lambda *a: calls.append(a) or interval(*a))
+    walk = _enumerate_up_to(k.quadspace.E8_GRAM, 4, clip=clip)
+    assert (len(calls), sum(map(len, walk.values()))) == (nodes, leaves)
+
+
+def test_certificate_rejects_a_one_sided_clip(monkeypatch, k3):
+    # The bounded search clips each walked coordinate to [-W_k, W_k]; a clip
+    # to [0, W_k] alone leaves the zero path's interval asymmetric, so the
+    # mirrored leaves would not give back the skipped half.
+    class Upper(int):
+        def __neg__(self):
+            return 0
+
+    walk = rootenum._enumerate_up_to
+
+    def one_sided(gram, radius, rows=None, clip=None):
+        return walk(gram, radius, rows, clip and [Upper(c) for c in clip])
+
+    monkeypatch.setattr(rootenum, "_enumerate_up_to", one_sided)
+    with pytest.raises(InternalCheckError, match="not symmetric"):
+        _delta_p_e1f1_e2f2(k3)
 
 
 @pytest.mark.parametrize("fixture, count", [("u3_diagonal", 486), ("vprime", 0)])
