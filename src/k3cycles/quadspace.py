@@ -98,7 +98,10 @@ def pair_rows(rows, x, y):
     total = 0
     for xi, row in zip(x, rows):
         if xi:
-            total += xi * sum(g * y[j] for j, g in row)
+            s = 0
+            for j, g in row:
+                s += g * y[j]
+            total += xi * s
     return total
 
 

@@ -12,8 +12,10 @@ the reduced rows; all are negative definite, so a root is a -2 vector of one
 block or the sum of -1 vectors of two blocks (in <-1> + <-1>, the root (1, 1)).
 The bounded search (`_block_roots`) joins one walked or box-scanned table per
 kernel block over a coordinate box into roots, each one concatenation of block
-parts, certified per table entry and join leaf group; its walks are clipped to
-the box's coefficient bounds, the box-constrained Fincke-Pohst search.
+parts, certified per table entry and join leaf group.  Its walks are clipped to
+the box's coefficient bounds, the box-constrained Fincke-Pohst search, and
+their norm groups of ambient images are the walked tables; the join extends
+every prefix of one path of norm keys at once, one call per key path.
 
 All enumeration output is lexicographically sorted and lists x and -x
 explicitly, so CLI output is reproducible byte for byte.
@@ -342,21 +344,28 @@ def _coefficient_bounds(basis, bound):
     """W_j = floor(bound * sum_i |(M^-1 B)_{j,i}|) for B = basis, M = B B^T.
 
     A kernel vector x = t B has t = x B^T M^-1, so |t_j| <= W_j over the box.
-    Gauss-Jordan on [M | B] ends at [d I | d M^-1 B] with d = det M > 0: M is
-    positive definite, so no pivot is zero and no row moves.
+    M^-1 is block diagonal over the components of M, so each component's rows
+    are solved alone: Gauss-Jordan on [M_c | B_c] ends at [d I | d M_c^-1 B_c]
+    with d = det M_c > 0; M_c is positive definite, so no pivot is zero and no
+    row moves.
     """
-    r = len(basis)
-    a = [[sum(map(mul, bi, bj)) for bj in basis] + list(bi) for bi in basis]
-    d = _gauss_jordan(a, r)
-    return [bound * sum(map(abs, row[r:])) // d for row in a]
+    m = [[sum(map(mul, bi, bj)) for bj in basis] for bi in basis]
+    W = [0] * len(basis)
+    for comp in _components(m):
+        a = [[m[i][j] for j in comp] + list(basis[i]) for i in comp]
+        d = _gauss_jordan(a, len(comp))
+        for i, row in zip(comp, a):
+            W[i] = bound * sum(map(abs, row[len(comp):])) // d
+    return W
 
 
 def _block_table(block, rows, coeffs, own, bound):
-    """The ambient partials sum_k t_k rows[k] of one block, grouped by the
-    exact block norm t^T block t and sorted (so the join's output is nearly
-    sorted), for the coefficient vectors t whose partial lies in
-    [-bound, bound] on the coordinates `own` that no other block touches;
-    each group holds its own key, a -> (a, partials)."""
+    """The ambient partials sum_k t_k rows[k] of one scanned block, grouped by
+    the exact block norm t^T block t and sorted, for the box-scanned
+    coefficient vectors t whose partial lies in [-bound, bound] on the
+    coordinates `own` that no other block touches; each group holds its own
+    key, a -> (a, partials), and none is empty.  Walked blocks take the same
+    table from their walk."""
     n, live = len(rows[0]), sparse_rows(rows)
     # t^T block t over the upper triangle, with off-diagonal entries doubled
     upper = [[(j, g if j == k else 2 * g) for j, g in row if j >= k] for k, row in enumerate(sparse_rows(block))]
@@ -385,10 +394,12 @@ def _join(tables, target, bound, free, own, shared):
     Each partial comes as its parts on `own[i]` and on `shared`, zero
     elsewhere, so a leaf is one concatenation (zeros on the `free` coordinates,
     each table's own part, the summed shared parts) put back in coordinate
-    order, which must be a permutation.  Depth first, a norm group is entered
-    only if the tables after it can make up the rest, and the last table is
-    looked up by the exact rest; the keys entered, carried apart from the norm,
-    and the leaf group's key must add up to target.  Own parts are in the box
+    order, which must be a permutation.  The walk goes depth first over paths
+    of norm keys, not over partials: a nonempty group is entered only if the
+    tables after it can make up the rest, and entering it extends every prefix
+    on the path by every part of the group at once; the last table is looked
+    up by the exact rest.  The keys entered, carried apart from the norm, and
+    the leaf group's key must add up to target.  Own parts are in the box
     already, so only the summed shared parts are tested.
     """
     order = free + [c for o in own for c in o] + shared
@@ -403,21 +414,21 @@ def _join(tables, target, bound, free, own, shared):
     out = []
     last = len(tables) - 1
 
-    def walk(i, acc, sh, norm, keys):
+    def walk(i, prefixes, norm, keys):
         if i == last:
             key, parts = tables[i].get(target - norm, (None, ()))
             if parts and sum(keys) + key != target:
                 raise InternalCheckError(f"joined keys {keys + (key,)} add up to {sum(keys) + key}, not the target {target}")
-            if sh:
-                parts = [(o, v) for o, s in parts for v in [tuple(map(add, sh, s))] if all(-bound <= c <= bound for c in v)]
-            out.extend([arrange(acc + o + s) for o, s in parts])
+            if shared:
+                out.extend([arrange(acc + o + v) for acc, sh in prefixes for o, s in parts for v in [tuple(map(add, sh, s))] if all(-bound <= c <= bound for c in v)])
+            else:
+                out.extend([arrange(acc + o) for acc, _ in prefixes for o, _ in parts])
             return
         for key, parts in tables[i].values():
-            if lo[i] <= target - norm - key <= hi[i]:
-                for o, s in parts:
-                    walk(i + 1, acc + o, sh and tuple(map(add, sh, s)), norm + key, keys + (key,))
+            if parts and lo[i] <= target - norm - key <= hi[i]:
+                walk(i + 1, [(acc + o, sh and tuple(map(add, sh, s))) for acc, sh in prefixes for o, s in parts], norm + key, keys + (key,))
 
-    walk(0, (0,) * len(free), (0,) * len(shared), 0, ())
+    walk(0, [((0,) * len(free), (0,) * len(shared))], 0, ())
     return out
 
 
@@ -426,16 +437,19 @@ def _block_roots(ambient, rows, gram, coord_bound):
     t^T gram t = -2, for rows whose Gram under the sparse rows `ambient` is `gram`.
 
     Every coefficient is bounded over the box by W.  Blocks that are not
-    negative definite are scanned over their W-box (at most 2,000,000 points),
-    the others walked down to -2 minus the most the scanned blocks can add,
-    each coefficient clipped to [-W_k, W_k]: a root's block partial has the
-    root's own t_k, so the clip drops only vectors that join no root.  On
-    a coordinate that only block i touches a root equals block i's partial, so
-    each table keeps the partials in the box on their block's own coordinates,
-    and `_join` tests the box on the coordinates two blocks share.  Each table
-    entry that can be part of a root, not each root, is certified: its key is
-    its partial's ambient norm, and it lies in the box on its own coordinates
-    and is zero off them and the shared ones.
+    negative definite are scanned over their W-box (at most 2,000,000 points)
+    by `_block_table`, the others walked down to -2 minus the most the scanned
+    blocks can add, each coefficient clipped to [-W_k, W_k]: a root's block
+    partial has the root's own t_k, so the clip drops only vectors that join no
+    root.  A walk carries the block's rows, so its norm groups are already the
+    block's ambient partials (each a sum of the block's rows), keyed by the
+    negated norm.  On a coordinate that only block i touches a root equals
+    block i's partial, so each table keeps the partials in the box on their
+    block's own coordinates, drops a group that keeps none (as `_block_table`
+    makes none), and `_join` tests the box on the coordinates two blocks share.
+    Each table entry that can be part of a root, not each root, is certified:
+    its key is its partial's ambient norm, and it lies in the box on its own
+    coordinates and is zero off them and the shared ones.
     """
     n, comps = len(ambient), _components(gram)
     blocks = [tuple(tuple(gram[i][j] for j in comp) for i in comp) for comp in comps]
@@ -456,8 +470,10 @@ def _block_roots(ambient, rows, gram, coord_bound):
     radius = 2 + sum(max(table) for table in tables.values())
     for i, comp in enumerate(comps):
         if i not in tables:
-            walk = _enumerate_up_to(negs[i], radius, clip=[W[k] for k in comp])
-            tables[i] = _block_table(blocks[i], [rows[k] for k in comp], itertools.chain(*walk.values()), own[i], coord_bound)
+            walk = _enumerate_up_to(negs[i], radius, [rows[k] for k in comp], clip=[W[k] for k in comp])
+            inside = lambda x: all(-coord_bound <= x[c] <= coord_bound for c in own[i])
+            groups = {-a: sorted(filter(inside, xs)) for a, xs in walk.items()}
+            tables[i] = {a: (a, xs) for a, xs in groups.items() if xs}
     lo, hi = sum(map(min, tables.values())), sum(map(max, tables.values()))
     parts = [{} for _ in comps]  # per table, its groups with each usable partial split into own and shared parts
     for i, table in tables.items():

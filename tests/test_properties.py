@@ -8,6 +8,7 @@ by hypothesis."""
 
 import json
 from fractions import Fraction as Q
+from functools import cache
 from math import gcd, lcm
 from operator import mul
 from unittest.mock import patch
@@ -292,8 +293,21 @@ def full_rank_rows(draw):
     return rows
 
 
+@st.composite
+def split_rank_rows(draw):
+    """Two full-rank row sets on disjoint columns, their rows interleaved in a
+    drawn order: M = B B^T then has at least two components, whose indices
+    need not be contiguous."""
+    a, b = draw(full_rank_rows()), draw(full_rank_rows())
+    wa, wb = len(a[0]), len(b[0])
+    rows = [row + [0] * wb for row in a] + [[0] * wa + row for row in b]
+    return draw(st.permutations(rows))
+
+
 @SETTINGS
-@given(full_rank_rows(), st.integers(1, 3))
+@given(st.one_of(full_rank_rows(), split_rank_rows()), st.integers(1, 3))
+# M = B B^T has the components {0, 2} and {1}.
+@example([[1, 2, 0, 0], [0, 0, 3, -1], [-2, 3, 0, 0]], 2)
 def test_coefficient_bounds_match_fraction_solve(basis, bound):
     # W_j = floor(bound * sum_i |(M^-1 B)_{j,i}|) with M = B B^T, by a Fraction inverse
     r, w = len(basis), len(basis[0])
@@ -449,7 +463,14 @@ def test_is_isometry_matches_dense_congruence(case):
 
 PARTITION_GRAM = _block_sum((U_GRAM, U_GRAM, ((-2, 1), (1, -2))))
 PARTITION_LATTICE = k.IntegralLattice(k.QuadraticSpace(PARTITION_GRAM))
-PARTITION_ROOTS = k.bounded_root_search(PARTITION_LATTICE, [], 1)
+
+
+@cache
+def partition_roots():
+    """The roots of PARTITION_LATTICE in the unit box, found on first use, so
+    a fault in the bounded search fails the tests that use them, not the
+    collection of this module."""
+    return k.bounded_root_search(PARTITION_LATTICE, [], 1)
 
 
 @SETTINGS
@@ -458,31 +479,32 @@ PARTITION_ROOTS = k.bounded_root_search(PARTITION_LATTICE, [], 1)
 @example((Q(0),) * 6, 2)
 @example((Q(3), Q(5), Q(1, 3), Q(7, 2), Q(1, 5), Q(1, 7)), 5)  # off every wall
 def test_partition_by_chamber_is_scale_invariant(kappa, scale):
+    roots = partition_roots()
     scaled = tuple(x / scale for x in kappa)
     # kappa times the positive integer lcm of its denominators: every sign and
     # zero of the oracle pairings is kept, and they accumulate in ints.
     m = lcm(*(x.denominator for x in kappa))
     whole = tuple(int(x * m) for x in kappa)
-    padded_root = PARTITION_ROOTS.roots[0] + (0,)
+    padded_root = roots.roots[0] + (0,)
     for bad_length in (kappa[:-1], kappa + (Q(1),)):
         with pytest.raises(DimensionMismatchError):
-            k.partition_by_chamber(PARTITION_LATTICE, PARTITION_ROOTS, bad_length)
-    pairings = [dense_bilinear(PARTITION_GRAM, whole, r) for r in PARTITION_ROOTS.roots]
+            k.partition_by_chamber(PARTITION_LATTICE, roots, bad_length)
+    pairings = [dense_bilinear(PARTITION_GRAM, whole, r) for r in roots.roots]
     if dense_bilinear(PARTITION_GRAM, whole, whole) <= 0:
         for kap in (kappa, scaled):
             with pytest.raises(NonPositiveKappaError):
-                k.partition_by_chamber(PARTITION_LATTICE, PARTITION_ROOTS, kap)
+                k.partition_by_chamber(PARTITION_LATTICE, roots, kap)
         return
     with pytest.raises(DimensionMismatchError):
         k.partition_by_chamber(PARTITION_LATTICE, [padded_root], kappa)
     if 0 in pairings:
         for kap in (kappa, scaled):
             with pytest.raises(WallError):
-                k.partition_by_chamber(PARTITION_LATTICE, PARTITION_ROOTS, kap)
+                k.partition_by_chamber(PARTITION_LATTICE, roots, kap)
         return
-    part, part_scaled = (k.partition_by_chamber(PARTITION_LATTICE, PARTITION_ROOTS, kap) for kap in (kappa, scaled))
-    assert part.plus == part_scaled.plus == tuple(r for r, s in zip(PARTITION_ROOTS.roots, pairings) if s > 0)
-    assert part.minus == part_scaled.minus == tuple(r for r, s in zip(PARTITION_ROOTS.roots, pairings) if s < 0)
+    part, part_scaled = (k.partition_by_chamber(PARTITION_LATTICE, roots, kap) for kap in (kappa, scaled))
+    assert part.plus == part_scaled.plus == tuple(r for r, s in zip(roots.roots, pairings) if s > 0)
+    assert part.minus == part_scaled.minus == tuple(r for r, s in zip(roots.roots, pairings) if s < 0)
     assert (part.kappa, part_scaled.kappa) == (kappa, scaled)
 
 

@@ -309,28 +309,30 @@ def test_certificate_rejects_a_walked_partial_that_is_not_its_coefficients_image
     # hold the images t rows[0] of the walk's t, whose ambient norm is the key
     # t^T B t.  Doubling the row makes each partial's norm four times its key.
     assert len(_shared_search()) == 12
-    block_table = rootenum._block_table
+    walk = rootenum._enumerate_up_to
 
-    def doubled(block, rows, coeffs, own, bound):
-        if len(rows) == 1:
+    def doubled(gram, radius, rows=None, clip=None):
+        if rows is not None and len(rows) == 1:
             rows = [tuple(2 * c for c in rows[0])]
-        return block_table(block, rows, coeffs, own, bound)
+        return walk(gram, radius, rows, clip)
 
-    monkeypatch.setattr(rootenum, "_block_table", doubled)
+    monkeypatch.setattr(rootenum, "_enumerate_up_to", doubled)
     with pytest.raises(InternalCheckError, match="fails its norm -2"):
         _shared_search()
 
 
 def test_certificate_rejects_a_table_key_off_by_one(monkeypatch):
-    block_table = rootenum._block_table
+    # The walked table's keys are the walk's norms, negated: moving the
+    # walk's largest norm up by one moves the table's lowest key down by one.
+    walk = rootenum._enumerate_up_to
 
-    def off_by_one(*args):
-        table = block_table(*args)
-        low = min(table)
-        table[low - 1] = (low - 1, table.pop(low)[1])
-        return table
+    def off_by_one(*args, **kwargs):
+        groups = walk(*args, **kwargs)
+        top = max(groups)
+        groups[top + 1] = groups.pop(top)
+        return groups
 
-    monkeypatch.setattr(rootenum, "_block_table", off_by_one)
+    monkeypatch.setattr(rootenum, "_enumerate_up_to", off_by_one)
     with pytest.raises(InternalCheckError, match="fails its norm"):
         _shared_search()
 
@@ -389,17 +391,34 @@ def test_certificate_rejects_a_partial_off_its_own_and_shared_coordinates(monkey
     # The walked block touches only the shared coordinates 3 and 4.  Adding
     # e1, isotropic and orthogonal to its partials, keeps each key and own box,
     # but the concatenation would drop coordinate 0 of that block.
-    block_table = rootenum._block_table
+    walk = rootenum._enumerate_up_to
 
-    def leaked(block, rows, coeffs, own, bound):
-        table = block_table(block, rows, coeffs, own, bound)
-        if len(rows) == 1:
-            table = {a: (a, [(x[0] + 1,) + x[1:] for x in xs]) for a, (_, xs) in table.items()}
-        return table
+    def leaked(gram, radius, rows=None, clip=None):
+        groups = walk(gram, radius, rows, clip)
+        if rows is not None and len(rows) == 1:
+            groups = {a: [(x[0] + 1,) + x[1:] for x in xs] for a, xs in groups.items()}
+        return groups
 
-    monkeypatch.setattr(rootenum, "_block_table", leaked)
+    monkeypatch.setattr(rootenum, "_enumerate_up_to", leaked)
     with pytest.raises(InternalCheckError, match="nonzero off its own and shared coordinates"):
         _shared_search()
+
+
+def test_walked_table_drops_a_group_the_box_empties(monkeypatch):
+    # U + A3(-1) under two constraints: the kernel is one negative definite
+    # block of rank 3.  Its walk out to norm 2 finds +-(0, 2, 1, 1, 0), which
+    # leave the unit box on the block's own coordinate 1, so that group is
+    # dropped, as the scanned blocks' builder makes no empty group; kept, its
+    # key -2 would widen the join's norm bounds.
+    lattice = k.IntegralLattice(k.QuadraticSpace(((0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, -2, 1, 0), (0, 0, 1, -2, 1), (0, 0, 0, 1, -2))))
+    constraints = [tuple(map(Q, c)) for c in ((-1, -1, -1, -2, -1), (0, -1, 0, 1, 1))]
+    walks, keys = [], []
+    walk, join = rootenum._enumerate_up_to, rootenum._join
+    monkeypatch.setattr(rootenum, "_enumerate_up_to", lambda *args, **kwargs: walks.append(walk(*args, **kwargs)) or walks[-1])
+    monkeypatch.setattr(rootenum, "_join", lambda tables, *args: keys.append([sorted(t) for t in tables]) or join(tables, *args))
+    assert len(k.bounded_root_search(lattice, constraints, 1)) == 0
+    assert walks == [{0: [(0, 0, 0, 0, 0)], 2: [(0, 2, 1, 1, 0), (0, -2, -1, -1, 0)]}]
+    assert keys == [[[0]]]
 
 
 def test_certificate_rejects_an_asymmetric_interval_on_the_zero_path(monkeypatch):
