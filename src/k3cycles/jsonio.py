@@ -50,11 +50,21 @@ def encode_rational_vector(v) -> list:
     return [format_rational(x) for x in v]
 
 
-def _ratios(obj, parse=parse_ratio) -> list:
-    """The (p, q) pairs of a JSON rational vector."""
+class _Literals(dict):
+    """The `parse_ratio` of each distinct string literal, parsed when first looked up."""
+
+    def __missing__(self, s):
+        self[s] = pair = parse_ratio(s)
+        return pair
+
+
+def _ratios(obj, seen=None) -> list:
+    """The (p, q) pairs of a JSON rational vector: strings through the memo `seen`, any
+    other value to `parse_ratio`, so true and 1.0 are refused even after a 1 or a "1"."""
     if not isinstance(obj, list):
         raise InputError("expected a JSON array for a rational vector")
-    return [parse(x) for x in obj]
+    seen = _Literals() if seen is None else seen
+    return [seen[x] if type(x) is str else parse_ratio(x) for x in obj]
 
 
 def _gauss_row(obj) -> list:
@@ -81,16 +91,9 @@ def _rows(obj) -> list:
 
 def decode_rational_matrix(obj) -> tuple:
     """(rows, d): the rational rows as integer rows over their least common denominator
-    d > 0.  Each distinct literal is parsed once, keyed with its type: true, 1 and "1" differ."""
-    seen = {}
-
-    def parse(x):
-        key = (type(x), x) if isinstance(x, (int, str)) else None  # parse_ratio refuses any other x
-        if key not in seen:
-            seen[key] = parse_ratio(x)
-        return seen[key]
-
-    return clear_rows([_ratios(row, parse) for row in _rows(obj)])
+    d > 0, with one memo of string literals for all rows."""
+    seen = _Literals()
+    return clear_rows([_ratios(row, seen) for row in _rows(obj)])
 
 
 def decode_int_vector(obj) -> tuple:

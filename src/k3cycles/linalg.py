@@ -171,8 +171,8 @@ def inverse(m):
 
 def clear_rows(rows):
     """(int rows, d): rows of (p, q) pairs in lowest terms, q > 0, times their least common denominator d."""
-    d = lcm(*(q for row in rows for _, q in row))
-    return tuple(tuple(p * (d // q) for p, q in row) for row in rows), d
+    d = lcm(*{q for row in rows for _, q in row})
+    return tuple([tuple([p * (d // q) for p, q in row]) for row in rows]), d
 
 
 def clear_gauss_rows(rows):
@@ -223,19 +223,18 @@ def hnf(rows):
     return tuple(tuple(row) for row in a if not is_zero_vec(row))
 
 
-def int_kernel(m):
-    """HNF basis of {x in Z^n : m @ x = 0} for an integer matrix m (p x n).
-
-    Integer kernels are automatically saturated.
-    """
-    if not m:
-        return ()
-    p = len(m)
-    n = len(m[0])
-    # Rows: [column j of m | e_j]; unimodular row ops keep the bookkeeping exact,
-    # and the rows left below the pivots have a zero m part.
+def _kernel_rows(m):
+    """A basis of the saturated {x in Z^n : m @ x = 0} for a nonempty integer m (p x n):
+    Euclid on the rows [column j of m | e_j] is unimodular, so the e parts of the
+    rows left below the pivots, whose m part is zero, span the whole kernel."""
+    p, n = len(m), len(m[0])
     a = [[m[i][j] for i in range(p)] + [1 if k == j else 0 for k in range(n)] for j in range(n)]
     r = 0
     for c in range(p):
         r += _euclid_column(a, r, c)
-    return hnf([tuple(row[p:]) for row in a[r:]])
+    return tuple(tuple(row[p:]) for row in a[r:])
+
+
+def int_kernel(m):
+    """HNF basis of {x in Z^n : m @ x = 0} for an integer matrix m: `hnf` of `_kernel_rows`."""
+    return hnf(_kernel_rows(m)) if m else ()

@@ -4,12 +4,13 @@ exact Fincke-Pohst branch-and-bound in definite lattices, and block joins.
 One Fincke-Pohst walk, `_enumerate_up_to`, lists the vectors of a positive
 definite integer Gram out to an integer radius by norm, walking one of each
 +-x, carrying each vector's ambient image if given rows and checking each
-leaf's norm.  Each root search splits the form on a lattice basis into
-orthogonal blocks and joins them to norm -2 itself.  The complete search
-reduces the complement of a positive three-space by an LLL that tracks only its
-transform H, checks det H = +-1, and takes its blocks from the ambient Gram of
-the reduced rows; all are negative definite, so a root is a -2 vector of one
-block or the sum of -1 vectors of two blocks (in <-1> + <-1>, the root (1, 1)).
+leaf's norm in its last level's loop.  Each root search splits the form on a
+lattice basis into orthogonal blocks and joins them to norm -2 itself.  The
+complete search reduces the Euclid basis of the saturated complement of a
+positive three-space (no HNF) by an LLL that tracks only its transform H,
+checks det H = +-1, and takes its blocks from the ambient Gram of the reduced
+rows; all are negative definite, so a root is a -2 vector of one block or the
+sum of -1 vectors of two blocks (in <-1> + <-1>, the root (1, 1)).
 The bounded search (`_block_roots`) joins one walked or box-scanned table per
 kernel block over a coordinate box into roots, each one concatenation of block
 parts, certified per table entry and join leaf group.  Its walks are clipped to
@@ -39,7 +40,7 @@ from .errors import (
     NotPositiveError,
 )
 from .gaussrat import as_fraction
-from .linalg import _gauss_jordan, _symmetric_bareiss, clear_rows, det, identity_int, int_kernel, mat
+from .linalg import _gauss_jordan, _kernel_rows, _symmetric_bareiss, clear_rows, det, identity_int, int_kernel, mat
 from .quadspace import IntegralLattice, _cleared, gram_apply, pair_rows, row_gram, sparse_rows
 
 
@@ -48,7 +49,7 @@ class Sublattice:
     """Saturated sublattice of an integral lattice, with its restricted form."""
 
     ambient: IntegralLattice
-    basis: tuple  # r x n integer rows, HNF-canonical
+    basis: tuple  # r x n integer rows, HNF-canonical from orthogonal_complement_lattice
     restricted_gram: tuple  # r x r integer
 
     @property
@@ -145,8 +146,9 @@ def _enumerate_up_to(gram, radius, rows=None, clip=None):
     Coordinates run from the last to the first inside exact integer intervals;
     the remaining norm is kept as an integer over the common denominator of the
     fraction-free LDL^T, and each coordinate step adds one sparse row to the
-    image.  Each leaf's norm, summed from the gram's entries along the path, is
-    checked against the radius; with no rows the leaf is emitted as its
+    image.  Level 0 emits its leaves in its own loop, one per x_0, with no call
+    below it.  Each leaf's norm, summed from the gram's entries along the path,
+    is checked against the radius; with no rows the leaf is emitted as its
     coefficient vector itself, the vector whose norm was checked.  While all
     coordinates walked are 0 the interval is symmetric (checked): only x_i >= 0
     is walked, and each nonzero leaf is emitted with its negation.  A clip
@@ -154,8 +156,8 @@ def _enumerate_up_to(gram, radius, rows=None, clip=None):
     before that check, and a level whose clipped interval is empty is skipped,
     so its image steps, which would not cancel, are never taken.
     """
-    if radius < 0:
-        return {}
+    if radius < 0 or not gram:  # rank 0: the one vector is ()
+        return {0: [()]} if radius >= 0 else {}
     lead, low, weight, scale = _ldl(gram)
     # norm(x) from the gram: setting x_i = v adds v (g_ii v + 2 sum_{j > i} g_ij x_j)
     above = [[(j, 2 * a) for j, a in row if j > i] for i, row in enumerate(sparse_rows(gram))]
@@ -164,12 +166,6 @@ def _enumerate_up_to(gram, radius, rows=None, clip=None):
     live, image = ([()] * len(gram), x) if rows is None else (sparse_rows(rows), [0] * len(rows[0]))
 
     def walk(i, rem, norm, zero):
-        if i < 0:
-            if not 0 <= norm <= radius:
-                raise InternalCheckError(f"block vector {tuple(x)} has norm {norm} outside the walk radius {radius}")
-            leaf = tuple(image)
-            out.setdefault(norm, []).extend((leaf,) if zero else (leaf, tuple(map(neg, leaf))))
-            return
         s = e = 0
         for j, a in low[i]:
             s += a * x[j]
@@ -186,12 +182,23 @@ def _enumerate_up_to(gram, radius, rows=None, clip=None):
         lo = max(lo, 0) if zero else lo
         for c, b in row:
             image[c] += lo * b
-        for v in range(lo, hi + 1):
-            x[i] = v
-            u = p * v + s
-            walk(i - 1, rem - w * u * u, norm + v * (gii * v + e), zero and not v)
-            for c, b in row:
-                image[c] += b
+        if i:
+            for v in range(lo, hi + 1):
+                x[i] = v
+                u = p * v + s
+                walk(i - 1, rem - w * u * u, norm + v * (gii * v + e), zero and not v)
+                for c, b in row:
+                    image[c] += b
+        else:  # the leaves
+            for v in range(lo, hi + 1):
+                x[0] = v
+                leaf_norm = norm + v * (gii * v + e)
+                if not 0 <= leaf_norm <= radius:
+                    raise InternalCheckError(f"block vector {tuple(x)} has norm {leaf_norm} outside the walk radius {radius}")
+                leaf = tuple(image)
+                out.setdefault(leaf_norm, []).extend((leaf,) if zero and not v else (leaf, tuple(map(neg, leaf))))
+                for c, b in row:
+                    image[c] += b
         for c, b in row:
             image[c] -= (hi + 1) * b
         x[i] = 0
@@ -299,16 +306,19 @@ def _lll(gram):
 def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> RootList:
     """Complete list of roots of the lattice orthogonal to a positive three-space.
 
-    The negated form on the saturated complement is LLL-reduced; det H = +-1
-    certifies, once per call, that the reduced rows span it.  The blocks come
-    from the ambient Gram of those rows, so block norms are ambient norms.
+    The negated form on the saturated complement is LLL-reduced from any basis
+    of it, the Euclid rows of its kernel (the HNF is only for `Sublattice`
+    output); det H = +-1 certifies, once per call, that the reduced rows span
+    it.  The blocks come from the ambient Gram of those rows, so block norms
+    are ambient norms.
     """
     if threespace.ambient != lattice.space:
         raise AmbientMismatchError("three-space ambient does not match lattice")
     if threespace.hermitian_inertia != (3, 0, 0):
         raise NotPositiveError("three-space must be positive for complete root enumeration")
     re, im, _ = threespace.ints  # the re and im rows, scaled to integers by the same d > 0
-    sub = orthogonal_complement_lattice(lattice, [c for c in re + im if any(c)])
+    basis = _kernel_rows(_constraint_rows(lattice, [c for c in re + im if any(c)]))  # G nondegenerate: rows nonempty
+    sub = Sublattice(ambient=lattice, basis=basis, restricted_gram=row_gram(lattice.space.sparse_rows, basis))
     if sub.rank == 0:
         return RootList(roots=(), complete=True)
     H = _lll(tuple(tuple(-x for x in row) for row in sub.restricted_gram))
@@ -399,8 +409,9 @@ def _join(tables, target, bound, free, own, shared):
     tables after it can make up the rest, and entering it extends every prefix
     on the path by every part of the group at once; the last table is looked
     up by the exact rest.  The keys entered, carried apart from the norm, and
-    the leaf group's key must add up to target.  Own parts are in the box
-    already, so only the summed shared parts are tested.
+    the leaf group's key must add up to target, and its prefixes must span the
+    free coordinates and the own ones of the tables before the last.  Own parts
+    are in the box already, so only the summed shared parts are tested.
     """
     order = free + [c for o in own for c in o] + shared
     identity = list(range(len(order)))
@@ -413,12 +424,15 @@ def _join(tables, target, bound, free, own, shared):
     hi = list(itertools.accumulate(map(max, reversed(tables[1:])), initial=0))[::-1]
     out = []
     last = len(tables) - 1
+    width = len(free) + sum(map(len, own[:last]))  # a leaf group's prefix: zeros on `free`, then own[0] .. own[last - 1]
 
     def walk(i, prefixes, norm, keys):
         if i == last:
             key, parts = tables[i].get(target - norm, (None, ()))
             if parts and sum(keys) + key != target:
                 raise InternalCheckError(f"joined keys {keys + (key,)} add up to {sum(keys) + key}, not the target {target}")
+            if parts and len(prefixes[0][0]) != width:  # every prefix on a path has the same length
+                raise InternalCheckError(f"a leaf group's prefixes have {len(prefixes[0][0])} coordinates, not {width}")
             if shared:
                 out.extend([arrange(acc + o + v) for acc, sh in prefixes for o, s in parts for v in [tuple(map(add, sh, s))] if all(-bound <= c <= bound for c in v)])
             else:

@@ -35,6 +35,26 @@ def test_repeated_literals_decode_as_when_parsed_one_by_one():
             jsonio.decode_rational_matrix(gram + [[1, "1", 0, "0", bad, 1]])
 
 
+@pytest.mark.parametrize("literal, decoded", [
+    (True, None),
+    (" 1 ", (((1,),), 1)),
+    ("1/0", None),
+    (1.5, None),
+    ("1_0", (((10,),), 1)),
+])
+def test_edge_literals_decode_or_fail_as_parse_ratio_reads_them(literal, decoded):
+    # Only strings are memoised; every other value goes to parse_ratio, so a
+    # bool or float is refused even after an equal int or string.
+    for before in ([], [1], ["1"], [literal]):
+        gram = [before + [literal]]
+        if decoded is None:
+            with pytest.raises(InputError):
+                jsonio.decode_rational_matrix(gram)
+        else:
+            rows, d = decoded
+            assert jsonio.decode_rational_matrix(gram) == ((tuple(parse_ratio(x)[0] for x in before) + rows[0],), d)
+
+
 def test_gauss_roundtrip():
     z = GaussRational(Q(1, 2), Q(-3))
     assert jsonio.decode_gauss(jsonio.encode_gauss(z)) == z

@@ -23,7 +23,7 @@ from k3cycles import cyclespace, jsonio
 from k3cycles.cyclespace import PENCIL_DEN, _herm_coeffs, _herm_products, _sample_domain, _second_intersection, _try_exact_counterexample
 from k3cycles.errors import DimensionMismatchError, InputError, NonPositiveKappaError, NotARootError, WallError
 from k3cycles.gaussrat import GaussRational, as_fraction, parse_rational
-from k3cycles.linalg import clear_gauss_rows, conj_vec, det, hnf, int_kernel, inverse, mat_mul, rank
+from k3cycles.linalg import _kernel_rows, clear_gauss_rows, conj_vec, det, hnf, int_kernel, inverse, mat_mul, rank
 from k3cycles.quadspace import E8_GRAM, congruence_diagonal, gauss_grams, gram_apply, pair_rows, sparse_rows
 from k3cycles.rootenum import _coefficient_bounds, _enumerate_up_to, _ldl, _lll, _positive_definite
 
@@ -779,6 +779,17 @@ def test_int_kernel_is_a_full_kernel(m):
     n = len(m[0])
     assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in m for vec in kernel)
     assert len(kernel) == exact_rank(kernel) == n - exact_rank(m)
+
+
+@SETTINGS
+@given(int_matrices)
+def test_kernel_rows_are_a_basis_of_the_saturated_kernel(m):
+    # The complete root search LLL-reduces the Euclid rows without their HNF;
+    # they must span the same lattice as the HNF kernel, which is saturated.
+    rows = _kernel_rows(m)
+    assert hnf(rows) == int_kernel(m)
+    assert all(sum(map(mul, row, x)) == 0 for row in m for x in rows)
+    assert len(rows) == len(m[0]) - exact_rank(m)
 
 
 @SETTINGS

@@ -293,6 +293,38 @@ def test_exact_walk_checks_each_leaf_norm(monkeypatch):
         k.enumerate_norm_vectors(((2, -1), (-1, 2)), 2)
 
 
+def test_rank_one_walk_has_only_the_leaf_level(monkeypatch):
+    # Level 0 is the only level, so it emits every leaf itself: 0 once, and
+    # the positive half of its interval, each with its mirror.
+    calls = []
+    interval = rootenum._int_interval
+    monkeypatch.setattr(rootenum, "_int_interval", lambda *a: calls.append(a) or interval(*a))
+    assert _enumerate_up_to(((2,),), 2) == {0: [(0,)], 2: [(1,), (-1,)]}
+    assert _enumerate_up_to(((2,),), 2, [(1, 0, -1)]) == {0: [(0, 0, 0)], 2: [(1, 0, -1), (-1, 0, 1)]}
+    assert len(calls) == 2
+    assert _enumerate_up_to((), 2) == {0: [()]}
+
+
+def test_walk_mirrors_the_zero_path_at_the_leaf_level():
+    # With x_1 = 0 the leaf level is on the zero path: it walks x_0 in [0, 1]
+    # and mirrors (1, 0); with x_1 = 1 it is off that path and walks x_0 = 0.
+    rows = [(0, 1, 0), (0, 0, 2)]
+    assert _enumerate_up_to(((1, 0), (0, 1)), 1) == {0: [(0, 0)], 1: [(1, 0), (-1, 0), (0, 1), (0, -1)]}
+    assert _enumerate_up_to(((1, 0), (0, 1)), 1, rows) == {0: [(0, 0, 0)], 1: [(0, 1, 0), (0, -1, 0), (0, 0, 2), (0, 0, -2)]}
+    # On A2 the branch x_1 = 1 is off the zero path: its leaf level walks
+    # x_0 in [0, 1], and each leaf comes with its mirror.
+    assert _enumerate_up_to(((2, -1), (-1, 2)), 2)[2] == [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+
+
+def test_certificate_rejects_a_leaf_beyond_the_radius_of_a_rank_one_walk(monkeypatch):
+    # On a rank-1 walk the one level is the leaf level: its first step past
+    # the interval, x = 2, has norm 8.
+    interval = rootenum._int_interval
+    monkeypatch.setattr(rootenum, "_int_interval", lambda *a: (lambda lo, hi: (lo - 1, hi + 1))(*interval(*a)))
+    with pytest.raises(InternalCheckError, match="block vector \\(2,\\) has norm 8 outside the walk radius 2"):
+        _enumerate_up_to(((2,),), 2, [(1, 0, -1)])
+
+
 # U + U + A1(-1) under the pinned constraint of test_properties: a kernel of
 # rank 4 in two blocks, of ranks 3 (scanned) and 1 (walked), sharing a
 # coordinate on which the join drops leaves outside the box; 12 roots.
@@ -366,6 +398,23 @@ def test_certificate_rejects_a_restricted_gram_coupling_two_blocks(monkeypatch):
         _shared_search()
 
 
+def test_certificate_rejects_a_leaf_group_whose_prefixes_are_mis_sized(monkeypatch):
+    # A leaf is its prefix (zeros on the free coordinates, then the own parts
+    # of every table but the last) concatenated with the last own part and
+    # the shared sum.  One extra coordinate on the first table's own parts
+    # leaves the coordinate order a permutation, but every leaf group's
+    # prefixes one coordinate too long.
+    join = rootenum._join
+
+    def padded(tables, *args):
+        first = {a: (a, [(o + (0,), s) for o, s in xs]) for a, (_, xs) in tables[0].items()}
+        return join([first] + tables[1:], *args)
+
+    monkeypatch.setattr(rootenum, "_join", padded)
+    with pytest.raises(InternalCheckError, match="prefixes have 4 coordinates, not 3"):
+        _shared_search()
+
+
 def test_certificate_rejects_a_leaf_outside_the_box_on_a_shared_coordinate(monkeypatch):
     join = rootenum._join
     # An unbounded box on the summed shared parts drops the join's leaf test there.
@@ -436,15 +485,35 @@ def test_certificate_rejects_an_asymmetric_interval_on_the_zero_path(monkeypatch
         k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 2)
 
 
-@pytest.mark.parametrize("fixture, nodes, count", [("u3_diagonal", 501, 486), ("vprime", 19, 0)])
-def test_complete_search_node_counts(monkeypatch, request, k3, fixture, nodes, count):
+def _reflected(k3, v, seed):
+    """v moved by the reflection in a seeded root: +-e_i or +-f_i of one U
+    block (isotropic) plus a root of one E8(-1) block."""
+    rng = random.Random(seed)
+    d = [0] * 22
+    d[rng.randrange(6)] = rng.choice((1, -1))
+    off = rng.choice((6, 14))
+    d[off:off + 8] = rng.choice(k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 2))
+    return k.apply_isometry(k.reflection_matrix(k3, tuple(d)), v)
+
+
+@pytest.mark.parametrize("fixture, seed, nodes, count", [
+    pytest.param("u3_diagonal", None, 501, 486, id="u3_diagonal-501-486"),
+    pytest.param("vprime", None, 19, 0, id="vprime-19-0"),
+    pytest.param("u3_diagonal", 2, 501, 486, id="u3_diagonal_reflected-501-486"),
+    pytest.param("vprime", 2, 19, 0, id="vprime_reflected-19-0"),
+])
+def test_complete_search_node_counts(monkeypatch, request, k3, fixture, seed, nodes, count):
     # Fincke-Pohst visits are machine-independent: one `_int_interval` call per
     # interior node of the walk, the calls the benchmark's fp_nodes counts.
-    # A change to the reduction or to the walk that visits other nodes shows here.
+    # A change to the reduction or to the walk that visits other nodes shows
+    # here.  The reflected images have a kernel basis the LLL receives in
+    # another shape: their HNF basis walked 506 and 20 nodes.
+    v = request.getfixturevalue(fixture)
+    v = v if seed is None else _reflected(k3, v, seed)
     calls = []
     interval = rootenum._int_interval
     monkeypatch.setattr(rootenum, "_int_interval", lambda *a: calls.append(a) or interval(*a))
-    rl = k.roots_orthogonal_to_threespace(k3, request.getfixturevalue(fixture))
+    rl = k.roots_orthogonal_to_threespace(k3, v)
     assert (len(calls), len(rl)) == (nodes, count)
 
 
