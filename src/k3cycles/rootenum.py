@@ -13,10 +13,11 @@ rows; all are negative definite, so a root is a -2 vector of one block or the
 sum of -1 vectors of two blocks (in <-1> + <-1>, the root (1, 1)).
 The bounded search (`_block_roots`) joins one walked or box-scanned table per
 kernel block over a coordinate box into roots, each one concatenation of block
-parts, certified per table entry and join leaf group.  Its walks are clipped to
-the box's coefficient bounds, the box-constrained Fincke-Pohst search, and
-their norm groups of ambient images are the walked tables; the join extends
-every prefix of one path of norm keys at once, one call per key path.
+parts.  Each block is walked or scanned, boxed and certified per table entry
+in its local coordinates, its own and the shared ones only, and blocks with
+equal local data share one table.  Walks are clipped to the box's coefficient
+bounds (box-constrained Fincke-Pohst); the join extends every prefix of one
+path of norm keys at once, one call per key path, checking each leaf group.
 
 All enumeration output is lexicographically sorted and lists x and -x
 explicitly, so CLI output is reproducible byte for byte.
@@ -369,16 +370,16 @@ def _coefficient_bounds(basis, bound):
     return W
 
 
-def _block_table(block, rows, coeffs, own, bound):
-    """The ambient partials sum_k t_k rows[k] of one scanned block, grouped by
-    the exact block norm t^T block t and sorted, for the box-scanned
-    coefficient vectors t whose partial lies in [-bound, bound] on the
-    coordinates `own` that no other block touches; each group holds its own
-    key, a -> (a, partials), and none is empty.  Walked blocks take the same
-    table from their walk."""
+def _block_table(neg, rows, coeffs, m, bound):
+    """The partials sum_k t_k rows[k] of one scanned block in its local
+    coordinates, grouped by the exact block norm -t^T neg t (`neg` the negated
+    block Gram) and sorted, for the box-scanned coefficient vectors t whose
+    partial lies in [-bound, bound] on its first m coordinates, the block's own
+    ones; each group holds its own key, a -> (a, partials), and none is empty.
+    Walked blocks take the same table from their walk."""
     n, live = len(rows[0]), sparse_rows(rows)
-    # t^T block t over the upper triangle, with off-diagonal entries doubled
-    upper = [[(j, g if j == k else 2 * g) for j, g in row if j >= k] for k, row in enumerate(sparse_rows(block))]
+    # -t^T neg t over the upper triangle, with off-diagonal entries doubled
+    upper = [[(j, -g if j == k else -2 * g) for j, g in row if j >= k] for k, row in enumerate(sparse_rows(neg))]
     table = {}
     for t in coeffs:
         x = [0] * n
@@ -386,7 +387,7 @@ def _block_table(block, rows, coeffs, own, bound):
             if tk:
                 for c, b in row:
                     x[c] += tk * b
-        if not all(-bound <= x[c] <= bound for c in own):
+        if not all(-bound <= v <= bound for v in x[:m]):
             continue
         norm = 0
         for tk, row in zip(t, upper):
@@ -450,57 +451,64 @@ def _block_roots(ambient, rows, gram, coord_bound):
     """The x = sum_k t_k rows[k] in [-coord_bound, coord_bound]^n with
     t^T gram t = -2, for rows whose Gram under the sparse rows `ambient` is `gram`.
 
-    Every coefficient is bounded over the box by W.  Blocks that are not
-    negative definite are scanned over their W-box (at most 2,000,000 points)
-    by `_block_table`, the others walked down to -2 minus the most the scanned
+    Every coefficient is bounded over the box by W.  Block i works in its
+    local coordinates own[i] + shared (those only its rows touch, then those
+    the rows of two or more blocks touch) with its rows restricted there,
+    each checked to keep every nonzero entry.  Blocks that are not negative
+    definite are scanned over their W-box (at most 2,000,000 points) by
+    `_block_table`, the others walked down to -2 minus the most the scanned
     blocks can add, each coefficient clipped to [-W_k, W_k]: a root's block
-    partial has the root's own t_k, so the clip drops only vectors that join no
-    root.  A walk carries the block's rows, so its norm groups are already the
-    block's ambient partials (each a sum of the block's rows), keyed by the
-    negated norm.  On a coordinate that only block i touches a root equals
-    block i's partial, so each table keeps the partials in the box on their
-    block's own coordinates, drops a group that keeps none (as `_block_table`
-    makes none), and `_join` tests the box on the coordinates two blocks share.
-    Each table entry that can be part of a root, not each root, is certified:
-    its key is its partial's ambient norm, and it lies in the box on its own
-    coordinates and is zero off them and the shared ones.
+    partial has the root's own t_k, so the clip drops only vectors that join
+    no root.  A walk's norm groups, keyed by the negated norm, are the block's
+    partials.  A root equals block i's partial on block i's own coordinates,
+    so each table keeps the partials in the box there, its first len(own[i])
+    ones, and drops a group that keeps none; `_join` tests the shared ones.
+    Blocks with equal negated Gram, local rows, own width and clip share one
+    table, and with equal local ambient rows (the ambient Gram restricted to
+    their local coordinates) one certificate: each entry that can be part of
+    a root must have its local ambient norm as key and lie in the box.
     """
     n, comps = len(ambient), _components(gram)
-    blocks = [tuple(tuple(gram[i][j] for j in comp) for i in comp) for comp in comps]
-    negs = [tuple(tuple(-x for x in row) for row in block) for block in blocks]
     sparse, W = sparse_rows(rows), _coefficient_bounds(rows, coord_bound)
     touched = [{c for k in comp for c, _ in sparse[k]} for comp in comps]
     shared = [c for c in range(n) if sum(c in t for t in touched) > 1]
     free = [c for c in range(n) if not any(c in t for t in touched)]
     own = [sorted(t.difference(shared)) for t in touched]
-    tables = {}
+    keys, restricted = [], []  # per block, its table's inputs (negated Gram, local rows, own width, clip) and its local ambient rows
     for i, comp in enumerate(comps):
-        if not _positive_definite(negs[i]):
-            boxsize = math.prod(2 * W[k] + 1 for k in comp)
+        cols = own[i] + shared
+        local = tuple(tuple(rows[k][c] for c in cols) for k in comp)
+        if any(sum(map(abs, x)) != sum(map(abs, rows[k])) for k, x in zip(comp, local)):
+            raise InternalCheckError(f"a row of block {i} is nonzero off its own and shared coordinates")
+        keys.append((tuple(tuple(-gram[j][k] for k in comp) for j in comp), local, len(own[i]), tuple(W[k] for k in comp)))
+        restricted.append(tuple(tuple((cols.index(j), g) for j, g in ambient[c] if j in cols) for c in cols))
+    tables = {}  # one table per distinct key
+    for key in keys:
+        neg, local, m, clip = key
+        if key not in tables and not _positive_definite(neg):
+            boxsize = math.prod(2 * w + 1 for w in clip)
             if boxsize > 2_000_000:
                 raise BudgetExceededError(f"indefinite block box of {boxsize} points exceeds the 2,000,000-point budget")
-            box = itertools.product(*[range(-W[k], W[k] + 1) for k in comp])
-            tables[i] = _block_table(blocks[i], [rows[k] for k in comp], box, own[i], coord_bound)
-    radius = 2 + sum(max(table) for table in tables.values())
-    for i, comp in enumerate(comps):
-        if i not in tables:
-            walk = _enumerate_up_to(negs[i], radius, [rows[k] for k in comp], clip=[W[k] for k in comp])
-            inside = lambda x: all(-coord_bound <= x[c] <= coord_bound for c in own[i])
-            groups = {-a: sorted(filter(inside, xs)) for a, xs in walk.items()}
-            tables[i] = {a: (a, xs) for a, xs in groups.items() if xs}
-    lo, hi = sum(map(min, tables.values())), sum(map(max, tables.values()))
-    parts = [{} for _ in comps]  # per table, its groups with each usable partial split into own and shared parts
-    for i, table in tables.items():
+            tables[key] = _block_table(neg, local, itertools.product(*[range(-w, w + 1) for w in clip]), m, coord_bound)
+    radius = 2 + sum(max(tables[key]) for key in keys if key in tables)
+    for key in keys:
+        if key not in tables:
+            neg, local, m, clip = key
+            inside = lambda x: all(-coord_bound <= v <= coord_bound for v in x[:m])
+            groups = ((-a, sorted(filter(inside, xs))) for a, xs in _enumerate_up_to(neg, radius, local, clip).items())
+            tables[key] = {a: (a, xs) for a, xs in groups if xs}
+    lo, hi = (sum(f(tables[key]) for key in keys) for f in (min, max))
+    parts = {}  # per (key, local ambient rows), its table with each usable partial split into own and shared parts
+    for i, (key, rest) in enumerate(zip(keys, restricted)):
+        if (key, rest) in parts:
+            continue
+        table, m = tables[key], key[2]
         usable = range(-2 - hi + max(table), -1 - lo + min(table))  # keys that can add up to -2 with the other tables' keys
-        split = lambda x: (tuple(map(x.__getitem__, own[i])), tuple(map(x.__getitem__, shared)))
         for a, xs in table.values():
-            parts[i][a] = (a, list(map(split, xs)) if a in usable else [])  # no other group can be part of a root
-            for x, (o, s) in zip(xs, parts[i][a][1]):
-                if pair_rows(ambient, x, x) != a or not all(-coord_bound <= v <= coord_bound for v in o):
-                    raise InternalCheckError(f"a partial of block {i} fails its norm {a} or box {coord_bound} check")
-                if x.count(0) - o.count(0) - s.count(0) != n - len(o) - len(s):  # a zero on each coordinate the parts leave out
-                    raise InternalCheckError(f"a partial of block {i} is nonzero off its own and shared coordinates")
-    roots = _join(parts, -2, coord_bound, free, own, shared)
+            if a in usable and any(pair_rows(rest, x, x) != a or not all(-coord_bound <= v <= coord_bound for v in x[:m]) for x in xs):
+                raise InternalCheckError(f"a partial of block {i} fails its norm {a} or box {coord_bound} check")
+        parts[key, rest] = {a: (a, [(x[:m], x[m:]) for x in xs] if a in usable else []) for a, xs in table.values()}
+    roots = _join([parts[pair] for pair in zip(keys, restricted)], -2, coord_bound, free, own, shared)
     if shared and not all(-coord_bound <= v[c] <= coord_bound for v in roots for c in shared):
         raise InternalCheckError(f"a joined root leaves the box {coord_bound} on a shared coordinate")
     return roots
@@ -512,8 +520,9 @@ def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int)
 
     The roots lie in the saturated constraint kernel, whose blocks
     `_block_roots` joins over the box, so the output equals the exhaustive
-    filtered scan.  The restricted Gram must equal the ambient Gram of the
-    kernel rows, zeros between blocks included.
+    filtered scan.  The restricted Gram must be symmetric and equal, on and
+    above its diagonal, the ambient Gram of the kernel rows, zeros between
+    blocks included.
     """
     if isinstance(coord_bound, bool) or not isinstance(coord_bound, int):
         raise InputError(f"coordinate bound must be an integer, got {coord_bound!r}")
@@ -522,8 +531,9 @@ def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int)
     sub = orthogonal_complement_lattice(lattice, constraints)
     if sub.rank == 0 or coord_bound == 0:
         return RootList(roots=(), complete=False, bound_used=coord_bound)
-    if any(pair_rows(lattice.space.sparse_rows, x, y) != a for x, row in zip(sub.basis, sub.restricted_gram) for y, a in zip(sub.basis, row)):
+    basis, gram = sub.basis, sub.restricted_gram  # paired on and above the diagonal, mirrored below it
+    if gram != tuple(zip(*gram)) or any(pair_rows(lattice.space.sparse_rows, x, basis[j]) != a for i, x in enumerate(basis) for j, a in enumerate(gram[i][i:], i)):
         raise InternalCheckError("the restricted Gram differs from the ambient Gram of the kernel rows")
-    roots = _block_roots(lattice.space.sparse_rows, sub.basis, sub.restricted_gram, coord_bound)
+    roots = _block_roots(lattice.space.sparse_rows, basis, gram, coord_bound)
     roots.sort()
     return RootList(roots=tuple(roots), complete=False, bound_used=coord_bound)

@@ -157,19 +157,25 @@ def _block_sum(blocks):
 @st.composite
 def bounded_search_cases(draw):
     """An orthogonal sum of 1-4 blocks (U, A1(-1), A2(-1) or a random
-    nondegenerate indefinite 2x2), 0-2 integer constraints and a bound of 1 or 2,
-    the Gram and the constraints conjugated by one coordinate permutation.
+    nondegenerate indefinite 2x2), one of them maybe drawn twice, 0-2 integer
+    constraints and a bound of 1 or 2, the Gram and the constraints conjugated
+    by one coordinate permutation and one sign per coordinate.
 
     Without constraints the negative definite summands are enumerated and the
     others scanned; constraints mix the summands, so the kernel rows of one
     block reach the coordinates of another, which the join tests at its
     leaves.  The permutation interleaves the blocks' own coordinates, so the
-    join's concatenated leaves are not in coordinate order."""
-    gram = _block_sum(draw(st.lists(st.one_of(st.sampled_from(SMALL_BLOCKS), indefinite_2x2), min_size=1, max_size=4)))
-    constraints = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(gram)), max_size=2))
-    perm = draw(st.permutations(range(len(gram))))
-    gram = tuple(tuple(gram[i][j] for j in perm) for i in perm)
-    constraints = [tuple(c[i] for i in perm) for c in constraints]
+    join's concatenated leaves are not in coordinate order.  A block drawn
+    twice lands on other coordinates with other signs, so two kernel blocks
+    can have one Gram but other local rows, which must not share a table."""
+    blocks = draw(st.lists(st.one_of(st.sampled_from(SMALL_BLOCKS), indefinite_2x2), min_size=1, max_size=3))
+    gram = _block_sum(blocks + draw(st.lists(st.sampled_from(blocks), max_size=1)))
+    n = len(gram)
+    constraints = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=2))
+    perm = draw(st.permutations(range(n)))
+    sign = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    gram = tuple(tuple(sign[a] * sign[b] * gram[i][j] for b, j in enumerate(perm)) for a, i in enumerate(perm))
+    constraints = [tuple(s * c[i] for s, i in zip(sign, perm)) for c in constraints]
     return gram, constraints, draw(st.integers(1, 2))
 
 
@@ -185,6 +191,11 @@ def bounded_search_cases(draw):
 # A1(-1) + U: the kernel of (1, 1, 1) is one block [[-2, 2], [2, -2]] of
 # signature (0, 1, 1), which must be box-scanned, not walked; 2 roots.
 @example((_block_sum((((-2,),), U_GRAM)), [(1, 1, 1)], 1))
+# A1(-1) + A1(-1) + U: the kernel rows (1, 0, 1, 0) and (0, 1, -2, 0) are two
+# blocks [[-2]] of own width 1 and clip 1 that share coordinate 2, with local
+# rows (1, 1) and (1, -2).  One table for both would give +-(0, 1, 1, 0),
+# which is not in the kernel; 2 roots.
+@example((_block_sum((((-2,),), ((-2,),), U_GRAM)), [(-1, 2, 2, -2), (0, 0, -2, 0)], 1))
 def test_bounded_search_matches_box_scan(case):
     gram, constraints, bound = case
     lattice = k.IntegralLattice(k.QuadraticSpace(gram))

@@ -437,20 +437,54 @@ def test_certificate_rejects_a_join_order_that_repeats_a_coordinate(monkeypatch)
 
 
 def test_certificate_rejects_a_partial_off_its_own_and_shared_coordinates(monkeypatch):
-    # The walked block touches only the shared coordinates 3 and 4.  Adding
-    # e1, isotropic and orthogonal to its partials, keeps each key and own box,
-    # but the concatenation would drop coordinate 0 of that block.
-    walk = rootenum._enumerate_up_to
-
-    def leaked(gram, radius, rows=None, clip=None):
-        groups = walk(gram, radius, rows, clip)
-        if rows is not None and len(rows) == 1:
-            groups = {a: [(x[0] + 1,) + x[1:] for x in xs] for a, xs in groups.items()}
-        return groups
-
-    monkeypatch.setattr(rootenum, "_enumerate_up_to", leaked)
-    with pytest.raises(InternalCheckError, match="nonzero off its own and shared coordinates"):
+    # Each block is walked and certified in its local coordinates, its own and
+    # the shared ones.  The walked block's row (0, 0, 0, 2, 1) touches only the
+    # shared coordinates 3 and 4; read without its entry on coordinate 4, it
+    # leaves 4 to the other block alone, and its local row (2,) would drop
+    # that entry, so its partials would be nonzero off the coordinates they
+    # are joined on.
+    rows = rootenum.sparse_rows
+    monkeypatch.setattr(rootenum, "sparse_rows", lambda m: tuple(r[:1] if r == ((3, 2), (4, 1)) else r for r in rows(m)))
+    with pytest.raises(InternalCheckError, match="a row of block 1 is nonzero off its own and shared coordinates"):
         _shared_search()
+
+
+def test_certificate_rejects_an_asymmetric_restricted_gram(monkeypatch):
+    # The restricted Gram is paired with the ambient Gram on and above its
+    # diagonal only, so below it it must mirror the entries paired above.
+    row_gram = rootenum.row_gram
+
+    def lower(rows, vectors):
+        g = [list(r) for r in row_gram(rows, vectors)]
+        g[3][0] = 1
+        return tuple(map(tuple, g))
+
+    monkeypatch.setattr(rootenum, "row_gram", lower)
+    with pytest.raises(InternalCheckError, match="restricted Gram differs"):
+        _shared_search()
+
+
+def test_walked_block_with_no_own_coordinate_keeps_every_partial(monkeypatch):
+    # The rank-1 block's row (0, 0, 0, 2, 1) touches only the shared
+    # coordinates 3 and 4: it has no own coordinate to box, so its table keeps
+    # every walked partial, in local coordinates (3, 4), all as shared parts.
+    walks, tables = [], []
+    walk, join = rootenum._enumerate_up_to, rootenum._join
+    monkeypatch.setattr(rootenum, "_enumerate_up_to", lambda *args: walks.append(walk(*args)) or walks[-1])
+    monkeypatch.setattr(rootenum, "_join", lambda parts, *args: tables.append(parts) or join(parts, *args))
+    assert len(_shared_search()) == 12
+    assert walks == [{0: [(0, 0)], 2: [(2, 1), (-2, -1)]}]
+    assert tables[0][1] == {0: (0, [((), (0, 0))]), -2: (-2, [((), (-2, -1)), ((), (2, 1))])}
+
+
+def test_scanned_table_is_in_local_coordinates(monkeypatch):
+    # U + A1(-1) with U on coordinates 0 and 2: the scanned U block's
+    # partials are pairs on its own coordinates, not triples.
+    scans, table = [], rootenum._block_table
+    monkeypatch.setattr(rootenum, "_block_table", lambda *args: scans.append(table(*args)) or scans[-1])
+    lattice = k.IntegralLattice(k.QuadraticSpace(((0, 0, 1), (0, -2, 0), (1, 0, 0))))
+    assert len(k.bounded_root_search(lattice, [], 1)) == 12  # +-e1 with one of 0, +-e0, +-e2, and +-(e0 - e2)
+    assert scans == [{-2: (-2, [(-1, 1), (1, -1)]), 0: (0, [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]), 2: (2, [(-1, -1), (1, 1)])}]
 
 
 def test_walked_table_drops_a_group_the_box_empties(monkeypatch):
@@ -526,7 +560,7 @@ def _delta_p_e1f1_e2f2(k3):
 @pytest.mark.parametrize("search, nodes, count", [
     (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 2), 254, 240),
     (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, 4), 1564, 2160),
-    (_delta_p_e1f1_e2f2, 682, 19694),
+    (_delta_p_e1f1_e2f2, 341, 19694),
     (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, Q(15, 2)), 0, 0),
     (lambda k3: k.enumerate_norm_vectors(k.quadspace.E8_GRAM, Q(3, 2)), 0, 0),
 ], ids=["e8_norm_2", "e8_norm_4", "delta_p_bound_1", "e8_norm_15_2", "e8_norm_3_2"])
@@ -539,6 +573,17 @@ def test_target_and_bounded_walk_node_counts(monkeypatch, k3, search, nodes, cou
     monkeypatch.setattr(rootenum, "_int_interval", lambda *a: calls.append(a) or interval(*a))
     found = search(k3)
     assert (len(calls), len(found)) == (nodes, count)
+
+
+def test_delta_p_walks_each_distinct_block_once(monkeypatch, k3):
+    # Delta_p's kernel has two E8(-1) blocks and two rank-1 blocks, the rows
+    # e1 - f1 and e2 - f2; each pair has one negated Gram, local rows, own
+    # width and clip, so it shares one walked table: one E8 walk (340 nodes)
+    # and one rank-1 walk (1 node), not two of each.
+    calls, walk = [], rootenum._enumerate_up_to
+    monkeypatch.setattr(rootenum, "_enumerate_up_to", lambda *args: calls.append(args) or walk(*args))
+    assert len(_delta_p_e1f1_e2f2(k3)) == 19694
+    assert sorted(len(gram) for gram, *_ in calls) == [1, 8]
 
 
 @pytest.mark.parametrize("clip, nodes, leaves", [(None, 1564, 2401), ([1] * 8, 340, 561)], ids=["unclipped", "clipped_1"])

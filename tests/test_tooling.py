@@ -24,8 +24,9 @@ def test_no_assert_statements_in_library():
 
 def test_certificate_tests_pass_under_python_O():
     # The certificates of the root search (unimodular transform, walk radius,
-    # block form, walked partials, table keys, joined keys, restricted Gram,
-    # shared-coordinate box, join order, partial support, zero-path interval, one-sided clip,
+    # block form, walked partials, table keys, joined keys, restricted Gram and
+    # its symmetry, shared-coordinate box, join order, local-row support,
+    # zero-path interval, one-sided clip,
     # join prefix width, and the walk radius at the leaf level of a rank-1 walk)
     # raise InternalCheckError, not AssertionError, so they must fire with
     # asserts stripped.
@@ -36,7 +37,7 @@ def test_certificate_tests_pass_under_python_O():
         cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("16 passed"), proc.stdout
+    assert proc.stdout.splitlines()[-1].startswith("17 passed"), proc.stdout
 
 
 def _tracing_table(name):
