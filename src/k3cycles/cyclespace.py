@@ -376,12 +376,41 @@ def _herm_coeffs(m):
     return [m[i][i][0] for i in range(3)] + [2 * s * m[i][j][t] for i, j in ((0, 1), (0, 2), (1, 2)) for t, s in ((0, 1), (1, -1))]
 
 
-def _horner(coeffs, x, y):
-    """sum_k c_k ell^k at ell = x + iy, Gaussian c_k with the constant term first."""
-    re, im = coeffs[-1]
-    for cr, ci in coeffs[-2::-1]:
-        re, im = re * x - im * y + cr, re * y + im * x + ci
-    return re, im
+def _taylor_shift(coeffs, y):
+    """The Gaussian coefficients in the real x of sum_k c_k (x + iy)^k, for Gaussian c_k
+    with the constant term first: repeated synthetic division by ell - iy (Taylor shift)."""
+    c = [list(z) for z in coeffs]
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            r, t = c[j + 1]
+            c[j][0] -= y * t  # c_j += iy c_{j+1}
+            c[j][1] += y * r
+    return c
+
+
+def _row_quartic(coeffs, y):
+    """The real quartic in x, constant term first, of coeffs . _herm_products(delta) for the
+    pencil direction delta = (D^2, D ell, ell^2) at ell = x + iy, D = PENCIL_DEN."""
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = coeffs
+    D, yy = PENCIL_DEN, y * y
+    return (
+        c0 * D**4 + (c1 - c5) * D * D * yy + c2 * yy * yy - c4 * D**3 * y - c8 * D * yy * y,
+        c3 * D**3 - 2 * c6 * D * D * y + c7 * D * yy,
+        (c1 + c5) * D * D + 2 * c2 * yy - c8 * D * y,
+        c7 * D,
+        c2,
+    )
+
+
+def _pencil_row(conic, y):
+    """The pencil polynomials of `conic` on the row Im ell = y, in the real x = Re ell with
+    the constant term first: the re and im coefficients of alpha, then of beta, each
+    Taylor-shifted by iy, then per form in `forms` (p M p*, the re and im coefficients of
+    p M conj(delta), a polynomial in conj(ell) = x - iy and so shifted by -iy, the real
+    quartic of `_row_quartic`)."""
+    _, alpha_poly, beta_poly, _, _, _, forms, _ = conic
+    per_form = tuple((pmp, *zip(*_taylor_shift(pm, -y)), _row_quartic(coeffs, y)) for pmp, pm, coeffs in forms)
+    return (*zip(*_taylor_shift(alpha_poly, y)), *zip(*_taylor_shift(beta_poly, y)), per_form)
 
 
 def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) -> DomainStatus:
@@ -393,6 +422,9 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
     through a base point rounded once to `bits` bits; each sample is an exact Gaussian-integer
     point, reported as a counterexample when its normalized hermitian value is <= 1e-9.
     A sweep cut short by the cap of 4 * samples + 16 attempts reports "sampled_short".
+    The pencil parameters lie on 17 rows of fixed Im ell; the conic carries a dict, local to
+    this call, into which `_second_intersection` puts each row's polynomials in Re ell the
+    first time an attempt reaches it.
     """
     a_rows, h_rows, a = threespace.gram_ints  # both Grams over the denominator a
     witness = _real_isotropic_witness(threespace, bits) if real else None
@@ -415,10 +447,10 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
     for m in (E, h_rows):
         coeffs, pm = _herm_coeffs(m), [_gdot(p, col) for col in zip(*m)]
         forms.append((sum(map(mul, coeffs, _herm_products(p))), [tuple(D ** (2 - i) * x for x in pm[i]) for i in range(3)], coeffs))
-    conic = (p, alpha_poly, beta_poly, (a * D**4) ** 2, (bits + 1) // 2, bits, forms)
+    conic = (p, alpha_poly, beta_poly, (a * D**4) ** 2, (bits + 1) // 2, bits, forms, {})
     # w A w^T = alpha^2 (p A p^T) exactly, so the residual needs |p A p^T|^2 only
-    pap = _gdot(pa, p)
-    res_lhs, res_rhs = (pap[0] ** 2 + pap[1] ** 2) * (e * _TOL_DEN) ** 2, (_TOL_NUM * a) ** 2
+    pap, tol_e, tol_a = _gdot(pa, p), e * _TOL_DEN, _TOL_NUM * a
+    res_lhs, res_rhs = (pap[0] ** 2 + pap[1] ** 2) * tol_e**2, tol_a**2
     ok = attempt = 0
     while ok < samples and attempt < 4 * samples + 16:
         ell = _pencil_parameter(attempt)
@@ -432,7 +464,7 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
         norm_alpha = ar * ar + ai * ai
         if norm_alpha * norm_alpha * res_lhs > res_rhs * scale * scale:
             continue  # |w A w^T| / ||w B||^2 > tolerance
-        if value * e * _TOL_DEN <= _TOL_NUM * a * scale:
+        if value * tol_e <= tol_a * scale:
             w = tuple((ar * u - ai * v - br * c + bi * d, ar * v + ai * u - br * d - bi * c) for (u, v), (c, d) in zip(p, _pencil_direction(ell)))
             # the ambient point sum_i w_i B_i / (2^bits alpha), rounded once per coordinate:
             # coordinate c is N_c conj(alpha) / (b 2^bits |alpha|^2), N_c = sum_i w_i b_rows[i][c]
@@ -482,31 +514,34 @@ def _pencil_direction(ell):
 def _second_intersection(conic, ell):
     """((W E W*, W H W*), alpha, beta) for the second conic point W on the line through p with direction delta(ell).
 
-    `conic` is (p, alpha and beta as polynomials in ell, a^2 D^8, half, bits, forms): delta =
+    `conic` is (p, alpha and beta as polynomials in ell, a^2 D^8, half, bits, forms, rows): delta =
     `_pencil_direction(ell)`, alpha = delta A delta^T, beta = 2 p A delta^T.  The point is base + tau d
     with d = delta / D^2, tau = -beta D^2 / (2^bits alpha), and W = alpha p - beta delta is it times
     2^bits alpha.  None where |alpha| or |tau| < 2^-half for the unscaled A, half = ceil(bits / 2).
     W is not built: for Hermitian M, with p M p*, p M and the coefficients c of M from `forms`,
     W M W* = |alpha|^2 p M p* - 2 Re(alpha conj(beta) (p M . conj(delta))) + |beta|^2 c . _herm_products(delta).
+    Each term is a polynomial in the real x = Re ell on the row of y = Im ell, which `_pencil_row`
+    builds once into the dict `rows` and Horner's rule evaluates in integers.
     """
-    p, alpha_poly, beta_poly, alpha_bound, half, bits, forms = conic
+    _, _, _, alpha_bound, half, bits, _, rows = conic
     x, y = ell
-    ar, ai = _horner(alpha_poly, x, y)
+    row = rows.get(y)
+    if row is None:
+        row = rows[y] = _pencil_row(conic, y)
+    (a0, a1, a2, a3, a4), (u0, u1, u2, u3, u4), (b0, b1, b2), (v0, v1, v2), forms = row
+    ar, ai = (((a4 * x + a3) * x + a2) * x + a1) * x + a0, (((u4 * x + u3) * x + u2) * x + u1) * x + u0
     norm_alpha = ar * ar + ai * ai
     if norm_alpha << (2 * half) < alpha_bound:
         return None
-    br, bi = _horner(beta_poly, x, y)
+    br, bi = (b2 * x + b1) * x + b0, (v2 * x + v1) * x + v0
     norm_beta = br * br + bi * bi
     if norm_beta * PENCIL_DEN**4 << (2 * half) < norm_alpha << (2 * bits):
         return None  # degenerate: returns the base point itself
-    products = _herm_products(_pencil_direction(ell))
     sr, si = ar * br + ai * bi, ai * br - ar * bi  # alpha conj(beta)
     values = []
-    for pmp, ((r0, i0), (r1, i1), (r2, i2)), coeffs in forms:
-        # p M conj(delta) = (c2 conj(ell) + c1) conj(ell) + c0, by Horner at conj(ell) = x - iy
-        tr, ti = r2 * x + i2 * y + r1, i2 * x - r2 * y + i1
-        cr, ci = tr * x + ti * y + r0, ti * x - tr * y + i0
-        values.append(norm_alpha * pmp - 2 * (sr * cr - si * ci) + norm_beta * sum(map(mul, coeffs, products)))
+    for pmp, (c0, c1, c2), (d0, d1, d2), (q0, q1, q2, q3, q4) in forms:
+        cr, ci = (c2 * x + c1) * x + c0, (d2 * x + d1) * x + d0  # p M conj(delta)
+        values.append(norm_alpha * pmp - 2 * (sr * cr - si * ci) + norm_beta * ((((q4 * x + q3) * x + q2) * x + q1) * x + q0))
     return tuple(values), (ar, ai), (br, bi)
 
 

@@ -3,7 +3,8 @@
 Everything here works on tuples (vectors) and tuples of tuples (matrices,
 row-major).  Elimination is fraction-free over Z: Bareiss for det, one
 Gauss-Jordan for inverse and the box bounds, congruence elimination for
-inertia, and unimodular Euclid steps for hnf, rank and int_kernel.
+inertia, and unimodular Euclid steps for hnf, rank, int_kernel and the
+unimodularity test.
 """
 
 from __future__ import annotations
@@ -204,6 +205,13 @@ def _euclid_column(a, r, c):
                 done = done and a[i][c] == 0
         if done:
             return True
+
+
+def _is_unimodular(m):
+    """Whether the square integer matrix m has determinant +-1: Euclid on each column by
+    unimodular row steps keeps |det m|, so every pivot must be 1."""
+    a = [list(row) for row in m]
+    return all(_euclid_column(a, c, c) and a[c][c] == 1 for c in range(len(a)))
 
 
 def hnf(rows):

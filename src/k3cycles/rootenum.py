@@ -8,9 +8,10 @@ leaf's norm in its last level's loop.  Each root search splits the form on a
 lattice basis into orthogonal blocks and joins them to norm -2 itself.  The
 complete search reduces the Euclid basis of the saturated complement of a
 positive three-space (no HNF) by an LLL that tracks only its transform H,
-checks det H = +-1, and takes its blocks from the ambient Gram of the reduced
-rows; all are negative definite, so a root is a -2 vector of one block or the
-sum of -1 vectors of two blocks (in <-1> + <-1>, the root (1, 1)).
+checks det H = +-1 by Euclid pivots, and takes its blocks from the ambient
+Gram of the reduced rows; all are negative definite, so a root is a -2
+vector of one block or the sum of -1 vectors of two blocks (in <-1> + <-1>,
+the root (1, 1)).
 The bounded search (`_block_roots`) joins one walked or box-scanned table per
 kernel block over a coordinate box into roots, each one concatenation of block
 parts.  Each block is walked or scanned, boxed and certified per table entry
@@ -41,7 +42,7 @@ from .errors import (
     NotPositiveError,
 )
 from .gaussrat import as_fraction
-from .linalg import _gauss_jordan, _kernel_rows, _symmetric_bareiss, clear_rows, det, identity_int, int_kernel, mat
+from .linalg import _gauss_jordan, _is_unimodular, _kernel_rows, _symmetric_bareiss, clear_rows, identity_int, int_kernel, mat
 from .quadspace import IntegralLattice, _cleared, gram_apply, pair_rows, row_gram, sparse_rows
 
 
@@ -309,9 +310,9 @@ def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> Root
 
     The negated form on the saturated complement is LLL-reduced from any basis
     of it, the Euclid rows of its kernel (the HNF is only for `Sublattice`
-    output); det H = +-1 certifies, once per call, that the reduced rows span
-    it.  The blocks come from the ambient Gram of those rows, so block norms
-    are ambient norms.
+    output); det H = +-1, read off Euclid pivots that must all be 1, certifies,
+    once per call, that the reduced rows span it.  The blocks come from the
+    ambient Gram of those rows, so block norms are ambient norms.
     """
     if threespace.ambient != lattice.space:
         raise AmbientMismatchError("three-space ambient does not match lattice")
@@ -323,7 +324,7 @@ def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> Root
     if sub.rank == 0:
         return RootList(roots=(), complete=True)
     H = _lll(tuple(tuple(-x for x in row) for row in sub.restricted_gram))
-    if abs(det(H)) != 1:
+    if not _is_unimodular(H):
         raise InternalCheckError("LLL transform is not unimodular")
     rows = [sub.to_ambient(t) for t in H]
     gram = row_gram(lattice.space.sparse_rows, rows)
@@ -447,9 +448,10 @@ def _join(tables, target, bound, free, own, shared):
     return out
 
 
-def _block_roots(ambient, rows, gram, coord_bound):
+def _block_roots(ambient, rows, gram, coord_bound, constraints):
     """The x = sum_k t_k rows[k] in [-coord_bound, coord_bound]^n with
-    t^T gram t = -2, for rows whose Gram under the sparse rows `ambient` is `gram`.
+    t^T gram t = -2, for rows whose Gram under the sparse rows `ambient` is `gram`
+    and which lie in the kernel of the integer rows `constraints`.
 
     Every coefficient is bounded over the box by W.  Block i works in its
     local coordinates own[i] + shared (those only its rows touch, then those
@@ -465,8 +467,11 @@ def _block_roots(ambient, rows, gram, coord_bound):
     ones, and drops a group that keeps none; `_join` tests the shared ones.
     Blocks with equal negated Gram, local rows, own width and clip share one
     table, and with equal local ambient rows (the ambient Gram restricted to
-    their local coordinates) one certificate: each entry that can be part of
-    a root must have its local ambient norm as key and lie in the box.
+    their local coordinates) and nonzero local constraint rows (the
+    constraint rows restricted there) one certificate: each entry that can be
+    part of a root must have its local ambient norm as key, lie in the box and
+    pair to 0 with each local constraint row, as every combination of the
+    block's local rows does.
     """
     n, comps = len(ambient), _components(gram)
     sparse, W = sparse_rows(rows), _coefficient_bounds(rows, coord_bound)
@@ -474,14 +479,15 @@ def _block_roots(ambient, rows, gram, coord_bound):
     shared = [c for c in range(n) if sum(c in t for t in touched) > 1]
     free = [c for c in range(n) if not any(c in t for t in touched)]
     own = [sorted(t.difference(shared)) for t in touched]
-    keys, restricted = [], []  # per block, its table's inputs (negated Gram, local rows, own width, clip) and its local ambient rows
+    keys, restricted = [], []  # per block, its table's inputs (negated Gram, local rows, own width, clip) and its local ambient and constraint rows
     for i, comp in enumerate(comps):
         cols = own[i] + shared
         local = tuple(tuple(rows[k][c] for c in cols) for k in comp)
         if any(sum(map(abs, x)) != sum(map(abs, rows[k])) for k, x in zip(comp, local)):
             raise InternalCheckError(f"a row of block {i} is nonzero off its own and shared coordinates")
         keys.append((tuple(tuple(-gram[j][k] for k in comp) for j in comp), local, len(own[i]), tuple(W[k] for k in comp)))
-        restricted.append(tuple(tuple((cols.index(j), g) for j, g in ambient[c] if j in cols) for c in cols))
+        local_constraints = (tuple(row[c] for c in cols) for row in constraints)
+        restricted.append((tuple(tuple((cols.index(j), g) for j, g in ambient[c] if j in cols) for c in cols), tuple(filter(any, local_constraints))))
     tables = {}  # one table per distinct key
     for key in keys:
         neg, local, m, clip = key
@@ -498,15 +504,19 @@ def _block_roots(ambient, rows, gram, coord_bound):
             groups = ((-a, sorted(filter(inside, xs))) for a, xs in _enumerate_up_to(neg, radius, local, clip).items())
             tables[key] = {a: (a, xs) for a, xs in groups if xs}
     lo, hi = (sum(f(tables[key]) for key in keys) for f in (min, max))
-    parts = {}  # per (key, local ambient rows), its table with each usable partial split into own and shared parts
+    parts = {}  # per (key, local ambient and constraint rows), its table with each usable partial split into own and shared parts
     for i, (key, rest) in enumerate(zip(keys, restricted)):
         if (key, rest) in parts:
             continue
-        table, m = tables[key], key[2]
+        table, m, (pairing, local_constraints) = tables[key], key[2], rest
         usable = range(-2 - hi + max(table), -1 - lo + min(table))  # keys that can add up to -2 with the other tables' keys
         for a, xs in table.values():
-            if a in usable and any(pair_rows(rest, x, x) != a or not all(-coord_bound <= v <= coord_bound for v in x[:m]) for x in xs):
+            if a not in usable:
+                continue
+            if any(pair_rows(pairing, x, x) != a or not all(-coord_bound <= v <= coord_bound for v in x[:m]) for x in xs):
                 raise InternalCheckError(f"a partial of block {i} fails its norm {a} or box {coord_bound} check")
+            if any(sum(map(mul, row, x)) for row in local_constraints for x in xs):
+                raise InternalCheckError(f"a partial of block {i} does not pair to 0 with a constraint row on its local coordinates")
         parts[key, rest] = {a: (a, [(x[:m], x[m:]) for x in xs] if a in usable else []) for a, xs in table.values()}
     roots = _join([parts[pair] for pair in zip(keys, restricted)], -2, coord_bound, free, own, shared)
     if shared and not all(-coord_bound <= v[c] <= coord_bound for v in roots for c in shared):
@@ -520,20 +530,22 @@ def bounded_root_search(lattice: IntegralLattice, constraints, coord_bound: int)
 
     The roots lie in the saturated constraint kernel, whose blocks
     `_block_roots` joins over the box, so the output equals the exhaustive
-    filtered scan.  The restricted Gram must be symmetric and equal, on and
-    above its diagonal, the ambient Gram of the kernel rows, zeros between
+    filtered scan; each table entry is certified against the constraints'
+    ambient images too.  The restricted Gram must be symmetric and equal, on
+    and above its diagonal, the ambient Gram of the kernel rows, zeros between
     blocks included.
     """
     if isinstance(coord_bound, bool) or not isinstance(coord_bound, int):
         raise InputError(f"coordinate bound must be an integer, got {coord_bound!r}")
     if coord_bound < 0:
         raise InputError("coordinate bound must be >= 0")
-    sub = orthogonal_complement_lattice(lattice, constraints)
-    if sub.rank == 0 or coord_bound == 0:
+    rows = _constraint_rows(lattice, constraints)
+    basis = int_kernel(rows) if rows else identity_int(lattice.n)
+    if not basis or coord_bound == 0:
         return RootList(roots=(), complete=False, bound_used=coord_bound)
-    basis, gram = sub.basis, sub.restricted_gram  # paired on and above the diagonal, mirrored below it
+    gram = row_gram(lattice.space.sparse_rows, basis)  # paired on and above the diagonal, mirrored below it
     if gram != tuple(zip(*gram)) or any(pair_rows(lattice.space.sparse_rows, x, basis[j]) != a for i, x in enumerate(basis) for j, a in enumerate(gram[i][i:], i)):
         raise InternalCheckError("the restricted Gram differs from the ambient Gram of the kernel rows")
-    roots = _block_roots(lattice.space.sparse_rows, basis, gram, coord_bound)
+    roots = _block_roots(lattice.space.sparse_rows, basis, gram, coord_bound, rows)
     roots.sort()
     return RootList(roots=tuple(roots), complete=False, bound_used=coord_bound)

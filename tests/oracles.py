@@ -10,7 +10,9 @@ sum of even blocks has exactly one nonzero block component).  Bounded root searc
 lattices have a literal box scan (`box_scan_roots`) and, for period points of
 K3 supported on U^3, a closed form (`k3_u3_box_roots`).  The conic domain sweep
 has a reference in `reference_conic_sweep`, an `mpmath` implementation that
-rounds every sample at the working precision.
+rounds every sample at the working precision, and each exact sample one in
+`reference_second_intersection`, which evaluates the pencil polynomials at the
+complex parameter itself.
 """
 
 import itertools
@@ -485,3 +487,42 @@ def reference_conic_sweep(threespace, samples, bits, tolerance=1e-9):
                 return "counterexample", ok, point, _reference_exact_point(threespace, A, H, w)
             ok += 1
         return ("sampled_ok" if ok == samples else "sampled_short"), ok, None, None
+
+
+# ---------------------------------------------------------------------------
+# Reference exact conic sample: the library's pencil polynomials in ell,
+# evaluated at each complex ell = x + iy by Gaussian Horner steps, with the
+# direction delta and its Hermitian products built per sample.
+
+
+def _gauss_horner(coeffs, x, y):
+    """sum_k c_k ell^k at ell = x + iy, Gaussian c_k with the constant term first."""
+    re, im = coeffs[-1]
+    for cr, ci in coeffs[-2::-1]:
+        re, im = re * x - im * y + cr, re * y + im * x + ci
+    return re, im
+
+
+def reference_second_intersection(conic, ell):
+    """((W E W*, W H W*), alpha, beta) or None, as `cyclespace._second_intersection`,
+    from the sweep conic's polynomials in ell (its first seven fields) alone:
+    delta = (D^2, D ell, ell^2) for the pencil denominator D = 119 and the
+    |w_i|^2, Re and Im w_i conj(w_j) of delta (i < j) are formed at each ell."""
+    _, alpha_poly, beta_poly, alpha_bound, half, bits, forms = conic[:7]
+    x, y, D = *ell, 119
+    ar, ai = _gauss_horner(alpha_poly, x, y)
+    norm_alpha = ar * ar + ai * ai
+    if norm_alpha << (2 * half) < alpha_bound:
+        return None
+    br, bi = _gauss_horner(beta_poly, x, y)
+    norm_beta = br * br + bi * bi
+    if norm_beta * D**4 << (2 * half) < norm_alpha << (2 * bits):
+        return None
+    (a, b), (c, d), (e, f) = (D * D, 0), (D * x, D * y), (x * x - y * y, 2 * x * y)
+    products = (a * a + b * b, c * c + d * d, e * e + f * f, a * c + b * d, b * c - a * d, a * e + b * f, b * e - a * f, c * e + d * f, d * e - c * f)
+    sr, si = ar * br + ai * bi, ai * br - ar * bi
+    values = []
+    for pmp, pm, coeffs in forms:
+        cr, ci = _gauss_horner(pm, x, -y)  # p M conj(delta), a polynomial in conj(ell)
+        values.append(norm_alpha * pmp - 2 * (sr * cr - si * ci) + norm_beta * sum(u * v for u, v in zip(coeffs, products)))
+    return tuple(values), (ar, ai), (br, bi)

@@ -645,6 +645,33 @@ def test_sampled_counterexample_exact_witness(rows, done):
         assert all(abs(x - ratio * y) <= abs(ratio) * mpmath.mpf(2) ** -100 for x, y in zip(d.point, exact))
 
 
+def test_interleaved_sweeps_return_what_fresh_sweeps_return(monkeypatch):
+    # Each sweep builds its rows of fixed Im ell into a dict of its own conic.
+    # A whole sweep of the other input, run before every attempt of one sweep
+    # while its rows are partly built, must leave both results as fresh calls
+    # give them: a sampled_ok family member and an exact counterexample.
+    first = tuple(GaussRational.of(int(c in (0, 3))) for c in range(6))
+    rows = (((-2, 1), (1, -2), (2, -2), (2, -1), (-1, 2), (2, -2)), ((0, 0), (2, -1), (0, 1), (2, -1), (0, -1), (2, -2)))
+    witness = k.ThreeSpace(ambient=diag_space(6), basis=(first,) + tuple(tuple(GaussRational(Q(x), Q(y)) for x, y in r) for r in rows))
+    inputs = (k.example_family(2, n=6), witness)
+    fresh = [cyclespace._sample_domain(v, False, 40, 128) for v in inputs]
+    assert [d.kind for d in fresh] == ["sampled_ok", "counterexample"]
+    original = cyclespace._second_intersection
+    for outer, inner in ((0, 1), (1, 0)):
+        busy, nested = [], []
+
+        def interleaved(conic, ell):
+            if not busy:
+                busy.append(True)
+                nested.append(cyclespace._sample_domain(inputs[inner], False, 40, 128))
+                busy.pop()
+            return original(conic, ell)
+
+        monkeypatch.setattr(cyclespace, "_second_intersection", interleaved)
+        assert cyclespace._sample_domain(inputs[outer], False, 40, 128) == fresh[outer]
+        assert nested and all(d == fresh[inner] for d in nested)
+
+
 def test_numeric_paths_neither_read_nor_write_the_global_precision(monkeypatch, u3_diagonal):
     sp = diag_space(6)
 

@@ -23,7 +23,7 @@ from k3cycles import cyclespace, jsonio
 from k3cycles.cyclespace import PENCIL_DEN, _herm_coeffs, _herm_products, _sample_domain, _second_intersection, _try_exact_counterexample
 from k3cycles.errors import DimensionMismatchError, InputError, NonPositiveKappaError, NotARootError, WallError
 from k3cycles.gaussrat import GaussRational, as_fraction, parse_rational
-from k3cycles.linalg import _kernel_rows, clear_gauss_rows, conj_vec, det, hnf, int_kernel, inverse, mat_mul, rank
+from k3cycles.linalg import _is_unimodular, _kernel_rows, clear_gauss_rows, conj_vec, det, hnf, int_kernel, inverse, mat_mul, rank
 from k3cycles.quadspace import E8_GRAM, congruence_diagonal, gauss_grams, gram_apply, pair_rows, sparse_rows
 from k3cycles.rootenum import _coefficient_bounds, _enumerate_up_to, _ldl, _lll, _positive_definite
 
@@ -44,6 +44,7 @@ from oracles import (
     reference_in_O_plus,
     reference_inertia,
     reference_partition_scan,
+    reference_second_intersection,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -663,6 +664,37 @@ def test_sample_values_equal_the_explicit_point(v, bits):
         assert values == tuple(sum(map(mul, _herm_coeffs(m), _herm_products(w))) for m in (E, H))
 
 
+def _sweep_conic(v, bits):
+    """The conic of one `_sample_domain` call on v, taken from its first attempt."""
+    conics = []
+
+    def record(conic, ell):
+        conics.append(conic)
+        return _second_intersection(conic, ell)
+
+    with patch.object(cyclespace, "_second_intersection", record):
+        _sample_domain(v, False, 1, bits)
+    return conics[0]
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(nonreal_threespaces())
+def test_row_sweep_matches_the_complex_parameter_formula(bits, v):
+    # Each row of fixed Im ell is evaluated from its polynomials in Re ell;
+    # every row, at each of the 17 x-values of every visit of the sweep to it,
+    # must give what the complex-ell evaluation gives, whatever the order in
+    # which the rows are first reached.
+    conic = _sweep_conic(v, bits)
+    ells = [cyclespace._pencil_parameter(i) for i in range(2 * 17 * 17)]
+    for order in (ells, ells[::-1]):
+        fresh = conic[:-1] + ({},)
+        got = [_second_intersection(fresh, ell) for ell in order]
+        assert any(got)
+        assert got == [reference_second_intersection(fresh, ell) for ell in order]
+        assert sorted(fresh[-1]) == sorted({y for _, y in ells})
+
+
 @st.composite
 def symmetric_or_hermitian(draw):
     """(hermitian, m): a symmetric Fraction or Hermitian GaussRational matrix,
@@ -736,6 +768,40 @@ def test_det_matches_cofactor_expansion(m):
     else:
         with pytest.raises(ZeroDivisionError):
             inverse(m)
+
+
+@st.composite
+def unimodular_candidates(draw):
+    """Square integer matrices: small random ones (mostly |det| != 1), products
+    of signed row swaps and row additions (unimodular), and such a product with
+    one row repeated (singular) or scaled by 2 or 3 (|det| 2 or 3)."""
+    n = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(("random", "unimodular", "repeated", "scaled")))
+    if shape == "random":
+        return tuple(tuple(draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(n))
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, q in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3)), max_size=4 * n)):
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        elif q == 0:
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if shape == "repeated" and i != j:
+        m[i] = list(m[j])
+    if shape == "scaled":
+        m[i] = [draw(st.sampled_from((2, 3))) * x for x in m[i]]
+    return tuple(map(tuple, m))
+
+
+@SETTINGS
+@given(unimodular_candidates())
+@example(((1, 2), (2, 4)))  # singular: the second pivot is 0
+@example(((2, 1), (1, 1)))  # |det| 1 with no entry 1 on the diagonal
+def test_unimodularity_matches_the_determinant(m):
+    # The LLL certificate reads |det H| = 1 off Euclid pivots, each of which must be 1.
+    assert _is_unimodular(m) is (abs(det(m)) == 1)
 
 
 @pytest.mark.parametrize("entry", [Q(1), Q(1, 2), GaussRational(Q(1), Q(1)), True])

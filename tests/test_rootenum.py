@@ -353,6 +353,25 @@ def test_certificate_rejects_a_walked_partial_that_is_not_its_coefficients_image
         _shared_search()
 
 
+def test_certificate_rejects_a_walked_partial_off_its_block_span(monkeypatch):
+    # The walked block's local coordinates are ambient 3 and 4, where its row
+    # is (2, 1) and the constraint row G c is (1, -2): every combination of
+    # the block's local rows pairs to 0 with it.  Adding 1 on local coordinate
+    # 0 (ambient 3, isotropic) keeps each partial's local norm, and the block
+    # has no own coordinate to box, but each partial then pairs to 1.
+    walk = rootenum._enumerate_up_to
+
+    def shifted(gram, radius, rows=None, clip=None):
+        groups = walk(gram, radius, rows, clip)
+        if rows is not None and len(rows) == 1:
+            groups = {a: [(x[0] + 1,) + x[1:] for x in xs] for a, xs in groups.items()}
+        return groups
+
+    monkeypatch.setattr(rootenum, "_enumerate_up_to", shifted)
+    with pytest.raises(InternalCheckError, match="block 1 does not pair to 0 with a constraint row"):
+        _shared_search()
+
+
 def test_certificate_rejects_a_table_key_off_by_one(monkeypatch):
     # The walked table's keys are the walk's norms, negated: moving the
     # walk's largest norm up by one moves the table's lowest key down by one.

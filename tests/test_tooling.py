@@ -26,7 +26,7 @@ def test_certificate_tests_pass_under_python_O():
     # The certificates of the root search (unimodular transform, walk radius,
     # block form, walked partials, table keys, joined keys, restricted Gram and
     # its symmetry, shared-coordinate box, join order, local-row support,
-    # zero-path interval, one-sided clip,
+    # local constraint rows, zero-path interval, one-sided clip,
     # join prefix width, and the walk radius at the leaf level of a rank-1 walk)
     # raise InternalCheckError, not AssertionError, so they must fire with
     # asserts stripped.
@@ -37,7 +37,33 @@ def test_certificate_tests_pass_under_python_O():
         cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("17 passed"), proc.stdout
+    assert proc.stdout.splitlines()[-1].startswith("18 passed"), proc.stdout
+
+
+def _module_level_containers(tree):
+    """(line, name) for each module-level binding whose value holds a dict,
+    list or set display or comprehension."""
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+            if any(isinstance(n, containers) for n in ast.walk(node.value)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [(node.lineno, ast.unparse(t)) for t in targets]
+    return found
+
+
+def test_no_module_level_mutable_containers():
+    # The numeric paths keep no global mutable state: a cache lives in the
+    # call that fills it (or is an lru_cache of a pure function), so no
+    # module binds a dict, list or set at import.
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _module_level_containers(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"module-level dict, list or set bindings in src/k3cycles: {found}"
+    assert _module_level_containers(ast.parse("A = (1,)\nB = tuple([1])\nC: dict = {}\nD = {x: 1 for x in A}")) == [(2, "B"), (3, "C"), (4, "D")]
 
 
 def _tracing_table(name):
