@@ -30,7 +30,6 @@ from .quadspace import (
     LatticeInvariants,
     QuadraticSpace,
     bilinear,
-    gram_of,
     hermitian_pair,
     hermitian_signature,
     is_isometry,

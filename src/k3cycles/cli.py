@@ -79,6 +79,10 @@ def _lattice_option(kind, lattice_file):
 # The lattice source of every command that gives it no help text of its own.
 _kind_option = click.option("--kind", default=None)
 _lattice_file_option = click.option("--lattice-file", default=None, type=click.Path())
+# The binary precision of the numeric commands; the library takes it only as an argument.
+_precision_option = click.option(
+    "--precision", default=None, type=int, envvar="K3CYCLES_PRECISION", help="Binary precision, at least 53 (default: K3CYCLES_PRECISION, else 128)."
+)
 
 
 def _guarded(command):
@@ -187,7 +191,7 @@ def complement_cmd(kind, lattice_file, constraints):
 @click.option("--kind", default=None, help="Integral lattice context for the twistor predicate.")
 @_lattice_file_option
 @click.option("--samples", default=256, show_default=True)
-@click.option("--precision", default=None, type=int, help="Binary precision, at least 53 (default 128 or K3CYCLES_PRECISION).")
+@_precision_option
 @_guarded
 def cycle_classify(input_path, kind, lattice_file, samples, precision):
     """Smoothness, Hermitian signature, reality, positivity, twistor, domain."""
@@ -202,7 +206,7 @@ def cycle_classify(input_path, kind, lattice_file, samples, precision):
 @main.command("cycle-intersect")
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--delta", required=True, help="Rational vector (JSON array or @file).")
-@click.option("--precision", default=None, type=int)
+@_precision_option
 @_guarded
 def cycle_intersect(input_path, delta, precision):
     """Intersection of the cycle with a hyperplane section."""

@@ -10,7 +10,6 @@ sampling where no exact criterion exists, deciding each sample exactly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -46,19 +45,12 @@ MIN_PRECISION_BITS = 53
 DOMAIN_TOLERANCE = 1e-9
 # the float's exact binary value, read once rather than per sample
 _TOL_NUM, _TOL_DEN = DOMAIN_TOLERANCE.as_integer_ratio()
-PRECISION_ENV_VAR = "K3CYCLES_PRECISION"
 
 
 def resolve_precision(bits=None) -> int:
-    """The argument, else K3CYCLES_PRECISION, else 128; at least 53 bits."""
+    """The caller's bits, else 128; an int of at least 53 bits."""
     if bits is None:
-        env = os.environ.get(PRECISION_ENV_VAR)
-        if not env:
-            return DEFAULT_PRECISION_BITS
-        try:
-            bits = int(env)
-        except ValueError as exc:
-            raise InputError(f"bad {PRECISION_ENV_VAR} value {env!r}") from exc
+        return DEFAULT_PRECISION_BITS
     if isinstance(bits, bool) or not isinstance(bits, int) or bits < MIN_PRECISION_BITS:
         raise InputError(f"precision must be an integer of at least {MIN_PRECISION_BITS} bits, got {bits!r}")
     return bits
@@ -465,7 +457,8 @@ def _sample_domain(threespace: ThreeSpace, real: bool, samples: int, bits: int) 
         if norm_alpha * norm_alpha * res_lhs > res_rhs * scale * scale:
             continue  # |w A w^T| / ||w B||^2 > tolerance
         if value * tol_e <= tol_a * scale:
-            w = tuple((ar * u - ai * v - br * c + bi * d, ar * v + ai * u - br * d - bi * c) for (u, v), (c, d) in zip(p, _pencil_direction(ell)))
+            x, y = ell  # W = alpha p - beta delta, delta = (D^2, D ell, ell^2)
+            w = tuple((ar * u - ai * v - br * c + bi * d, ar * v + ai * u - br * d - bi * c) for (u, v), (c, d) in zip(p, ((D * D, 0), (D * x, D * y), (x * x - y * y, 2 * x * y))))
             # the ambient point sum_i w_i B_i / (2^bits alpha), rounded once per coordinate:
             # coordinate c is N_c conj(alpha) / (b 2^bits |alpha|^2), N_c = sum_i w_i b_rows[i][c]
             den = (b * norm_alpha) << bits
@@ -505,17 +498,11 @@ def _pencil_parameter(k: int):
     return (7 * (2 * (k % g) - g + 1) + g * (k % 5 - 2), 7 * (2 * ((k // g) % g) - g + 1))
 
 
-def _pencil_direction(ell):
-    """delta = (D^2, D ell, ell^2), D = PENCIL_DEN: the direction D^2 (1, lambda, lambda^2) of line ell."""
-    x, y = ell
-    return ((PENCIL_DEN * PENCIL_DEN, 0), (PENCIL_DEN * x, PENCIL_DEN * y), (x * x - y * y, 2 * x * y))
-
-
 def _second_intersection(conic, ell):
     """((W E W*, W H W*), alpha, beta) for the second conic point W on the line through p with direction delta(ell).
 
     `conic` is (p, alpha and beta as polynomials in ell, a^2 D^8, half, bits, forms, rows): delta =
-    `_pencil_direction(ell)`, alpha = delta A delta^T, beta = 2 p A delta^T.  The point is base + tau d
+    (D^2, D ell, ell^2) with D = PENCIL_DEN, alpha = delta A delta^T, beta = 2 p A delta^T.  The point is base + tau d
     with d = delta / D^2, tau = -beta D^2 / (2^bits alpha), and W = alpha p - beta delta is it times
     2^bits alpha.  None where |alpha| or |tau| < 2^-half for the unscaled A, half = ceil(bits / 2).
     W is not built: for Hermitian M, with p M p*, p M and the coefficients c of M from `forms`,

@@ -32,11 +32,6 @@ def encode_gauss(x) -> dict:
     return {"re": format_rational(g.re), "im": format_rational(g.im)}
 
 
-def decode_gauss(obj) -> GaussRational:
-    re, im = _gauss_ratios(obj)
-    return GaussRational(Fraction(*re), Fraction(*im))
-
-
 def _gauss_ratios(obj) -> tuple:
     """The (p, q) pairs of the real and imaginary parts of a JSON Gauss rational."""
     if isinstance(obj, (int, str)):
@@ -123,13 +118,6 @@ def space_from_json(obj) -> QuadraticSpace:
 
 def lattice_from_json(obj) -> IntegralLattice:
     return IntegralLattice(space=space_from_json(obj))
-
-
-def threespace_to_json(v: ThreeSpace) -> dict:
-    return {
-        "ambient": space_to_json(v.ambient),
-        "basis": [encode_gauss_vector(row) for row in v.basis],
-    }
 
 
 def threespace_from_json(obj) -> ThreeSpace:

@@ -26,19 +26,12 @@ def mat(rows) -> tuple:
     return rows
 
 
-def transpose(m):
-    return tuple(zip(*m)) if m else ()
-
-
-def dot(u, v):
-    if len(u) != len(v):
-        raise DimensionMismatchError(f"vector lengths {len(u)} and {len(v)} differ")
-    return sum(map(mul, u, v))
-
-
 def mat_mul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
+    """The product a b of row-major matrices; every row of a must be len(b) long."""
+    if any(len(row) != len(b) for row in a):
+        raise DimensionMismatchError(f"a row of the left factor is not {len(b)} long")
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def identity_int(n):

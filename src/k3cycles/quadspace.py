@@ -52,13 +52,13 @@ def sparse_rows(gram):
     return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in gram)
 
 
-def gram_apply(rows, x):
-    """G x over the sparse rows of a symmetric G, visiting the nonzero x_j only.
+def gram_apply(rows, x, n=None):
+    """sum_j x_j rows[j] as a list of length n (default len(rows)), for sparse rows of
+    (i, entry) pairs, visiting the nonzero x_j only.
 
-    G x = sum_j x_j G[j] reads row j of G as its column j, so G must be
-    symmetric; every Gram passed here is.
+    For the sparse rows of a symmetric G this is G x: row j of G is its column j.
     """
-    out = [0] * len(rows)
+    out = [0] * (len(rows) if n is None else n)
     for xj, row in zip(x, rows):
         if xj:
             for i, g in row:
@@ -176,8 +176,6 @@ class Isometry:
 
     def __post_init__(self):
         m = mat(self.matrix)
-        if len(m) != self.space.n or any(len(r) != self.space.n for r in m):
-            raise DimensionMismatchError("isometry matrix size does not match space")
         if any(type(x) is not int for row in m for x in row):
             raise NotIntegralError("isometry matrix must have integer entries")
         if not is_isometry(self.space, m):
@@ -260,11 +258,6 @@ def bilinear(ambient, x, y):
 def hermitian_pair(ambient, x, y):
     """Sesquilinear pairing <x, conj(y)>; real on the diagonal."""
     return bilinear(ambient, x, conj_vec(y))
-
-
-def gram_of(ambient, rows):
-    """Matrix of pairwise bilinear values of the given vectors."""
-    return tuple(tuple(bilinear(ambient, r, s) for s in rows) for r in rows)
 
 
 def _cleared(m, den=1):

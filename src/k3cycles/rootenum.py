@@ -64,12 +64,7 @@ class Sublattice:
         return sparse_rows(self.basis)
 
     def to_ambient(self, coeffs):
-        out = [0] * self.ambient.n
-        for t, row in zip(coeffs, self.sparse_basis):
-            if t:
-                for j, b in row:
-                    out[j] += t * b
-        return tuple(out)
+        return tuple(gram_apply(self.sparse_basis, coeffs, self.ambient.n))
 
 
 @dataclass(frozen=True)
@@ -383,11 +378,7 @@ def _block_table(neg, rows, coeffs, m, bound):
     upper = [[(j, -g if j == k else -2 * g) for j, g in row if j >= k] for k, row in enumerate(sparse_rows(neg))]
     table = {}
     for t in coeffs:
-        x = [0] * n
-        for tk, row in zip(t, live):
-            if tk:
-                for c, b in row:
-                    x[c] += tk * b
+        x = gram_apply(live, t, n)
         if not all(-bound <= v <= bound for v in x[:m]):
             continue
         norm = 0

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 import k3cycles as k
+from k3cycles import jsonio
 from k3cycles.gaussrat import GaussRational
 
 
@@ -19,6 +20,11 @@ def uvec(i, n=22):
 
 def gauss_rows(rows):
     return tuple(tuple(GaussRational.of(x) for x in row) for row in rows)
+
+
+def threespace_doc(v):
+    """The JSON document of a three-space: its ambient Gram and its Gauss-rational basis rows."""
+    return {"ambient": jsonio.space_to_json(v.ambient), "basis": [jsonio.encode_gauss_vector(row) for row in v.basis]}
 
 
 # Perturbation of the U^3 diagonal with no orthogonal roots: the U tweaks

@@ -362,6 +362,19 @@ def test_precision_env_var_below_minimum(monkeypatch):
     assert json.loads(res.output)["code"] == "input"
 
 
+def test_precision_env_var_must_be_an_integer(monkeypatch):
+    # The variable is the default of --precision, so a non-integer gets
+    # click's usage error, exit 2, on both commands, as the flag does.
+    data = ("--input", os.path.join(DATA, "threespace_v0_diag4.json"))
+    commands = (("cycle-intersect", *data, "--delta", "[1,0,0,0]"), ("cycle-classify", *data))
+    flagged = [run(*args, "--precision", "abc") for args in commands]
+    monkeypatch.setenv("K3CYCLES_PRECISION", "abc")
+    for args, flag in zip(commands, flagged):
+        env = run(*args)
+        assert flag.exit_code == env.exit_code == 2, args
+        assert "is not a valid integer" in env.output, args
+
+
 def test_roots_must_be_integers():
     kappa = ("--kind", "U", "--kappa", "[1,2]")
     assert json.loads(run_ok("chamber-partition", *kappa, "--roots", '[["1",-1]]'))["plus"] == [[1, -1]]

@@ -14,7 +14,7 @@ from k3cycles import GaussRational, cyclespace, gaussrat, jsonio, quadspace
 from k3cycles.errors import AmbientMismatchError, DimensionMismatchError, InputError
 from k3cycles.linalg import hnf
 
-from conftest import gauss_rows, uvec
+from conftest import gauss_rows, threespace_doc, uvec
 from oracles import cofactor_det, dense_grams, gauss_rank, reference_conic_sweep
 
 
@@ -552,7 +552,7 @@ def test_decoded_domain_input_samples_without_gauss_rationals():
     family = k.example_family(Q(77, 32)).basis
     change = ((1, i, 0), (0, 1, 1 + i), (0, 0, 1))
     rows = tuple(tuple(sum((m * row[c] for m, row in zip(coeffs, family)), start=GaussRational.of(0)) for c in range(22)) for coeffs in change)
-    doc = json.loads(json.dumps(jsonio.threespace_to_json(k.ThreeSpace(ambient=diag_space(22), basis=rows))))
+    doc = json.loads(json.dumps(threespace_doc(k.ThreeSpace(ambient=diag_space(22), basis=rows))))
     v = jsonio.threespace_from_json(doc)
     c = k.classify_cycle(v, samples=256, precision=128)
     assert (c.domain_status.kind, c.domain_status.samples) == ("sampled_ok", 256)
@@ -569,7 +569,7 @@ def test_each_threespace_construction_runs_one_echelon_form(k3, u3_diagonal):
         calls.append(len(rows))
         return hnf(rows)
 
-    doc = jsonio.threespace_to_json(u3_diagonal)
+    doc = threespace_doc(u3_diagonal)
     g = k.reflection_matrix(k3, tuple(int(i in (0, 3, 6)) for i in range(22)))
     builds = (
         lambda: k.example_family(Q(1, 2)),
@@ -586,12 +586,12 @@ def test_each_threespace_construction_runs_one_echelon_form(k3, u3_diagonal):
         assert calls == [6]
 
 
-def test_precision_env_var_below_minimum(monkeypatch):
+def test_library_precision_ignores_the_environment(monkeypatch):
+    # K3CYCLES_PRECISION is a CLI setting: the library takes its precision
+    # from the argument alone, default 128, whatever the environment holds.
     monkeypatch.setenv("K3CYCLES_PRECISION", "52")
-    with pytest.raises(InputError):
-        k.classify_cycle(k.example_family(2), samples=4)
-    monkeypatch.setenv("K3CYCLES_PRECISION", "53")
-    assert k.classify_cycle(k.example_family(2), samples=4).domain_status.precision_bits == 53
+    assert k.resolve_precision() == 128
+    assert k.classify_cycle(k.example_family(2), samples=4).domain_status.precision_bits == 128
 
 
 def test_domain_counterexample_nonreal_first_sample():

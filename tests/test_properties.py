@@ -836,6 +836,8 @@ def test_inverse_rejects_non_square_and_ragged_matrices():
     for m in (((1, 2, 3), (4, 5, 6)), ((1, 2), (3,))):
         with pytest.raises(DimensionMismatchError):
             inverse(m)
+    with pytest.raises(DimensionMismatchError):  # a 2x3 times a 2x3: rows of 3 against 2 rows
+        mat_mul(((1, 2, 3), (4, 5, 6)), ((1, 2, 3), (4, 5, 6)))
 
 
 def test_rank_rejects_ragged_matrices():

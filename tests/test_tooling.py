@@ -66,6 +66,34 @@ def test_no_module_level_mutable_containers():
     assert _module_level_containers(ast.parse("A = (1,)\nB = tuple([1])\nC: dict = {}\nD = {x: 1 for x in A}")) == [(2, "B"), (3, "C"), (4, "D")]
 
 
+def _environment_reads(tree):
+    """(line, what) for each import of os and each read of an `environ` or `getenv` attribute or name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names if a.name.split(".")[0] == "os"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "os":
+            found.append((node.lineno, f"from {node.module} import"))
+        elif isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in ("environ", "getenv"):
+            found.append((node.lineno, node.id))
+    return found
+
+
+def test_library_reads_no_environment():
+    # A library result depends only on its arguments: settings such as
+    # K3CYCLES_PRECISION are read by the CLI's click options, not by a module.
+    found = [
+        f"{path.name}:{line} {what}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, what in _environment_reads(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"environment reads in src/k3cycles: {found}"
+    sample = "import os.path\nfrom os import environ\nx = os.getenv('A')\ny = environ['B']"
+    assert [line for line, _ in _environment_reads(ast.parse(sample))] == [1, 2, 3, 4]
+
+
 def _tracing_table(name):
     """A module-level literal of perfbench/tracing.py, read without importing it."""
     path = SRC.parent.parent / "perfbench" / "tracing.py"
