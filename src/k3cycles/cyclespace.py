@@ -23,7 +23,7 @@ from mpmath.libmp import mpc_neg, mpc_sqrt, mpf_add, mpf_div, mpf_mul, mpf_pow_i
 
 from .errors import AmbientMismatchError, DimensionMismatchError, InputError, InternalCheckError
 from .gaussrat import GaussRational, as_fraction
-from .linalg import clear_gauss_rows, clear_rows, det, hnf, is_zero_vec, mat
+from .linalg import _symmetric_bareiss, clear_gauss_rows, clear_rows, det, hnf, mat
 from .quadspace import (
     IntegralLattice,
     Isometry,
@@ -32,7 +32,6 @@ from .quadspace import (
     _realify,
     _space_of,
     bilinear,
-    congruence_diagonal,
     gauss_grams,
     gram_apply,
     make_standard_lattice,
@@ -133,18 +132,20 @@ class ThreeSpace:
     def is_real(self) -> bool:
         return self._real
 
-    def real_basis(self):
-        """A rational basis of V's real points (only valid when real): the first
-        of the integer rows re_0, im_0, re_1, im_1, re_2, im_2 that raise the
-        integer rank, over d."""
-        re, im, d = self.ints
-        picked = []
-        for c in chain.from_iterable(zip(re, im)):
-            if len(hnf(picked + [c])) > len(picked):
-                picked.append(c)
+    def _real_rows(self):
+        """The integer rows of `real_basis`: the pivot columns of one echelon form of the n x 6
+        matrix with columns re_0, im_0, re_1, im_1, re_2, im_2, the first that raise the rank."""
+        re, im, _ = self.ints
+        cols = tuple(chain.from_iterable(zip(re, im)))
+        picked = tuple(cols[next(c for c, x in enumerate(row) if x)] for row in hnf(zip(*cols)))
         if len(picked) != 3:
             raise InternalCheckError("real_basis called on a three-space that is not real")
-        return tuple(tuple(Fraction(x, d) for x in row) for row in picked)
+        return picked
+
+    def real_basis(self):
+        """A rational basis of V's real points (only valid when real): `_real_rows` over d."""
+        d = self.ints[2]
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self._real_rows())
 
 
 @dataclass(frozen=True)
@@ -275,39 +276,48 @@ def exact_classification(threespace: ThreeSpace) -> dict:
 # Conic machinery
 
 
-def _exact_sqrt(q: Fraction):
-    """Rational square root, or None."""
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _real_isotropic_witness(threespace: ThreeSpace, bits: int):
     """For real V: the counterexample at a real conic point, where the hermitian
     value is the bilinear one, 0; None when the real form is definite.  Numeric
-    points are rounded to `bits` bits."""
+    points are rounded to `bits` bits.
+
+    `_symmetric_bareiss` diagonalises the integer Gram of the real rows u, and S, with
+    S Gram S^T diagonal, is replayed over Q from its steps; a positive multiple of the
+    Gram has the same S.  With w = S u / d, the point is the first radical row of w,
+    else s w_i + w_j for the first positive and negative pivots i and j, where
+    s^2 = -d_j / d_i for the diagonal entries d_k = lead[k] / lead[k-1].
+    """
     found = partial(DomainStatus, kind="counterexample", samples=0, certified_exact=True, precision_bits=bits)
-    rb = threespace.real_basis()
-    diag, S = congruence_diagonal(row_gram(threespace.ambient.sparse_rows, rb))
-    rows = [tuple(sum((S[i][k] * rb[k][c] for k in range(3)), start=Fraction(0)) for c in range(threespace.n)) for i in range(3)]
-    point = next((rows[i] for i in range(3) if diag[i] == 0), None)  # radical vector: exactly isotropic
-    if point is None:
-        pos = [i for i in range(3) if diag[i] > 0]
-        neg = [i for i in range(3) if diag[i] < 0]
-        if not pos or not neg:
+    u, d = threespace._real_rows(), threespace.ints[2]
+    order, lead, low, splits = _symmetric_bareiss(row_gram(threespace.ambient.sparse_rows, u))
+    S = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    for k, p in enumerate(order):
+        if k in splits:
+            S[p] = [x + y for x, y in zip(S[p], S[splits[k]])]
+        for r, b in low[k]:
+            f = Fraction(b, lead[k])
+            S[r] = [x - f * y for x, y in zip(S[r], S[p])]
+
+    def row(i):
+        return tuple(sum(map(mul, S[i], col)) / d for col in zip(*u))
+
+    radical = [i for i in range(3) if i not in order]
+    if radical:
+        point = row(radical[0])  # exactly isotropic
+    else:
+        prev = [1, *lead]
+        positive = [x * y > 0 for x, y in zip(lead, prev)]
+        if all(positive) or not any(positive):
             return None
-        i, j = pos[0], neg[0]
-        q = -diag[j] / diag[i]  # the point s*u_i + u_j with s^2 = q is isotropic
-        s = _exact_sqrt(q)
-        if s is None:
+        i, j = positive.index(True), positive.index(False)
+        q = Fraction(-lead[j] * prev[i], prev[j] * lead[i])  # s^2 = q > 0
+        rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+        if rn * rn != q.numerator or rd * rd != q.denominator:
             s = mpf_sqrt(_mpf(*q.as_integer_ratio(), bits), bits, "n")
             # hermitian = bilinear on real vectors; s^2 d_i + d_j = 0 exactly.
-            coords = (mpf_add(mpf_mul(s, _mpf(*x.as_integer_ratio(), bits), bits, "n"), _mpf(*y.as_integer_ratio(), bits), bits, "n") for x, y in zip(rows[i], rows[j]))
+            coords = (mpf_add(mpf_mul(s, _mpf(*x.as_integer_ratio(), bits), bits, "n"), _mpf(*y.as_integer_ratio(), bits), bits, "n") for x, y in zip(row(order[i]), row(order[j])))
             return found(point=tuple(mpmath.mp.make_mpc((x, fzero)) for x in coords))
-        point = tuple(s * x + y for x, y in zip(rows[i], rows[j]))
+        point = tuple(Fraction(rn, rd) * x + y for x, y in zip(row(order[i]), row(order[j])))
     if bilinear(threespace.ambient, point, point) != 0:
         raise InternalCheckError("real conic witness is not isotropic")
     return found(point=tuple(mpmath.mp.make_mpc((_mpf(*x.as_integer_ratio(), bits), fzero)) for x in point), exact_point=tuple(map(GaussRational.of, point)))
@@ -568,7 +578,7 @@ def intersect_hyperplane(threespace: ThreeSpace, delta, precision: int | None = 
     if len(delta) != threespace.n:
         raise DimensionMismatchError("delta length does not match ambient rank")
     delta = tuple(as_fraction(x) for x in delta)
-    if is_zero_vec(delta):
+    if not any(delta):
         raise InputError("delta must be nonzero")
     ambient, (re, im, d) = threespace.ambient, threespace.ints
     (x,), e = clear_rows([[z.as_integer_ratio() for z in delta]])

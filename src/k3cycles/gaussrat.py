@@ -72,10 +72,6 @@ class GaussRational:
     def conjugate(self) -> "GaussRational":
         return GaussRational(self.re, -self.im)
 
-    def norm_sq(self) -> Fraction:
-        """|z|^2 = re^2 + im^2, exact."""
-        return self.re * self.re + self.im * self.im
-
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
@@ -92,9 +88,6 @@ class GaussRational:
         o = GaussRational.of(other)
         return GaussRational(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        return GaussRational.of(other) - self
-
     def __mul__(self, other):
         o = GaussRational.of(other)
         return GaussRational(
@@ -102,16 +95,6 @@ class GaussRational:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = GaussRational.of(other)
-        n = o.norm_sq()
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussRational")
-        return self * GaussRational(o.re / n, -o.im / n)
-
-    def __rtruediv__(self, other):
-        return GaussRational.of(other) / self
 
     def __eq__(self, other):
         if isinstance(other, GaussRational):

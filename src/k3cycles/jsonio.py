@@ -73,10 +73,6 @@ def decode_rational_vector(obj) -> tuple:
     return tuple(Fraction(p, q) for p, q in _ratios(obj))
 
 
-def encode_rational_matrix(m) -> list:
-    return [encode_rational_vector(row) for row in m]
-
-
 def _rows(obj) -> list:
     """The one array check of every JSON row list."""
     if not isinstance(obj, list):
@@ -104,10 +100,6 @@ def decode_int_matrix(obj) -> tuple:
 
 def encode_gauss_vector(v) -> list:
     return [encode_gauss(x) for x in v]
-
-
-def space_to_json(space: QuadraticSpace) -> dict:
-    return {"gram": encode_rational_matrix(space.gram)}
 
 
 def space_from_json(obj) -> QuadraticSpace:

@@ -42,10 +42,6 @@ def conj_vec(v):
     return tuple(x.conjugate() if isinstance(x, GaussRational) else x for x in v)
 
 
-def is_zero_vec(v) -> bool:
-    return all(x == 0 for x in v)
-
-
 # ---------------------------------------------------------------------------
 # Fraction-free elimination (int entries)
 
@@ -212,7 +208,7 @@ def hnf(rows):
 
     Pivots positive, entries above a pivot reduced into [0, pivot).
     """
-    a = [list(r) for r in rows if not is_zero_vec(r)]
+    a = [list(r) for r in rows if any(r)]
     r = 0
     for c in range(len(a[0]) if a else 0):
         if _euclid_column(a, r, c):
@@ -221,7 +217,7 @@ def hnf(rows):
                 if q != 0:
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
             r += 1
-    return tuple(tuple(row) for row in a if not is_zero_vec(row))
+    return tuple(tuple(row) for row in a if any(row))
 
 
 def _kernel_rows(m):

@@ -281,27 +281,6 @@ def _cleared(m, den=1):
     return g, den
 
 
-def congruence_diagonal(m):
-    """Exact congruence diagonalisation (d, S), S * m * S^T = diag(d), of a symmetric rational m:
-    the rational view of `_symmetric_bareiss` on den * m, in its pivot order with the radical
-    last, d[k] = lead[k] / (lead[k-1] den), and S replayed in Fractions from the recorded steps."""
-    g, den = _cleared(m)
-    n = len(g)
-    order, lead, low, splits = _symmetric_bareiss(g)
-    S = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k, p in enumerate(order):
-        if k in splits:
-            S[p] = [x + y for x, y in zip(S[p], S[splits[k]])]
-        s_piv = [(c, x) for c, x in enumerate(S[p]) if x]
-        for r, b in low[k]:
-            f, row = Fraction(b, lead[k]), S[r]
-            for c, x in s_piv:
-                row[c] = row[c] - f * x
-    radical = [i for i in range(n) if i not in order]
-    d = [Fraction(p, q * den) for p, q in zip(lead, [1] + lead)] + [Fraction(0)] * len(radical)
-    return d, [tuple(S[i]) for i in order + radical]
-
-
 def _int_inertia(g):
     """Sylvester inertia (pos, neg, null) of a symmetric integer matrix; pivot k has the sign of lead[k] lead[k-1]."""
     lead = _symmetric_bareiss(g)[1]

@@ -17,7 +17,7 @@ from .errors import (
     WallError,
 )
 from .gaussrat import GaussRational, as_fraction
-from .linalg import clear_gauss_rows, clear_rows, det, hnf, is_zero_vec
+from .linalg import clear_gauss_rows, clear_rows, det, hnf
 from .quadspace import (
     K3_GRAM,
     IntegralLattice,
@@ -130,10 +130,13 @@ def is_in_O_plus(ambient, g) -> bool:
     F^-1 R, with R the pairings of image and reference frame vectors and F
     the frame's Gram, which is positive definite.  So the sign of det R
     decides membership; R is taken over the integer Gram, a positive
-    multiple of the form, which keeps that sign.
+    multiple of the form, which keeps that sign.  An `Isometry` of another
+    space raises AmbientMismatchError.
     """
     space = _space_of(ambient)
     iso = g if isinstance(g, Isometry) else Isometry(space=space, matrix=tuple(tuple(row) for row in g))
+    if iso.space != space:
+        raise AmbientMismatchError("isometry and ambient are different spaces")
     supports = _k3_frame(space)
     if supports is None:
         raise FrameError("ambient space has no designated positive frame")
@@ -147,7 +150,7 @@ def delta_p_bounded(lattice: IntegralLattice, p: PeriodPoint, coord_bound: int) 
     """Bounded part of Delta_p = {roots orthogonal to the period point}."""
     if p.space != lattice.space:
         raise AmbientMismatchError("period point does not live in the lattice")
-    constraints = [c for c in (p.real_part(), p.imag_part()) if not is_zero_vec(c)]
+    constraints = [c for c in (p.real_part(), p.imag_part()) if any(c)]
     return bounded_root_search(lattice, constraints, coord_bound)
 
 

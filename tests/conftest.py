@@ -7,7 +7,7 @@ import pytest
 
 import k3cycles as k
 from k3cycles import jsonio
-from k3cycles.gaussrat import GaussRational
+from k3cycles.gaussrat import GaussRational, format_rational
 
 
 def uvec(i, n=22):
@@ -22,9 +22,14 @@ def gauss_rows(rows):
     return tuple(tuple(GaussRational.of(x) for x in row) for row in rows)
 
 
+def space_doc(space):
+    """The JSON document of a quadratic space: its rational Gram as "p/q" strings."""
+    return {"gram": [[format_rational(x) for x in row] for row in space.gram]}
+
+
 def threespace_doc(v):
     """The JSON document of a three-space: its ambient Gram and its Gauss-rational basis rows."""
-    return {"ambient": jsonio.space_to_json(v.ambient), "basis": [jsonio.encode_gauss_vector(row) for row in v.basis]}
+    return {"ambient": space_doc(v.ambient), "basis": [jsonio.encode_gauss_vector(row) for row in v.basis]}
 
 
 # Perturbation of the U^3 diagonal with no orthogonal roots: the U tweaks

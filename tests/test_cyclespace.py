@@ -521,8 +521,8 @@ def _calls_into(fn, module=fractions):
 
 def test_integer_inertia_paths_make_no_fraction_calls(u3_diagonal):
     # Inertia and smoothness run on integer Grams alone; the counter itself
-    # sees the rational view, which builds its Fraction transform.
-    assert _calls_into(lambda: quadspace.congruence_diagonal(quadspace.K3_GRAM)) > 0
+    # sees the real basis, which is built from Fractions.
+    assert _calls_into(lambda: u3_diagonal.real_basis()) > 0
     assert _calls_into(lambda: k.signature(quadspace.K3_GRAM)) == 0
     for build in (lambda: k.example_family(Q(1, 2)), lambda: k.example_family(2), lambda: k.ThreeSpace(ambient=u3_diagonal.ambient, basis=u3_diagonal.basis)):
         v = build()

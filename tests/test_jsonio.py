@@ -9,7 +9,7 @@ from k3cycles.errors import DegenerateGramError, DimensionMismatchError, InputEr
 from k3cycles.gaussrat import format_rational, parse_rational, parse_ratio
 from k3cycles.linalg import clear_rows
 
-from conftest import gauss_rows, threespace_doc
+from conftest import gauss_rows, space_doc, threespace_doc
 
 
 def test_rational_strings():
@@ -61,7 +61,7 @@ def test_gauss_roundtrip():
 
 
 def test_space_roundtrip(k3):
-    doc = jsonio.space_to_json(k3.space)
+    doc = space_doc(k3.space)
     back = jsonio.space_from_json(json.loads(json.dumps(doc)))
     assert back.gram == k3.space.gram
 

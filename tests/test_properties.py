@@ -1,14 +1,15 @@
 """Property tests: the Fincke-Pohst walk, the integral LLL and the reduced
 root enumeration, the bounded root search, the sparse pairing and isometry
-check, the chamber partition, the congruence diagonalisation, the integer HNF
+check, the chamber partition, the exact inertia, the integer HNF
 and kernel, the exact conic sweep and its closed-form sample values, the
-integer three-space and its JSON decode, the orientation test and rational
+integer three-space, its real witness and its JSON decode, the orientation test and rational
 parsing against the independent oracles in oracles.py, on random inputs drawn
 by hypothesis."""
 
 import json
 from fractions import Fraction as Q
 from functools import cache
+from itertools import product
 from math import gcd, lcm
 from operator import mul
 from unittest.mock import patch
@@ -24,9 +25,10 @@ from k3cycles.cyclespace import PENCIL_DEN, _herm_coeffs, _herm_products, _sampl
 from k3cycles.errors import DimensionMismatchError, InputError, NonPositiveKappaError, NotARootError, WallError
 from k3cycles.gaussrat import GaussRational, as_fraction, parse_rational
 from k3cycles.linalg import _is_unimodular, _kernel_rows, clear_gauss_rows, conj_vec, det, hnf, int_kernel, inverse, mat_mul, rank
-from k3cycles.quadspace import E8_GRAM, congruence_diagonal, gauss_grams, gram_apply, pair_rows, sparse_rows
+from k3cycles.quadspace import E8_GRAM, gauss_grams, gram_apply, pair_rows, sparse_rows
 from k3cycles.rootenum import _coefficient_bounds, _enumerate_up_to, _ldl, _lll, _positive_definite
 
+from conftest import space_doc
 from oracles import (
     _floor_sqrt,
     _inverse_fraction,
@@ -718,18 +720,12 @@ def symmetric_or_hermitian(draw):
 
 @SETTINGS
 @given(symmetric_or_hermitian())
-def test_congruence_diagonal_is_exact_and_invertible(case):
+def test_signature_and_definiteness_match_the_reference_inertia(case):
     hermitian, m = case
     if hermitian:
         assert k.hermitian_signature(m) == reference_inertia(m)
         return
-    d, S = congruence_diagonal(m)
     n = len(m)
-    for i in range(n):
-        for j in range(n):
-            value = sum((S[i][p] * m[p][q] * S[j][q] for p in range(n) for q in range(n)), start=Q(0))
-            assert value == (d[i] if i == j else 0)
-    assert cofactor_det(S) != 0
     assert k.signature(m) == reference_inertia(m)
     den = lcm(*(x.denominator for row in m for x in row))
     assert _positive_definite([[x.numerator * (den // x.denominator) for x in row] for row in m]) == (reference_inertia(m) == (n, 0, 0))
@@ -1134,6 +1130,73 @@ def test_threespace_decisions_match_the_rational_oracles(case):
             assert exact == got.exact_point == _reference_exact_point(v, A, H, [mpmath.mpc(x, y) for x, y in w])
 
 
+@cache
+def _isotropic_rows(ambient):
+    """The nonzero rows with entries in [-2, 2] that are isotropic for a diagonal ambient form."""
+    diagonal = [ambient.gram_int[i][i] for i in range(ambient.n)]
+    return tuple(x for x in product(range(-2, 3), repeat=ambient.n) if any(x) and sum(g * c * c for g, c in zip(diagonal, x)) == 0)
+
+
+@st.composite
+def real_threespaces(draw):
+    """(v, u): a real three-space v over DIAG6 or RATIONAL_DIAG6 with basis rows
+    (1 + i t_kk) u_k + i sum_{j<k} t_kj u_j, so that its real rows are u.  The u
+    have entries in [-2, 2]; for "split" all three are isotropic, so their Gram
+    has an all-zero diagonal; for "radical" u_2 is isotropic and u_0, u_1 are
+    moved into its orthogonal complement, so their Gram is singular; for
+    "definite" they lie in the positive or the negative coordinate half."""
+    ambient = draw(st.sampled_from((DIAG6, RATIONAL_DIAG6)))
+    shape = draw(st.sampled_from(("random", "split", "radical", "definite")))
+    isotropic, small = st.sampled_from(_isotropic_rows(ambient)), st.tuples(*[st.integers(-2, 2)] * 6)
+    u = [draw(isotropic if shape == "split" or (shape == "radical" and i == 2) else small) for i in range(3)]
+    if shape == "definite":
+        half = draw(st.sampled_from((range(3), range(3, 6))))
+        u = [tuple(x if c in half else 0 for c, x in enumerate(r)) for r in u]
+    if shape == "radical":
+        def pair(x, y):
+            return dense_bilinear(ambient.gram, x, y)
+        w = next(e for e in (tuple(int(c == j) for c in range(6)) for j in range(6)) if pair(e, u[2]))
+        u[:2] = [tuple(pair(w, u[2]) * x - pair(r, u[2]) * y for x, y in zip(r, w)) for r in u[:2]]
+    t = [[draw(st.integers(-2, 2)) for _ in range(3)] for _ in range(3)]
+    rows = tuple(tuple(GaussRational(u[i][c], t[i][i] * u[i][c] + sum(t[i][j] * u[j][c] for j in range(i))) for c in range(6)) for i in range(3))
+    try:
+        v = k.ThreeSpace(ambient=ambient, basis=rows)
+    except InputError:
+        assume(False)
+    return v, u
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+@SETTINGS
+@given(real_threespaces())
+def test_real_witness_is_an_isotropic_point_of_V_unless_the_real_form_is_definite(bits, case):
+    v, u = case
+    gram = v.ambient.gram
+    inertia = reference_inertia([[dense_bilinear(gram, x, y) for y in u] for x in u])
+    got = cyclespace._real_isotropic_witness(v, bits)
+    assert (got is None) == (inertia in ((3, 0, 0), (0, 3, 0)))
+    if got is None:
+        return
+    assert (got.kind, got.samples, got.certified_exact, got.precision_bits) == ("counterexample", 0, True, bits)
+    assert all(z.imag == 0 for z in got.point)
+    if got.exact_point is None:
+        # s is irrational: the rounded point is isotropic up to its rounding
+        with mpmath.workprec(4 * bits):
+            x = [z.real for z in got.point]
+            diagonal = [mpmath.mpf(g[i].numerator) / g[i].denominator for i, g in enumerate(gram)]
+            value = sum(g * c * c for g, c in zip(diagonal, x))
+            size = sum(abs(g) * c * c for g, c in zip(diagonal, x))
+            assert size > 0 and abs(value) <= size * mpmath.ldexp(1, 4 - bits)
+        return
+    point = got.exact_point
+    assert all(z.im == 0 for z in point) and any(point)
+    assert dense_bilinear(gram, point, point) == 0
+    assert exact_rank([*u, tuple(z.re for z in point)]) == 3
+    with mpmath.workprec(4 * bits):
+        exact = [mpmath.mpf(z.re.numerator) / z.re.denominator for z in point]
+        assert all(abs(z.real - x) <= abs(x) * mpmath.ldexp(1, 2 - bits) for z, x in zip(got.point, exact))
+
+
 def _respelled(obj, rng):
     """A JSON document with every rational literal written another way that
     means the same: "p/q" as "kp/kq" (unreduced), an integer as "p/1", a JSON
@@ -1152,7 +1215,7 @@ def _respelled(obj, rng):
 @given(gauss_bases(), st.randoms(use_true_random=False))
 def test_json_decode_matches_the_rational_constructor(case, rng):
     ambient, rows = case
-    doc = {"ambient": jsonio.space_to_json(ambient), "basis": [jsonio.encode_gauss_vector(row) for row in rows]}
+    doc = {"ambient": space_doc(ambient), "basis": [jsonio.encode_gauss_vector(row) for row in rows]}
     doc = json.loads(json.dumps(_respelled(doc, rng)))
     try:
         v = k.ThreeSpace(ambient=ambient, basis=rows)

@@ -211,15 +211,20 @@ def _uses(path, tree, modules):
     return pairs, strings
 
 
-def test_every_module_level_name_is_referenced():
-    root = SRC.parent.parent
+def _all_uses(files):
+    """The union of `_uses` over the files, as (pairs, strings)."""
     modules = {p.stem for p in SRC.glob("*.py")}
-    files = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]
     pairs, strings = set(), set()
     for p in files:
         file_pairs, file_strings = _uses(p, ast.parse(p.read_text(), filename=str(p)), modules)
         pairs |= file_pairs
         strings |= file_strings
+    return pairs, strings
+
+
+def test_every_module_level_name_is_referenced():
+    root = SRC.parent.parent
+    pairs, strings = _all_uses([*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")])
     dead = [
         f"{path.name}:{line} {name}"
         for path in sorted(SRC.glob("*.py"))
@@ -227,6 +232,24 @@ def test_every_module_level_name_is_referenced():
         if not ({(path.stem, name), (None, name)} & pairs or name in strings or name == "__version__")
     ]
     assert not dead, f"module-level names in src/k3cycles that nothing references: {dead}"
+
+
+def test_no_module_level_function_is_reached_only_from_tests():
+    # A function that only tests call belongs in the tests: each one outside
+    # cli.py is called in src/, exported by __init__.py or read by the benchmark.
+    root = SRC.parent.parent
+    pairs, strings = _all_uses([*SRC.glob("*.py"), *(p for p in (root / "perfbench").glob("*.py") if not p.name.startswith("test_"))])
+    init = ast.parse((SRC / "__init__.py").read_text(), filename="__init__.py")
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    test_only = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef)
+        and not ({(path.stem, node.name), (None, node.name)} & pairs or node.name in strings or node.name in exported)
+    ]
+    assert not test_only, f"module-level functions in src/k3cycles that only tests reach: {test_only}"
 
 
 def test_readme_library_overview_names_resolve():
@@ -260,7 +283,7 @@ def test_every_cli_command_is_guarded():
 
 def test_only_quadspace_and_jsonio_read_the_rational_gram():
     # The number type of a form is decided in quadspace: the library pairs
-    # over `gram_int` and `den`; the rational `gram` is for the JSON encoder.
+    # over `gram_int` and `den`; the rational `gram` is for callers outside it.
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))

@@ -6,10 +6,12 @@ import pytest
 import k3cycles as k
 from k3cycles import GaussRational
 from k3cycles.errors import (
+    AmbientMismatchError,
     FrameError,
     InputError,
     NonPositiveKappaError,
     NotARootError,
+    NotIsometryError,
     WallError,
 )
 from k3cycles.linalg import identity_int, mat_mul
@@ -102,6 +104,18 @@ def test_is_in_o_plus_diag_frame():
     assert k.is_in_O_plus(sp, flip_last)
     flip_first = tuple(tuple((-1 if i == 0 else 1) if i == j else 0 for j in range(4)) for i in range(4))
     assert not k.is_in_O_plus(sp, flip_first)
+
+
+def test_is_in_o_plus_rejects_an_isometry_of_another_space(k3):
+    # The reflection in e4 + e5 of diag(1,1,1,-1^19) is no isometry of K3:
+    # as an Isometry it names the wrong space, as a bare matrix it fails the check.
+    diag = k.make_standard_lattice("diag", signs=[1, 1, 1] + [-1] * 19)
+    r = k.reflection_matrix(diag, tuple(int(i in (3, 4)) for i in range(22)))
+    assert k.is_in_O_plus(diag, r)
+    with pytest.raises(AmbientMismatchError):
+        k.is_in_O_plus(k3, r)
+    with pytest.raises(NotIsometryError):
+        k.is_in_O_plus(k3, r.matrix)
 
 
 def test_is_in_o_plus_no_frame(hyperbolic):
