@@ -133,19 +133,15 @@ class ThreeSpace:
         return self._real
 
     def _real_rows(self):
-        """The integer rows of `real_basis`: the pivot columns of one echelon form of the n x 6
-        matrix with columns re_0, im_0, re_1, im_1, re_2, im_2, the first that raise the rank."""
+        """Integer rows whose span over d is V's real points (only valid when real): the pivot
+        columns of one echelon form of the n x 6 matrix with columns re_0, im_0, re_1, im_1,
+        re_2, im_2, the first that raise the rank."""
         re, im, _ = self.ints
         cols = tuple(chain.from_iterable(zip(re, im)))
         picked = tuple(cols[next(c for c, x in enumerate(row) if x)] for row in hnf(zip(*cols)))
         if len(picked) != 3:
-            raise InternalCheckError("real_basis called on a three-space that is not real")
+            raise InternalCheckError("a three-space that is not real has no real rows")
         return picked
-
-    def real_basis(self):
-        """A rational basis of V's real points (only valid when real): `_real_rows` over d."""
-        d = self.ints[2]
-        return tuple(tuple(Fraction(x, d) for x in row) for row in self._real_rows())
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,14 @@ definite integer Gram out to an integer radius by norm, walking one of each
 +-x, carrying each vector's ambient image if given rows and checking each
 leaf's norm in its last level's loop.  Each root search splits the form on a
 lattice basis into orthogonal blocks and joins them to norm -2 itself.  The
-complete search reduces the Euclid basis of the saturated complement of a
-positive three-space (no HNF) by an LLL that tracks only its transform H,
-checks det H = +-1 by Euclid pivots, and takes its blocks from the ambient
-Gram of the reduced rows; all are negative definite, so a root is a -2
-vector of one block or the sum of -1 vectors of two blocks (in <-1> + <-1>,
-the root (1, 1)).
+complete search splits off the components of the ambient Gram that no
+constraint row of a positive three-space touches, orthogonal summands of its
+complement walked once per Gram (`_summand_shell`).  On the touched columns
+it reduces the Euclid kernel rows (no HNF), sorted by l1 norm, by an LLL that
+tracks only its transform H, checks det H = +-1 by Euclid pivots, and takes
+its blocks from the ambient Gram of the reduced rows; all blocks and summands
+are negative definite, so a root is a -2 vector of one or the sum of -1
+vectors of two (in <-1> + <-1>, the root (1, 1)).
 The bounded search (`_block_roots`) joins one walked or box-scanned table per
 kernel block over a coordinate box into roots, each one concatenation of block
 parts.  Each block is walked or scanned, boxed and certified per table entry
@@ -29,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add, itemgetter, mul, neg
 
 from .errors import (
@@ -260,7 +262,10 @@ def _lll(gram):
         # b_k -= q b_l for q the integer nearest to mu[k][l]
         lk, dl = lam[k], d[l + 1]
         q = (2 * lk[l] + dl) // (2 * dl)
-        h[k] = [a - q * b for a, b in zip(h[k], h[l])]
+        hk = h[k]
+        for c, b in enumerate(h[l]):
+            if b:
+                hk[c] -= q * b
         lk[l] -= q * dl
         ll = lam[l]
         for i in range(l):
@@ -303,32 +308,67 @@ def _lll(gram):
 def roots_orthogonal_to_threespace(lattice: IntegralLattice, threespace) -> RootList:
     """Complete list of roots of the lattice orthogonal to a positive three-space.
 
-    The negated form on the saturated complement is LLL-reduced from any basis
-    of it, the Euclid rows of its kernel (the HNF is only for `Sublattice`
-    output); det H = +-1, read off Euclid pivots that must all be 1, certifies,
-    once per call, that the reduced rows span it.  The blocks come from the
-    ambient Gram of those rows, so block norms are ambient norms.
+    A component of the ambient Gram that no constraint row touches is an
+    orthogonal summand of the complement, read from `_summand_shell`; nothing
+    is kept per three-space.  On the touched columns the Euclid kernel rows
+    (the HNF is only for `Sublattice` output), sorted by l1 norm, are
+    LLL-reduced under the negated form; det H = +-1, read off Euclid pivots
+    that must all be 1, certifies, once per call, that the reduced rows span
+    that kernel.  Its blocks come from the ambient Gram of those rows, so
+    block norms are ambient norms.
     """
     if threespace.ambient != lattice.space:
         raise AmbientMismatchError("three-space ambient does not match lattice")
     if threespace.hermitian_inertia != (3, 0, 0):
         raise NotPositiveError("three-space must be positive for complete root enumeration")
     re, im, _ = threespace.ints  # the re and im rows, scaled to integers by the same d > 0
-    basis = _kernel_rows(_constraint_rows(lattice, [c for c in re + im if any(c)]))  # G nondegenerate: rows nonempty
-    sub = Sublattice(ambient=lattice, basis=basis, restricted_gram=row_gram(lattice.space.sparse_rows, basis))
-    if sub.rank == 0:
-        return RootList(roots=(), complete=True)
-    H = _lll(tuple(tuple(-x for x in row) for row in sub.restricted_gram))
+    constraints = _constraint_rows(lattice, [c for c in re + im if any(c)])  # G nondegenerate: rows nonempty
+    n, ambient = lattice.n, lattice.space.sparse_rows
+    support = {c for row in constraints for c, x in enumerate(row) if x}
+    comps = _components(lattice.gram_int)
+    cols = sorted(c for comp in comps if not support.isdisjoint(comp) for c in comp)
+    # the touched kernel rows, sorted by l1 norm and put back in ambient coordinates (0 off cols)
+    local = sorted(_kernel_rows([[row[c] for c in cols] for row in constraints]), key=lambda t: sum(map(abs, t)))
+    basis = list(map(_scatter(cols, n), local))
+    H = _lll(tuple(tuple(-x for x in row) for row in row_gram(ambient, basis)))
     if not _is_unimodular(H):
         raise InternalCheckError("LLL transform is not unimodular")
-    rows = [sub.to_ambient(t) for t in H]
-    gram = row_gram(lattice.space.sparse_rows, rows)
-    # a root is one block's -2 vector or the sum of -1 vectors of two blocks
-    shells = [_enumerate_up_to([[-gram[i][j] for j in comp] for i in comp], 2, [rows[k] for k in comp]) for comp in _components(gram)]
-    roots = [x for shell in shells for x in shell.get(2, ())]
-    roots += [tuple(map(add, x, y)) for a, b in itertools.combinations(shells, 2) for x in a.get(1, ()) for y in b.get(1, ())]
+    live = sparse_rows(basis)
+    rows = [tuple(gram_apply(live, t, n)) for t in H]
+    gram = row_gram(ambient, rows)
+    # a root is one block's -2 vector or the sum of -1 vectors of two blocks, the untouched summands' included
+    walks = (_enumerate_up_to([[-gram[i][j] for j in comp] for i in comp], 2, [rows[k] for k in comp]) for comp in _components(gram))
+    shells = [(w.get(1, ()), w.get(2, ())) for w in walks]
+    shells += [_summand_shell(lattice.gram_int, tuple(comp)) for comp in comps if support.isdisjoint(comp)]
+    roots = [x for _, twos in shells for x in twos]
+    roots += [tuple(map(add, x, y)) for (a, _), (b, _) in itertools.combinations(shells, 2) for x in a for y in b]
     roots.sort()
     return RootList(roots=tuple(roots), complete=True)
+
+
+@lru_cache(maxsize=8)
+def _summand_shell(gram, comp):
+    """The vectors of norm -1 and of norm -2 of the component comp of the
+    integer Gram, whose block must be negative definite, as a pair of tuples
+    in ambient coordinates, once per (gram, comp)."""
+    scatter = _scatter(comp, len(gram))
+    return tuple(tuple(map(scatter, xs)) for xs in _block_shell(tuple(tuple(-gram[i][j] for j in comp) for i in comp)))
+
+
+@lru_cache(maxsize=8)
+def _block_shell(gram):
+    """The vectors of norm 1 and of norm 2 of a positive-definite integer Gram
+    as a pair of tuples, once per Gram: equal blocks, as K3's two E8(-1)
+    blocks, share one walk."""
+    walk = _enumerate_up_to(gram, 2)
+    return tuple(walk.get(1, ())), tuple(walk.get(2, ()))
+
+
+def _scatter(cols, n):
+    """x -> the n-vector with x[i] on coordinate cols[i] and 0 elsewhere, for n >= 2."""
+    spot = dict(zip(cols, range(len(cols))))
+    get = itemgetter(*[spot.get(c, len(cols)) for c in range(n)])
+    return lambda x: get(x + (0,))
 
 
 def _components(m):

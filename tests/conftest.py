@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 import k3cycles as k
-from k3cycles import jsonio
+from k3cycles import jsonio, rootenum
 from k3cycles.gaussrat import GaussRational, format_rational
 
 
@@ -54,6 +54,15 @@ def vprime_rows(n=22):
                 v[14 + c] += Q(VPRIME_Q[i][c], 7)
         rows.append(tuple(v))
     return rows
+
+
+@pytest.fixture(autouse=True)
+def _fresh_summand_shells():
+    """Each test starts with empty tables of summand and block shells: a test
+    that patches the walk can neither leave a faulty table behind nor pass by
+    reading a good one."""
+    rootenum._summand_shell.cache_clear()
+    rootenum._block_shell.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -521,8 +521,10 @@ def _calls_into(fn, module=fractions):
 
 def test_integer_inertia_paths_make_no_fraction_calls(u3_diagonal):
     # Inertia and smoothness run on integer Grams alone; the counter itself
-    # sees the real basis, which is built from Fractions.
-    assert _calls_into(lambda: u3_diagonal.real_basis()) > 0
+    # sees the Gauss-rational basis of a three-space built from its integer
+    # rows, which is built from Fractions.
+    w = k.ThreeSpace(ambient=u3_diagonal.ambient, ints=u3_diagonal.ints)
+    assert _calls_into(lambda: w.basis) > 0
     assert _calls_into(lambda: k.signature(quadspace.K3_GRAM)) == 0
     for build in (lambda: k.example_family(Q(1, 2)), lambda: k.example_family(2), lambda: k.ThreeSpace(ambient=u3_diagonal.ambient, basis=u3_diagonal.basis)):
         v = build()

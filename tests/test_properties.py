@@ -282,6 +282,9 @@ def unimodular_root_lattices(draw):
 @given(unimodular_root_lattices())
 @example((_block_sum((ONE,) * 3), ((1, 0, 0), (0, 1, 0), (0, 0, 1))))  # 12 roots +-e_i +-e_j, each across two blocks
 @example((_block_sum((ONE, _a(2), ONE, ((2,),))), ((1, 1, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 2, 1, 0), (1, 0, 0, 0, 1))))
+# A signed permutation that spreads A2 over coordinates 0 and 3: the ambient summand A2(-1) on
+# coordinates 3 and 6 is no interval, and the <-1> summands on 4 and 5 join to 4 roots.
+@example((_block_sum((ONE, _a(2), ONE)), ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))))
 def test_reduced_roots_map_back_through_a_unimodular_change(case):
     # Roots of <1>^3 + (-U^T G U) orthogonal to span(e1, e2, e3) are (0, 0, 0, y)
     # with U y a norm 2 vector of G.
@@ -1102,7 +1105,7 @@ def _greedy_real_basis(rows):
 @given(st.one_of(gauss_bases(), nonreal_threespaces().map(lambda v: (v.ambient, v.basis))))
 @example((DIAG6, EXACT_WITNESS_BASES[0]))
 def test_threespace_decisions_match_the_rational_oracles(case):
-    # Reality is rank(re u im) = 3; the real basis is the greedy pick over the
+    # Reality is rank(re u im) = 3; the real rows over d are the greedy pick over the
     # Gauss-rational basis; an exact counterexample is the reference
     # reconstruction of the same sample W.
     ambient, rows = case
@@ -1113,7 +1116,8 @@ def test_threespace_decisions_match_the_rational_oracles(case):
     real = exact_rank([tuple(getattr(x, part) for x in row) for row in rows for part in ("re", "im")]) == 3
     assert v.is_real() is real
     if real:
-        assert v.real_basis() == _greedy_real_basis(rows)
+        d = v.ints[2]
+        assert tuple(tuple(Q(x, d) for x in row) for row in v._real_rows()) == _greedy_real_basis(rows)
         return
     seen = []
 

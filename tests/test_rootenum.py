@@ -10,7 +10,7 @@ from k3cycles.linalg import hnf, identity_int, int_kernel
 from k3cycles.rootenum import _enumerate_up_to, _ldl, _positive_definite
 
 from conftest import gauss_rows, uvec, vprime_rows
-from oracles import block_sum_roots, dense_bilinear, naive_box_norm_vectors, naive_box_radius_vectors
+from oracles import block_sum_roots, box_scan_roots, dense_bilinear, naive_box_norm_vectors, naive_box_radius_vectors
 
 
 def test_enumerate_rank_one():
@@ -226,6 +226,57 @@ def test_roots_of_odd_diagonal_complements_cross_blocks(negatives):
         block_sum_roots([row[3:] for row in lattice.gram_int[3:]])  # the one-block oracle refuses odd blocks
 
 
+def _recorded_summands(monkeypatch):
+    """The components whose shells the complete search reads from the summand table."""
+    summand, read = rootenum._summand_shell, []
+    monkeypatch.setattr(rootenum, "_summand_shell", lambda gram, comp: read.append(comp) or summand(gram, comp))
+    return read
+
+
+def _k3_row(*entries):
+    return [Q(sum(x for c, x in entries if c == j)) for j in range(22)]
+
+
+E8_A, E8_B = tuple(range(6, 14)), tuple(range(14, 22))
+
+
+@pytest.mark.parametrize("rows, untouched, count", [
+    ([uvec(0), uvec(1), uvec(2)], (E8_A, E8_B), 486),
+    ([uvec(0), uvec(1), _k3_row((4, 2), (5, 2), (13, 1))], (E8_B,), 376),
+    ([uvec(0), _k3_row((2, 2), (3, 2), (13, 1)), _k3_row((4, 2), (5, 2), (21, 1))], (), 266),
+], ids=["no_e8_touched", "one_e8_touched", "both_e8_touched"])
+def test_untouched_e8_summands_join_the_reduced_touched_part(monkeypatch, k3, rows, untouched, count):
+    # V touches zero, one or both E8(-1) blocks (each row 2(e_i + f_i) plus a
+    # root of one block keeps V positive); the blocks it leaves untouched are
+    # read from the summand table, and the roots of the whole complement,
+    # from the oracle's box scans of its HNF blocks, must come out.
+    v = k.ThreeSpace(ambient=k3.space, basis=gauss_rows(rows))
+    read = _recorded_summands(monkeypatch)
+    rl = k.roots_orthogonal_to_threespace(k3, v)
+    assert read == list(untouched)
+    assert (rl.complete, len(rl)) == (True, count)
+    assert rl.roots == tuple(block_sum_roots_in_ambient(k3, v))
+
+
+def test_a_cached_minus_one_summand_joins_a_walked_block(monkeypatch):
+    # In diag(1,1,1,-1,-1,-1,-1), V = span(e0, e1, 2e2 + e3 + e4) touches
+    # coordinates 2..4, whose kernel 2x2 = x3 + x4 is <-2> + <-1> on
+    # (0, 1, -1) and (1, 1, 1).  The untouched <-1> summands e5 and e6 come
+    # from the table, and the roots +-(e2 + e3 + e4) +-e5 and +-(e2 + e3 + e4)
+    # +-e6 each take -1 from the walked block and -1 from a cached one.
+    signs = [1, 1, 1, -1, -1, -1, -1]
+    lattice = k.IntegralLattice(k.make_standard_lattice("diag", signs=signs))
+    rows = [[int(j == 0) for j in range(7)], [int(j == 1) for j in range(7)], [0, 0, 2, 1, 1, 0, 0]]
+    v = k.ThreeSpace(ambient=lattice.space, basis=gauss_rows(rows))
+    read = _recorded_summands(monkeypatch)
+    rl = k.roots_orthogonal_to_threespace(lattice, v)
+    assert read == [(5,), (6,)]
+    want = box_scan_roots(lattice.gram_int, rows, 2)
+    assert list(rl.roots) == want and len(want) == 14
+    crossing = [r for r in want if r[2] and (r[5] or r[6])]
+    assert len(crossing) == 8
+
+
 @pytest.mark.parametrize("gram", [((0, 1), (1, 0)), ((1, 2), (2, 1)), ((2, 1, 0), (1, 2, 0), (0, 0, -1))])
 def test_lll_rejects_a_form_that_is_not_positive_definite(gram):
     with pytest.raises(NotPositiveDefiniteError):
@@ -252,17 +303,27 @@ def test_certificate_takes_the_block_form_from_the_ambient_rows(monkeypatch, k3,
     # The LLL returns only its transform H; the blocks come from the ambient
     # Gram of the rows of H, so no Gram the LLL could falsify reaches the walk.
     # Any signed permutation of the rows of H is unimodular and spans the same
-    # complement, so it must give the same 486 roots.
+    # complement, so it must give the same 486 roots.  The LLL sees only the
+    # touched part, so the reflected image, whose touched part has rank 11,
+    # gives each edit an H that it changes.
+    v = _reflected(k3, u3_diagonal, 2)
+    ranks = []
+
     def falsify(H):
         if edit == "reverse":
-            return H[::-1]
-        if edit == "negate":
-            return [[-x for x in row] if i % 2 else row for i, row in enumerate(H)]
-        return H[3:] + H[:3]
+            edited = H[::-1]
+        elif edit == "negate":
+            edited = [[-x for x in row] if i % 2 else row for i, row in enumerate(H)]
+        else:
+            edited = H[3:] + H[:3]
+        assert edited != H
+        ranks.append(len(H))
+        return edited
 
-    expect = k.roots_orthogonal_to_threespace(k3, u3_diagonal)
+    expect = k.roots_orthogonal_to_threespace(k3, v)
     _patched_lll(monkeypatch, falsify)
-    got = k.roots_orthogonal_to_threespace(k3, u3_diagonal)
+    got = k.roots_orthogonal_to_threespace(k3, v)
+    assert ranks == [11]
     assert (got.complete, len(got)) == (True, 486)
     assert got.roots == expect.roots
 
@@ -549,25 +610,32 @@ def _reflected(k3, v, seed):
     return k.apply_isometry(k.reflection_matrix(k3, tuple(d)), v)
 
 
-@pytest.mark.parametrize("fixture, seed, nodes, count", [
-    pytest.param("u3_diagonal", None, 501, 486, id="u3_diagonal-501-486"),
-    pytest.param("vprime", None, 19, 0, id="vprime-19-0"),
-    pytest.param("u3_diagonal", 2, 501, 486, id="u3_diagonal_reflected-501-486"),
-    pytest.param("vprime", 2, 19, 0, id="vprime_reflected-19-0"),
+@pytest.mark.parametrize("fixture, seed, cold, warm, count", [
+    pytest.param("u3_diagonal", None, 257, 3, 486, id="u3_diagonal-257-486"),
+    pytest.param("vprime", None, 19, 19, 0, id="vprime-19-0"),
+    pytest.param("u3_diagonal", 2, 511, 257, 486, id="u3_diagonal_reflected-511-486"),
+    pytest.param("vprime", 2, 19, 19, 0, id="vprime_reflected-19-0"),
 ])
-def test_complete_search_node_counts(monkeypatch, request, k3, fixture, seed, nodes, count):
+def test_complete_search_node_counts(monkeypatch, request, k3, fixture, seed, cold, warm, count):
     # Fincke-Pohst visits are machine-independent: one `_int_interval` call per
     # interior node of the walk, the calls the benchmark's fp_nodes counts.
     # A change to the reduction or to the walk that visits other nodes shows
-    # here.  The reflected images have a kernel basis the LLL receives in
-    # another shape: their HNF basis walked 506 and 20 nodes.
+    # here.  A cold call also walks the untouched E8(-1) summands, once for
+    # both (254 nodes); a warm one reads them from the table.  The U^3
+    # diagonal touches no E8(-1) block (its touched part walks 3 nodes), its
+    # reflected image one, which the LLL then reduces with the rest (257
+    # nodes); `vprime` and its image touch every coordinate.
     v = request.getfixturevalue(fixture)
     v = v if seed is None else _reflected(k3, v, seed)
     calls = []
     interval = rootenum._int_interval
     monkeypatch.setattr(rootenum, "_int_interval", lambda *a: calls.append(a) or interval(*a))
-    rl = k.roots_orthogonal_to_threespace(k3, v)
-    assert (len(calls), len(rl)) == (nodes, count)
+    counts = []  # the tables start empty (conftest)
+    for _ in range(2):
+        calls.clear()
+        found = len(k.roots_orthogonal_to_threespace(k3, v))
+        counts.append((len(calls), found))
+    assert counts == [(cold, count), (warm, count)]
 
 
 def _delta_p_e1f1_e2f2(k3):
